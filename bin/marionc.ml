@@ -334,21 +334,27 @@ let main target maril strategy source run verify sim_cache trace stats
                "no source file given (FILE.c is required unless --lint or \
                 --livermore)")
     in
-    let finject = resolve_finject finject_spec in
-    let check_options =
-      { Mircheck.default_options with Mircheck.hazard_replay = verify_mir }
+    let opts =
+      {
+        Strategy.check = not no_check;
+        check_options =
+          { Mircheck.default_options with Mircheck.hazard_replay = verify_mir };
+        validate = not no_validate;
+        dag_stats = time_passes;
+        disambig = not no_disambig;
+        jobs = (if jobs <= 0 then Dpool.recommended_jobs () else jobs);
+        on_error;
+        pass_timeout;
+        finject = resolve_finject finject_spec;
+      }
     in
-    let jobs = if jobs <= 0 then Dpool.recommended_jobs () else jobs in
     let comp_cache =
       Option.map
         (fun dir -> Cache.create ~dir ())
         (resolve_cache ~cache ~no_cache)
     in
     let compiled =
-      Marion.compile ~check:(not no_check) ~check_options
-        ~validate:(not no_validate) ~jobs ~dag_stats:time_passes
-        ~disambig:(not no_disambig) ?cache:comp_cache ~on_error ?pass_timeout
-        ~finject model strat ~file:source src
+      Marion.compile ~opts ?cache:comp_cache model strat ~file:source src
     in
     let fault_events = compiled.Marion.report.Strategy.faults in
     if fault_events <> [] then begin

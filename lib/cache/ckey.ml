@@ -185,21 +185,16 @@ let of_model model =
 (* Pipeline identity                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let of_pipeline ~strategy ~passes ~check ~def_use ~global_dataflow
-    ~hazard_replay ~validate ~dag_stats ~disambig =
+(* the flags are written without a length prefix: the caller fixes their
+   number and order, and keys stay byte-compatible with the entries
+   written when the flags were separate labelled arguments *)
+let of_pipeline ~strategy ~passes ~flags =
   let buf = Buffer.create 128 in
   add_int buf format_version;
   add_str buf strategy;
   add_int buf (List.length passes);
   List.iter (add_str buf) passes;
-  let flag b = Buffer.add_char buf (if b then '1' else '0') in
-  flag check;
-  flag def_use;
-  flag global_dataflow;
-  flag hazard_replay;
-  flag validate;
-  flag dag_stats;
-  flag disambig;
+  List.iter (fun b -> Buffer.add_char buf (if b then '1' else '0')) flags;
   Digest.bytes (Buffer.to_bytes buf)
 
 let combine parts = Digest.string (String.concat "" parts)

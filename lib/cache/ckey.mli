@@ -35,16 +35,11 @@ val of_model : Model.t -> t
     structurally-equal rebuilt model recomputes to the {e same} digest —
     the memo is an optimization, never a semantic key. *)
 
-val of_pipeline :
-  strategy:string -> passes:string list -> check:bool -> def_use:bool ->
-  global_dataflow:bool -> hazard_replay:bool -> validate:bool ->
-  dag_stats:bool -> disambig:bool -> t
+val of_pipeline : strategy:string -> passes:string list -> flags:bool list -> t
 (** Digest of the pipeline identity: strategy name, ordered pass names,
-    and every flag that changes the generated code or a report (verifier
-    on/off and its options — including the global-dataflow diagnostics —
-    translation validation, DAG statistics, and memory disambiguation,
-    which changes schedules, so [--no-disambig] and default compiles
-    never share an entry). *)
+    and one byte per flag that changes the generated code or a report.
+    The flag list carries no length, so its order and size are part of
+    the key; [Strategy.pipeline_key] is the one caller that fixes them. *)
 
 val combine : t list -> t
 (** Order-sensitive combination of component digests into one key. *)

@@ -6,29 +6,16 @@ let load_target ~name ~file src = Builder.load ~name ~file src
 
 let parse_c ~file src = Cparse.parse ~file src
 
-let compile_ir ?check ?check_options ?validate ?jobs ?dag_stats ?disambig
-    ?cache ?on_error ?pass_timeout ?finject model strategy ir =
+let compile ?opts ?cache model strategy ~file src =
   let prog, report =
-    Strategy.compile ?check ?check_options ?validate ?jobs ?dag_stats
-      ?disambig ?cache ?on_error ?pass_timeout ?finject model strategy ir
+    Strategy.compile ?opts ?cache model strategy (Cgen.compile ~file src)
   in
   { prog; report }
 
-let compile ?check ?check_options ?validate ?jobs ?dag_stats ?disambig ?cache
-    ?on_error ?pass_timeout ?finject model strategy ~file src =
-  compile_ir ?check ?check_options ?validate ?jobs ?dag_stats ?disambig
-    ?cache ?on_error ?pass_timeout ?finject model strategy
-    (Cgen.compile ~file src)
-
 let run ?config { prog; _ } = Sim.run ?config prog
 
-let compile_and_run ?config ?check ?check_options ?validate ?jobs ?dag_stats
-    ?disambig ?cache ?on_error ?pass_timeout ?finject model strategy ~file
-    src =
-  let compiled =
-    compile ?check ?check_options ?validate ?jobs ?dag_stats ?disambig
-      ?cache ?on_error ?pass_timeout ?finject model strategy ~file src
-  in
+let compile_and_run ?config ?opts ?cache model strategy ~file src =
+  let compiled = compile ?opts ?cache model strategy ~file src in
   { compiled; sim = run ?config compiled }
 
 let lint = Marilint.lint

@@ -32,64 +32,26 @@ val parse_c : file:string -> string -> Cast.tunit
 (** Parse mini-C source. *)
 
 val compile :
-  ?check:bool -> ?check_options:Mircheck.options -> ?validate:bool ->
-  ?jobs:int -> ?dag_stats:bool -> ?disambig:bool -> ?cache:Cache.t ->
-  ?on_error:Strategy.on_error -> ?pass_timeout:float ->
-  ?finject:Finject.plan -> Model.t -> Strategy.name -> file:string ->
-  string -> compiled
-(** Front end, glue, selection, the chosen strategy, frame layout.
-    [check] (default [true]) lints the description and re-verifies the
-    MIR at every phase point ({!Mircheck}); invariant violations raise
-    {!Diag.Check_error}, warnings land in [report.check_diags].
-
-    [validate] (default [true], [marionc --no-validate] to disable)
-    additionally runs the translation validators ({!Transval}) around
-    every scheduling and allocation pass: the pass's input is captured
-    and compared against its output for semantic preservation. Validator
-    findings are errors (codes V001–V029) and raise {!Diag.Check_error}.
-
-    [jobs] (default 1, [marionc -j]) compiles functions in parallel on an
-    OCaml domain pool; every observable output (assembly, report,
-    diagnostics) is bit-identical to the sequential path — see
-    {!Strategy.apply}. [dag_stats] adds code-DAG sizes to
-    [report.profile] ([marionc --time-passes]).
-
-    [disambig] (default [true], [marionc --no-disambig] to disable) runs
-    the static memory-disambiguation analysis before every scheduling
-    pass so provably independent loads and stores can be reordered: Mem
-    edges between disjoint accesses are pruned from the dependence DAGs,
-    and the translation validators check against the same pruned DAGs.
-    Analysis counters land in [report.profile]
-    ([marionc --analysis-format=]).
+  ?opts:Strategy.options -> ?cache:Cache.t -> Model.t -> Strategy.name ->
+  file:string -> string -> compiled
+(** Front end, glue, selection, the chosen strategy, frame layout, under
+    [opts] (default {!Strategy.default}: lint and phase verification,
+    translation validation and memory disambiguation on, one job,
+    abort on the first error). Invariant violations raise
+    {!Diag.Check_error}; warnings land in [report.check_diags].
+    {!Strategy.options} documents every option and its [marionc] flag.
 
     [cache] supplies a content-addressed compilation cache ({!Cache},
     [marionc --cache]): per-function results keyed on the post-glue IL,
     the model digest, and the pipeline identity are replayed
-    bit-identically instead of recompiled — see {!Strategy.compile}.
-
-    [on_error] ([marionc --on-error=]), [pass_timeout] ([--pass-timeout],
-    milliseconds) and [finject] ([--finject], [MARION_FINJECT]) activate
-    per-function fault isolation: pass faults are trapped and the
-    function degrades down the strategy ladder or is skipped instead of
-    aborting the whole compile — see {!Strategy.compile} and {!Degrade}.
-    The defaults preserve abort-on-first-error bit-identically. *)
-
-val compile_ir :
-  ?check:bool -> ?check_options:Mircheck.options -> ?validate:bool ->
-  ?jobs:int -> ?dag_stats:bool -> ?disambig:bool -> ?cache:Cache.t ->
-  ?on_error:Strategy.on_error -> ?pass_timeout:float ->
-  ?finject:Finject.plan -> Model.t -> Strategy.name -> Ir.prog -> compiled
-(** Same, starting from IL. *)
+    bit-identically instead of recompiled — see {!Strategy.compile}. *)
 
 val run : ?config:Sim.config -> compiled -> Sim.result
 (** Execute on the pipeline simulator. *)
 
 val compile_and_run :
-  ?config:Sim.config -> ?check:bool -> ?check_options:Mircheck.options ->
-  ?validate:bool -> ?jobs:int -> ?dag_stats:bool -> ?disambig:bool ->
-  ?cache:Cache.t -> ?on_error:Strategy.on_error -> ?pass_timeout:float ->
-  ?finject:Finject.plan -> Model.t -> Strategy.name -> file:string ->
-  string -> run_result
+  ?config:Sim.config -> ?opts:Strategy.options -> ?cache:Cache.t ->
+  Model.t -> Strategy.name -> file:string -> string -> run_result
 
 val lint : ?suppress:string list -> Model.t -> Diag.t list
 (** {!Marilint.lint}: check a machine description for internal

@@ -510,6 +510,20 @@ let do_builtin st name =
 let exec_sem st (si : sinst) =
   let op = si.s_op in
   let slots = abs op.Model.i_slots in
+  (* a load's cache penalty: its address must be read before the
+     semantics run, since the destination may be the base register *)
+  let penalty =
+    if op.Model.i_loads && st.cfg.cache <> None then
+      let rec addr_of = function
+        | [] -> None
+        | Ast.Sassign (_, Ast.Emem (_, a)) :: _ -> Some a
+        | _ :: tl -> addr_of tl
+      in
+      match addr_of op.Model.i_sem with
+      | Some a -> cache_access st (vi (eval st si a))
+      | None -> 0
+    else 0
+  in
   List.iter
     (fun (s : Ast.stmt) ->
       match s with
@@ -567,29 +581,17 @@ let exec_sem st (si : sinst) =
           st.redirect <- Some (vi (read_reg st ra), slots))
     op.Model.i_sem;
   (* loads pay the cache penalty on their destination *)
-  if op.Model.i_loads then begin
-    let rec addr_of = function
-      | [] -> None
-      | Ast.Sassign (_, Ast.Emem (_, a)) :: _ -> Some a
-      | _ :: tl -> addr_of tl
-    in
-    match addr_of op.Model.i_sem with
-    | Some a ->
-        let addr = vi (eval st si a) in
-        let penalty = cache_access st addr in
-        if penalty > 0 then
-          List.iter
-            (fun pos ->
-              match si.s_ops.(pos) with
-              | Sreg r ->
-                  let bank, off, size = bank_bytes st r in
-                  for b = off to off + size - 1 do
-                    st.ready.(bank).(b) <- st.ready.(bank).(b) + penalty
-                  done
-              | Simm _ | Slab _ -> ())
-            op.Model.i_writes
-    | None -> ()
-  end
+  if penalty > 0 then
+    List.iter
+      (fun pos ->
+        match si.s_ops.(pos) with
+        | Sreg r ->
+            let bank, off, size = bank_bytes st r in
+            for b = off to off + size - 1 do
+              st.ready.(bank).(b) <- st.ready.(bank).(b) + penalty
+            done
+        | Simm _ | Slab _ -> ())
+      op.Model.i_writes
 
 let render_sinst st (si : sinst) =
   let b = Buffer.create 32 in

@@ -16,7 +16,7 @@ let of_string = function
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Fault isolation policy                                              *)
+(* Compile options and the fault isolation policy                      *)
 (* ------------------------------------------------------------------ *)
 
 type on_error = [ `Abort | `Degrade | `Skip ]
@@ -26,26 +26,37 @@ let on_error_name = function
   | `Degrade -> "degrade"
   | `Skip -> "skip"
 
-(* the per-compile robustness configuration, threaded into every unit *)
-type robust = {
-  r_on_error : on_error;
-  r_pass_timeout : float option;  (* wall-clock budget per pass, ms *)
-  r_plan : Finject.plan;
+type options = {
+  check : bool;
+  check_options : Mircheck.options;
+  validate : bool;
+  dag_stats : bool;
+  disambig : bool;
+  jobs : int;
+  on_error : on_error;
+  pass_timeout : float option;
+  finject : Finject.plan;
 }
 
-(* the trivial configuration is the seed behavior: no guard is installed
-   at all, so the default path stays bit-identical (and exception-
-   identical) to a compiler without the robust layer *)
-let robust_trivial r =
-  r.r_on_error = `Abort && r.r_pass_timeout = None
-  && Finject.is_empty r.r_plan
-
-let make_robust ?(on_error = `Abort) ?pass_timeout ?finject () =
+let default =
   {
-    r_on_error = on_error;
-    r_pass_timeout = pass_timeout;
-    r_plan = Option.value ~default:Finject.empty finject;
+    check = true;
+    check_options = Mircheck.default_options;
+    validate = true;
+    dag_stats = false;
+    disambig = true;
+    jobs = 1;
+    on_error = `Abort;
+    pass_timeout = None;
+    finject = Finject.empty;
   }
+
+(* the trivial policy is the seed behavior: no guard is installed at all,
+   so the default path stays bit-identical (and exception-identical) to a
+   compiler without the robust layer *)
+let robust_trivial opts =
+  opts.on_error = `Abort && opts.pass_timeout = None
+  && Finject.is_empty opts.finject
 
 (* the ladder lives in Degrade as strategy names; map it back *)
 let degrade_next rung = Option.bind (Degrade.next (to_string rung)) of_string
@@ -56,9 +67,7 @@ type report = {
   block_estimates : (string, int) Hashtbl.t;
   schedule_passes : int;
   check_diags : Diag.t list;
-  check_time : float;
   validate_diags : Diag.t list;
-  validate_time : float;
   faults : Degrade.event list;
   profile : Profile.t;
 }
@@ -254,26 +263,44 @@ let pipeline ?(disambig = true) = function
         p_schedule ~disambig; p_estimate ~disambig; p_frame;
       ]
 
+(* The pipeline identity a cache entry is stored under. Both records are
+   destructured without [; _], so a new field is a build error (warning 9)
+   until it is either hashed here or explicitly bound to [_] as not
+   affecting any output. The flag order is part of the on-disk keys. *)
+let pipeline_key
+    {
+      check;
+      check_options;
+      validate;
+      dag_stats;
+      disambig;
+      jobs = _;
+      on_error = _;
+      pass_timeout = _;
+      finject = _;
+    } strategy =
+  let { Mircheck.def_use; global_dataflow; hazard_replay } = check_options in
+  Ckey.of_pipeline ~strategy:(to_string strategy)
+    ~passes:
+      (List.map (fun (p : Pass.t) -> p.Pass.name) (pipeline ~disambig strategy))
+    ~flags:
+      [
+        check; def_use; global_dataflow; hazard_replay; validate; dag_stats;
+        disambig;
+      ]
+
 (* ------------------------------------------------------------------ *)
 (* Per-function compile units and the domain-parallel driver           *)
 (* ------------------------------------------------------------------ *)
 
 (* Everything one function's pipeline produced, self-contained so units
    can run on any domain and be merged deterministically in program
-   order. Diagnostics and pass times are accumulated reversed (O(1)
-   consing) and re-reversed once here. Pass times carry (wall seconds,
-   this domain's CPU seconds) — see {!Mclock.thread_cpu}. *)
+   order. [u_out] is exactly what the cache stores and replays. Pass
+   times carry (wall seconds, this domain's CPU seconds) — see
+   {!Mclock.thread_cpu}. *)
 type unit_result = {
-  u_stats : Pass.stats;
-  u_diags : Diag.t list;  (* oldest-first *)
-  u_check_wall : float;
-  u_vdiags : Diag.t list;  (* oldest-first *)
-  u_validate_wall : float;
+  u_out : Cache.payload;
   u_times : (string * float * float) list;  (* oldest-first *)
-  u_blocks : int;
-  u_insts : int;
-  u_dag_nodes : int;
-  u_dag_edges : int;
   u_events : Degrade.event list;  (* [] or one fault/degradation record *)
 }
 
@@ -282,32 +309,31 @@ let count_insts (fn : Mir.func) =
     (fun acc (b : Mir.block) -> acc + List.length b.Mir.b_insts)
     0 fn.Mir.f_blocks
 
-let compile_unit ~check ~check_options ~validate:validate_on ~dag_stats
-    ~disambig ~robust strategy (fn : Mir.func) =
+let compile_unit opts strategy (fn : Mir.func) =
+  (* diagnostics and pass times are accumulated reversed (O(1) consing)
+     and re-reversed once at the end *)
   let diags = ref [] in
-  let check_wall = ref 0.0 in
   let vdiags = ref [] in
-  let validate_wall = ref 0.0 in
   let times = ref [] in
   let record pass ~wall ~cpu = times := (pass, wall, cpu) :: !times in
   let timed pass f =
     let t0 = Mclock.wall () and c0 = Mclock.thread_cpu () in
     let r = f () in
-    let dt = Mclock.wall () -. t0 in
-    record pass ~wall:dt ~cpu:(Mclock.thread_cpu () -. c0);
-    (r, dt)
+    let wall = Mclock.wall () -. t0 in
+    record pass ~wall ~cpu:(Mclock.thread_cpu () -. c0);
+    r
   in
   (* [verify phase fn] re-checks the invariants the phase just claimed to
      establish; errors abort the compile ({!Diag.Check_error}), warnings
      accumulate into the report. The identity when checking is off. *)
   let verify phase fn =
-    if check then begin
-      let ds, dt =
+    if opts.check then begin
+      let ds =
         timed
           ("verify:" ^ Diag.phase_name phase)
-          (fun () -> Mircheck.check_func ?options:check_options phase fn)
+          (fun () ->
+            Mircheck.check_func ~options:opts.check_options phase fn)
       in
-      check_wall := !check_wall +. dt;
       (match Diag.errors ds with
       | [] -> ()
       | errs -> raise (Diag.Check_error errs));
@@ -317,18 +343,14 @@ let compile_unit ~check ~check_options ~validate:validate_on ~dag_stats
   (* [snapshot]/[validate] bracket every pass claiming a validated phase:
      capture an independent copy of the function before the pass, then run
      the phase's translation validator (Transval) on the (input, output)
-     pair. Errors abort the compile like verifier errors do; both halves
-     time themselves into [validate_wall]. *)
+     pair. Errors abort the compile like verifier errors do. *)
   let snapshot phase fn =
-    if validate_on && Transval.validated_phase phase then begin
+    if opts.validate && Transval.validated_phase phase then begin
       Domain.DLS.get analysis_stash := None;
-      let copy, dt =
-        timed
-          ("validate:capture:" ^ Diag.phase_name phase)
-          (fun () -> Transval.capture fn)
-      in
-      validate_wall := !validate_wall +. dt;
-      Some copy
+      Some
+        (timed
+           ("validate:capture:" ^ Diag.phase_name phase)
+           (fun () -> Transval.capture fn))
     end
     else None
   in
@@ -341,12 +363,13 @@ let compile_unit ~check ~check_options ~validate:validate_on ~dag_stats
       r := None;
       d
     in
-    let ds, dt =
+    let ds =
       timed
         ("validate:" ^ Diag.phase_name phase)
-        (fun () -> Transval.validate_func ~disambig ?analysis phase ~before fn)
+        (fun () ->
+          Transval.validate_func ~disambig:opts.disambig ?analysis phase
+            ~before fn)
     in
-    validate_wall := !validate_wall +. dt;
     (match Diag.errors ds with
     | [] -> ()
     | errs -> raise (Diag.Check_error errs));
@@ -354,45 +377,45 @@ let compile_unit ~check ~check_options ~validate:validate_on ~dag_stats
   in
   verify Diag.Post_select fn;
   let dag_nodes = ref 0 and dag_edges = ref 0 in
-  if dag_stats then
-    ignore
-      (timed "dag-stats" (fun () ->
-           List.iter
-             (fun (b : Mir.block) ->
-               let dag = Dag.build fn.Mir.f_model b.Mir.b_insts in
-               dag_nodes := !dag_nodes + Array.length dag.Dag.insts;
-               dag_edges := !dag_edges + List.length dag.Dag.edges)
-             fn.Mir.f_blocks));
+  if opts.dag_stats then
+    timed "dag-stats" (fun () ->
+        List.iter
+          (fun (b : Mir.block) ->
+            let dag = Dag.build fn.Mir.f_model b.Mir.b_insts in
+            dag_nodes := !dag_nodes + Array.length dag.Dag.insts;
+            dag_edges := !dag_edges + List.length dag.Dag.edges)
+          fn.Mir.f_blocks);
   (* the guard closes over this function's name and the rung being run;
-     the trivial configuration installs no guard at all, so the default
-     path is the seed path *)
+     the trivial policy installs no guard at all, so the default path is
+     the seed path *)
   let guard =
-    if robust_trivial robust then None
+    if robust_trivial opts then None
     else
       Some
         (fun (p : Pass.t) body ->
           Guard.protect ~fn:fn.Mir.f_name ~strategy:(to_string strategy)
-            ~pass:p.Pass.name ?deadline_ms:robust.r_pass_timeout
+            ~pass:p.Pass.name ?deadline_ms:opts.pass_timeout
             ?inject:
-              (Finject.arm robust.r_plan ~pass:p.Pass.name
-                 ~fn:fn.Mir.f_name)
+              (Finject.arm opts.finject ~pass:p.Pass.name ~fn:fn.Mir.f_name)
             body)
   in
   let st =
     Pass.run_pipeline ?guard ~verify ~snapshot ~validate ~record
-      (pipeline ~disambig strategy) fn
+      (pipeline ~disambig:opts.disambig strategy)
+      fn
   in
   {
-    u_stats = st;
-    u_diags = List.rev !diags;
-    u_check_wall = !check_wall;
-    u_vdiags = List.rev !vdiags;
-    u_validate_wall = !validate_wall;
+    u_out =
+      {
+        Cache.c_func = fn;
+        c_stats = st;
+        c_diags = List.rev !diags;
+        c_vdiags = List.rev !vdiags;
+        c_insts = count_insts fn;
+        c_dag_nodes = !dag_nodes;
+        c_dag_edges = !dag_edges;
+      };
     u_times = List.rev !times;
-    u_blocks = count_blocks fn;
-    u_insts = count_insts fn;
-    u_dag_nodes = !dag_nodes;
-    u_dag_edges = !dag_edges;
     u_events = [];
   }
 
@@ -432,48 +455,41 @@ let splice ~into:(dst : Mir.func) (src : Mir.func) =
    work: it is left at its pristine pre-pipeline state *)
 let skipped_unit fn events =
   {
-    u_stats = Pass.fresh_stats ();
-    u_diags = [];
-    u_check_wall = 0.0;
-    u_vdiags = [];
-    u_validate_wall = 0.0;
+    u_out =
+      {
+        Cache.c_func = fn;
+        c_stats = Pass.fresh_stats ();
+        c_diags = [];
+        c_vdiags = [];
+        c_insts = count_insts fn;
+        c_dag_nodes = 0;
+        c_dag_edges = 0;
+      };
     u_times = [];
-    u_blocks = count_blocks fn;
-    u_insts = count_insts fn;
-    u_dag_nodes = 0;
-    u_dag_edges = 0;
     u_events = events;
   }
 
-(* [compile_fn ~fresh strategy] runs the strategy's pipeline on
-   [fresh ()] under the robust policy. [fresh] hands out the function to
-   compile: the original on the first call, an independent pristine copy
-   on every retry, so a faulted attempt's half-rewritten state can never
-   leak into the next rung. Returns the unit (faults and resolution in
-   [u_events]), the function that made it into the program, and the rung
-   that produced it.
+(* [run_func opts strategy fn] runs the strategy's pipeline on [fn] under
+   the robust policy. Returns the unit — whose [c_func] is the function
+   that made it into the program, [fn] itself unless a retry won — and
+   the rung that produced it. Under the trivial policy this is exactly
+   [compile_unit].
 
-   Under [`Abort] the original exception is re-raised with its original
-   backtrace — bit- and trace-identical to a compiler without the robust
-   layer. Under [`Degrade] the ladder walks Rase -> Ips -> Postpass ->
-   Naive, recompiling only this function; under [`Skip], or when the
-   ladder is exhausted, the function is given up at its pristine state
-   and marked skipped. *)
-let compile_fn ~check ~check_options ~validate ~dag_stats ~disambig ~robust
-    ~fresh strategy =
-  if robust_trivial robust then
-    let fn = fresh () in
-    ( compile_unit ~check ~check_options ~validate ~dag_stats ~disambig
-        ~robust strategy fn,
-      fn,
-      strategy )
+   Otherwise [fn]'s pristine pre-pipeline state is snapshotted first, and
+   every retry runs on an independent copy of it, so a faulted attempt's
+   half-rewritten state can never leak into the next rung. Under [`Abort]
+   the original exception is re-raised with its original backtrace —
+   bit- and trace-identical to a compiler without the robust layer. Under
+   [`Degrade] the ladder walks Rase -> Ips -> Postpass -> Naive,
+   recompiling only this function; under [`Skip], or when the ladder is
+   exhausted, the function is given up at its pristine state and marked
+   skipped. *)
+let run_func opts strategy fn =
+  if robust_trivial opts then (compile_unit opts strategy fn, strategy)
   else
-    let rec attempt rung faults =
-      let fn = fresh () in
-      match
-        compile_unit ~check ~check_options ~validate ~dag_stats ~disambig
-          ~robust rung fn
-      with
+    let pristine = snapshot_func fn in
+    let rec attempt rung faults fn =
+      match compile_unit opts rung fn with
       | u ->
           let events =
             match faults with
@@ -488,16 +504,16 @@ let compile_fn ~check ~check_options ~validate ~dag_stats ~disambig ~robust
                   };
                 ]
           in
-          ({ u with u_events = events }, fn, rung)
+          ({ u with u_events = events }, rung)
       | exception Guard.Trip f -> faulted rung faults f
-      | exception Diag.Check_error ds when robust.r_on_error <> `Abort ->
+      | exception Diag.Check_error ds when opts.on_error <> `Abort ->
           (* verifier/validator errors trap like pass faults; under
              [`Abort] they propagate untouched, exactly as before *)
           faulted rung faults
             (Fault.of_check ~func:fn.Mir.f_name ~strategy:(to_string rung)
                ds)
     and faulted rung faults f =
-      match robust.r_on_error with
+      match opts.on_error with
       | `Abort -> (
           match f.Fault.f_exn with
           | Some (e, bt) -> Printexc.raise_with_backtrace e bt
@@ -505,10 +521,9 @@ let compile_fn ~check ~check_options ~validate ~dag_stats ~disambig ~robust
       | `Skip -> skip (f :: faults)
       | `Degrade -> (
           match degrade_next rung with
-          | Some r -> attempt r (f :: faults)
+          | Some r -> attempt r (f :: faults) (snapshot_func pristine)
           | None -> skip (f :: faults))
     and skip faults =
-      let fn = fresh () in
       let event =
         {
           Degrade.d_func = fn.Mir.f_name;
@@ -517,58 +532,53 @@ let compile_fn ~check ~check_options ~validate ~dag_stats ~disambig ~robust
           d_resolution = Degrade.Skipped;
         }
       in
-      (skipped_unit fn [ event ], fn, strategy)
+      (skipped_unit (snapshot_func pristine) [ event ], strategy)
     in
-    attempt strategy []
+    attempt strategy [] fn
 
 (* deterministic merge: fold the units in program order. Estimates are
    [Hashtbl.replace]d in recording order so a label reused by a later
    function wins, exactly as in a sequential compile; diagnostics are
    accumulated reversed and re-reversed once at the end. *)
 let merge_units prof strategy units : report =
-  let spilled = ref 0 and passes = ref 0 and check_wall = ref 0.0 in
-  let validate_wall = ref 0.0 in
+  let spilled = ref 0 and passes = ref 0 in
   let estimates = Hashtbl.create 64 in
   let diags = ref [] in
   let vdiags = ref [] in
   let events = ref [] in
   List.iter
-    (fun u ->
-      spilled := !spilled + u.u_stats.Pass.spilled;
-      passes := !passes + u.u_stats.Pass.sched_passes;
-      prof.Profile.p_sb_probes <-
-        prof.Profile.p_sb_probes + u.u_stats.Pass.sb_probes;
+    (fun { u_out = out; u_times; u_events } ->
+      let st = out.Cache.c_stats in
+      spilled := !spilled + st.Pass.spilled;
+      passes := !passes + st.Pass.sched_passes;
+      prof.Profile.p_sb_probes <- prof.Profile.p_sb_probes + st.Pass.sb_probes;
       prof.Profile.p_sb_conflicts <-
-        prof.Profile.p_sb_conflicts + u.u_stats.Pass.sb_conflicts;
+        prof.Profile.p_sb_conflicts + st.Pass.sb_conflicts;
       prof.Profile.p_sb_reserves <-
-        prof.Profile.p_sb_reserves + u.u_stats.Pass.sb_reserves;
-      prof.Profile.p_an_time <-
-        prof.Profile.p_an_time +. u.u_stats.Pass.an_time;
-      prof.Profile.p_an_solves <-
-        prof.Profile.p_an_solves + u.u_stats.Pass.an_solves;
-      prof.Profile.p_an_iters <-
-        prof.Profile.p_an_iters + u.u_stats.Pass.an_iters;
-      prof.Profile.p_an_facts <-
-        prof.Profile.p_an_facts + u.u_stats.Pass.an_facts;
+        prof.Profile.p_sb_reserves + st.Pass.sb_reserves;
+      prof.Profile.p_an_time <- prof.Profile.p_an_time +. st.Pass.an_time;
+      prof.Profile.p_an_solves <- prof.Profile.p_an_solves + st.Pass.an_solves;
+      prof.Profile.p_an_iters <- prof.Profile.p_an_iters + st.Pass.an_iters;
+      prof.Profile.p_an_facts <- prof.Profile.p_an_facts + st.Pass.an_facts;
       prof.Profile.p_an_queries <-
-        prof.Profile.p_an_queries + u.u_stats.Pass.an_queries;
-      prof.Profile.p_an_pruned <-
-        prof.Profile.p_an_pruned + u.u_stats.Pass.an_pruned;
+        prof.Profile.p_an_queries + st.Pass.an_queries;
+      prof.Profile.p_an_pruned <- prof.Profile.p_an_pruned + st.Pass.an_pruned;
       List.iter
         (fun (label, len) -> Hashtbl.replace estimates label len)
-        u.u_stats.Pass.estimates;
-      diags := List.rev_append u.u_diags !diags;
-      check_wall := !check_wall +. u.u_check_wall;
-      vdiags := List.rev_append u.u_vdiags !vdiags;
-      validate_wall := !validate_wall +. u.u_validate_wall;
+        st.Pass.estimates;
+      diags := List.rev_append out.Cache.c_diags !diags;
+      vdiags := List.rev_append out.Cache.c_vdiags !vdiags;
       List.iter
         (fun (pass, wall, cpu) -> Profile.add ~cpu prof pass wall)
-        u.u_times;
+        u_times;
       prof.Profile.p_funcs <- prof.Profile.p_funcs + 1;
-      prof.Profile.p_blocks <- prof.Profile.p_blocks + u.u_blocks;
-      prof.Profile.p_insts <- prof.Profile.p_insts + u.u_insts;
-      prof.Profile.p_dag_nodes <- prof.Profile.p_dag_nodes + u.u_dag_nodes;
-      prof.Profile.p_dag_edges <- prof.Profile.p_dag_edges + u.u_dag_edges;
+      prof.Profile.p_blocks <-
+        prof.Profile.p_blocks + count_blocks out.Cache.c_func;
+      prof.Profile.p_insts <- prof.Profile.p_insts + out.Cache.c_insts;
+      prof.Profile.p_dag_nodes <-
+        prof.Profile.p_dag_nodes + out.Cache.c_dag_nodes;
+      prof.Profile.p_dag_edges <-
+        prof.Profile.p_dag_edges + out.Cache.c_dag_edges;
       List.iter
         (fun (e : Degrade.event) ->
           prof.Profile.p_faults <-
@@ -578,8 +588,8 @@ let merge_units prof strategy units : report =
               prof.Profile.p_degraded <- prof.Profile.p_degraded + 1
           | Degrade.Skipped ->
               prof.Profile.p_skipped <- prof.Profile.p_skipped + 1)
-        u.u_events;
-      events := List.rev_append u.u_events !events)
+        u_events;
+      events := List.rev_append u_events !events)
     units;
   prof.Profile.p_spilled <- prof.Profile.p_spilled + !spilled;
   prof.Profile.p_schedule_passes <-
@@ -590,61 +600,30 @@ let merge_units prof strategy units : report =
     block_estimates = estimates;
     schedule_passes = !passes;
     check_diags = List.rev !diags;
-    check_time = !check_wall;
     validate_diags = List.rev !vdiags;
-    validate_time = !validate_wall;
     faults = List.rev !events;
     profile = prof;
   }
 
-let apply ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
-    ?(dag_stats = false) ?(disambig = true) ?profile ?on_error ?pass_timeout
-    ?finject strategy (prog : Mir.prog) : report =
+let apply ?(opts = default) strategy (prog : Mir.prog) : report =
   let w0 = Mclock.wall () and c0 = Mclock.cpu () in
-  let robust = make_robust ?on_error ?pass_timeout ?finject () in
-  let prof =
-    match profile with
-    | Some p -> p
-    | None -> Profile.create ~jobs ~strategy:(to_string strategy) ()
-  in
+  let prof = Profile.create ~jobs:opts.jobs ~strategy:(to_string strategy) () in
   (* fan the per-function units out over the domain pool; results come
-     back in program order whatever the completion order. Under a
-     non-trivial robust policy each function snapshots its pristine
-     pre-pipeline state first, so ladder retries start clean; the winning
-     attempt is spliced back into the original object, preserving
+     back in program order whatever the completion order. A winning
+     ladder retry is spliced back into the original object, preserving
      apply's rewrite-in-place contract. *)
   let units =
-    Dpool.map ~jobs
+    Dpool.map ~jobs:opts.jobs
       (fun fn ->
-        if robust_trivial robust then
-          compile_unit ~check ~check_options ~validate ~dag_stats ~disambig
-            ~robust strategy fn
-        else begin
-          let pristine = snapshot_func fn in
-          let first = ref true in
-          let fresh () =
-            if !first then begin
-              first := false;
-              fn
-            end
-            else snapshot_func pristine
-          in
-          let u, final, _rung =
-            compile_fn ~check ~check_options ~validate ~dag_stats ~disambig
-              ~robust ~fresh strategy
-          in
-          if final != fn then splice ~into:fn final;
-          u
-        end)
+        let u, _rung = run_func opts strategy fn in
+        let final = u.u_out.Cache.c_func in
+        if final != fn then splice ~into:fn final;
+        u)
       prog.Mir.p_funcs
   in
   let report = merge_units prof strategy units in
-  (* when called standalone, the profile's total is apply's own span; a
-     caller that passed a profile in owns the totals *)
-  if profile = None then begin
-    prof.Profile.p_wall <- Mclock.wall () -. w0;
-    prof.Profile.p_cpu <- Mclock.cpu () -. c0
-  end;
+  prof.Profile.p_wall <- Mclock.wall () -. w0;
+  prof.Profile.p_cpu <- Mclock.cpu () -. c0;
   report
 
 (* ------------------------------------------------------------------ *)
@@ -681,19 +660,15 @@ let lint_model model =
           lint_cache := (key, ds) :: keep;
           ds)
 
-let compile ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
-    ?(dag_stats = false) ?(disambig = true) ?cache ?on_error ?pass_timeout
-    ?finject model strategy (ir : Ir.prog) =
+let compile ?(opts = default) ?cache model strategy (ir : Ir.prog) =
   let w0 = Mclock.wall () and c0 = Mclock.cpu () in
-  let robust = make_robust ?on_error ?pass_timeout ?finject () in
-  let prof = Profile.create ~jobs ~strategy:(to_string strategy) () in
-  let lint_wall = ref 0.0 in
+  let prof = Profile.create ~jobs:opts.jobs ~strategy:(to_string strategy) () in
   let lint_warnings =
-    if check then begin
+    if opts.check then begin
       let t0 = Mclock.wall () and tc0 = Mclock.thread_cpu () in
       let ds = Diag.raise_if_errors (lint_model model) in
-      lint_wall := Mclock.wall () -. t0;
-      Profile.add ~cpu:(Mclock.thread_cpu () -. tc0) prof "lint" !lint_wall;
+      let wall = Mclock.wall () -. t0 in
+      Profile.add ~cpu:(Mclock.thread_cpu () -. tc0) prof "lint" wall;
       ds
     end
     else []
@@ -708,36 +683,13 @@ let compile ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
     prof "glue"
     (Mclock.wall () -. t_glue);
   (* the cache key components shared by every function of this compile:
-     model digest and pipeline identity (strategy, ordered pass names,
-     every report-changing flag) *)
-  let opts = Option.value ~default:Mircheck.default_options check_options in
-  let pipeline_digest =
-    Ckey.of_pipeline ~strategy:(to_string strategy)
-      ~passes:
-        (List.map
-           (fun (p : Pass.t) -> p.Pass.name)
-           (pipeline ~disambig strategy))
-      ~check ~def_use:opts.Mircheck.def_use
-      ~global_dataflow:opts.Mircheck.global_dataflow
-      ~hazard_replay:opts.Mircheck.hazard_replay ~validate ~dag_stats
-      ~disambig
-  in
-  (* the identity a fallback rung's result is cached under: same flag
-     set as [pipeline_digest], recomputed for whichever rung actually
-     produced the code. A degraded result must never be stored under —
-     or answer for — the original strategy's key *)
+     model digest and pipeline identity. A fallback rung's result is
+     cached under the rung that actually produced the code: a degraded
+     result must never be stored under — or answer for — the original
+     strategy's key *)
+  let pipeline_digest = pipeline_key opts strategy in
   let rung_digest rung =
-    if rung = strategy then pipeline_digest
-    else
-      Ckey.of_pipeline ~strategy:(to_string rung)
-        ~passes:
-          (List.map
-             (fun (p : Pass.t) -> p.Pass.name)
-             (pipeline ~disambig rung))
-        ~check ~def_use:opts.Mircheck.def_use
-        ~global_dataflow:opts.Mircheck.global_dataflow
-        ~hazard_replay:opts.Mircheck.hazard_replay ~validate ~dag_stats
-        ~disambig
+    if rung = strategy then pipeline_digest else pipeline_key opts rung
   in
   let model_digest =
     match cache with Some _ -> Ckey.of_model model | None -> ""
@@ -750,40 +702,19 @@ let compile ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
   let compile_one (irfn : Ir.func) =
     let select_and_run () =
       let t0 = Mclock.wall () and tc0 = Mclock.thread_cpu () in
-      let fn0 = Select.select_func model irfn in
+      let fn = Select.select_func model irfn in
       let w = Mclock.wall () -. t0 and c = Mclock.thread_cpu () -. tc0 in
-      let u, fn, rung =
-        if robust_trivial robust then
-          ( compile_unit ~check ~check_options ~validate ~dag_stats
-              ~disambig ~robust strategy fn0,
-            fn0,
-            strategy )
-        else begin
-          let pristine = snapshot_func fn0 in
-          let first = ref true in
-          let fresh () =
-            if !first then begin
-              first := false;
-              fn0
-            end
-            else snapshot_func pristine
-          in
-          compile_fn ~check ~check_options ~validate ~dag_stats ~disambig
-            ~robust ~fresh strategy
-        end
-      in
-      ({ u with u_times = ("select", w, c) :: u.u_times }, fn, rung)
+      let u, rung = run_func opts strategy fn in
+      ({ u with u_times = ("select", w, c) :: u.u_times }, rung)
     in
     match cache with
-    | None ->
-        let u, fn, _ = select_and_run () in
-        (u, fn, `Off)
+    | None -> (fst (select_and_run ()), `Off)
     | Some c -> (
         let il_digest = Ckey.of_ir_func irfn in
         (* a stored entry is always a clean single-rung compile: a
            degraded result goes under the rung that produced it, and a
            skipped function is never stored at all *)
-        let store_result u fn rung =
+        let store_result (u, rung) =
           let gave_up =
             List.exists
               (fun (e : Degrade.event) ->
@@ -794,28 +725,18 @@ let compile ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
             Cache.store c
               ~key:
                 (Ckey.combine [ il_digest; model_digest; rung_digest rung ])
-              {
-                Cache.c_func = fn;
-                c_stats = u.u_stats;
-                c_diags = u.u_diags;
-                c_vdiags = u.u_vdiags;
-                c_insts = u.u_insts;
-                c_dag_nodes = u.u_dag_nodes;
-                c_dag_edges = u.u_dag_edges;
-              }
+              u.u_out;
+          u
         in
         if
-          (not (robust_trivial robust))
-          && Finject.may_target robust.r_plan ~fn:irfn.Ir.fn_name
-        then begin
+          (not (robust_trivial opts))
+          && Finject.may_target opts.finject ~fn:irfn.Ir.fn_name
+        then
           (* a warm hit would replay a result without crossing the pass
              boundaries the plan plants faults at, silently neutralising
              the injection — bypass lookup for any function the plan may
              target (counted as neither hit nor miss) *)
-          let u, fn, rung = select_and_run () in
-          store_result u fn rung;
-          (u, fn, `Off)
-        end
+          (store_result (select_and_run ()), `Off)
         else
           let key =
             Ckey.combine [ il_digest; model_digest; pipeline_digest ]
@@ -826,33 +747,20 @@ let compile ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
               (* warm replay: the cached function and the deterministic
                  report parts, plus one synthetic profile entry marking
                  the function as served from the cache *)
-              let u =
-                {
-                  u_stats = p.Cache.c_stats;
-                  u_diags = p.Cache.c_diags;
-                  u_check_wall = 0.0;
-                  u_vdiags = p.Cache.c_vdiags;
-                  u_validate_wall = 0.0;
+              ( {
+                  u_out = p;
                   u_times =
                     [
                       ( "cached",
                         Mclock.wall () -. t0,
                         Mclock.thread_cpu () -. tc0 );
                     ];
-                  u_blocks = count_blocks p.Cache.c_func;
-                  u_insts = p.Cache.c_insts;
-                  u_dag_nodes = p.Cache.c_dag_nodes;
-                  u_dag_edges = p.Cache.c_dag_edges;
                   u_events = [];
-                }
-              in
-              (u, p.Cache.c_func, `Hit)
-          | None ->
-              let u, fn, rung = select_and_run () in
-              store_result u fn rung;
-              (u, fn, `Miss))
+                },
+                `Hit )
+          | None -> (store_result (select_and_run ()), `Miss))
   in
-  let results = Dpool.map ~jobs compile_one ir.Ir.funcs in
+  let results = Dpool.map ~jobs:opts.jobs compile_one ir.Ir.funcs in
   let prog =
     {
       Mir.p_model = model;
@@ -865,17 +773,15 @@ let compile ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
               g_bytes = g.Ir.gl_bytes;
             })
           ir.Ir.globals;
-      p_funcs = List.map (fun (_, fn, _) -> fn) results;
+      p_funcs = List.map (fun (u, _) -> u.u_out.Cache.c_func) results;
     }
   in
-  let report =
-    merge_units prof strategy (List.map (fun (u, _, _) -> u) results)
-  in
+  let report = merge_units prof strategy (List.map fst results) in
   (match (cache, cache_before) with
   | Some c, Some before ->
       prof.Profile.p_cache_used <- true;
       List.iter
-        (fun (_, _, outcome) ->
+        (fun (_, outcome) ->
           match outcome with
           | `Hit -> prof.Profile.p_cache_hits <- prof.Profile.p_cache_hits + 1
           | `Miss ->
@@ -894,9 +800,4 @@ let compile ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
   | _ -> ());
   prof.Profile.p_wall <- Mclock.wall () -. w0;
   prof.Profile.p_cpu <- Mclock.cpu () -. c0;
-  ( prog,
-    {
-      report with
-      check_diags = lint_warnings @ report.check_diags;
-      check_time = !lint_wall +. report.check_time;
-    } )
+  (prog, { report with check_diags = lint_warnings @ report.check_diags })

@@ -43,7 +43,7 @@ val pipeline : ?disambig:bool -> name -> Pass.t list
     allocator runs stretches live ranges, and on the Livermore corpus
     costs more in spills than the reordering freedom buys. Pass names
     are identical either way — the flag is part of the cache key
-    ({!Ckey.of_pipeline}), not the pass list. *)
+    ({!pipeline_key}), not the pass list. *)
 
 type on_error = [ `Abort | `Degrade | `Skip ]
 (** What the driver does when a pass faults — raises, exceeds the pass
@@ -64,6 +64,78 @@ type on_error = [ `Abort | `Degrade | `Skip ]
 val on_error_name : on_error -> string
 (** ["abort"], ["degrade"] or ["skip"] — the [--on-error=] spelling. *)
 
+type options = {
+  check : bool;
+      (** Lint the description ({!compile} only) and re-verify every
+          function with {!Mircheck.check_func} at each phase point —
+          post-select, then after every pass declaring a post-condition
+          (post-regalloc, post-sched, final). The first phase whose
+          invariants do not hold raises {!Diag.Check_error}; warnings land
+          in [report.check_diags]. [marionc --no-check] turns it off. *)
+  check_options : Mircheck.options;
+      (** Tunes the verifier, e.g. the opt-in hazard replay behind
+          [marionc --verify-mir]. *)
+  validate : bool;
+      (** Independent of [check]: bracket every pass claiming a
+          {!Transval.validated_phase} post-condition with translation
+          validation — capture the function before the pass and check the
+          (input, output) pair for semantic preservation: Schedval after
+          scheduling passes, Regval after allocation passes (codes
+          V001–V029). Validator errors raise {!Diag.Check_error} like
+          verifier errors. [marionc --no-validate] turns it off. *)
+  dag_stats : bool;
+      (** Size each block's post-select code DAG into the profile
+          ([marionc --time-passes]). Costs one extra DAG build per block;
+          always the conservative DAG, so the statistic is comparable
+          across [disambig] settings. *)
+  disambig : bool;
+      (** Run static memory disambiguation before every post-allocation
+          scheduling pass and prune provably independent Mem edges from
+          the dependence DAGs (see {!pipeline}); the translation
+          validators rebuild their DAGs through the same oracle. Analysis
+          time and pruning counters land in the profile
+          ([Profile.p_an_time] etc., [marionc --analysis-format=]).
+          [marionc --no-disambig] turns it off. *)
+  jobs : int;
+      (** Fan the per-function compile units out over an OCaml domain
+          pool of this size ([marionc -j]). The observable outputs —
+          rewritten program, spills, estimates, schedule passes,
+          diagnostics — are bit-identical for every [jobs]: units share no
+          mutable state, results merge in program order, and errors
+          re-raise for the earliest function that would have failed
+          sequentially. Only the [profile] timings vary. *)
+  on_error : on_error;
+      (** How a faulted function recovers ([marionc --on-error=]); see
+          {!type-on_error}. *)
+  pass_timeout : float option;
+      (** Per-pass wall-clock budget in milliseconds
+          ([marionc --pass-timeout]), checked {e after} the pass returns —
+          domains cannot be preempted. A pass over budget is a fault. *)
+  finject : Finject.plan;
+      (** Deterministic fault-injection plan fired at pass boundaries
+          ([marionc --finject], [MARION_FINJECT]). *)
+}
+(** Everything a compile can be configured with. [on_error],
+    [pass_timeout] and [finject] activate the fault-isolation layer:
+    every pass body runs under a {!Guard} that traps exceptions
+    (backtrace captured), checks the deadline and fires the injection
+    plan. With {!default}'s values — [`Abort], no deadline, empty plan —
+    no guard is installed and behaviour is bit- and exception-identical
+    to a compiler without that layer. *)
+
+val default : options
+(** [check], [validate] and [disambig] on; [dag_stats] off; the verifier's
+    {!Mircheck.default_options}; one job; [`Abort] with no deadline and
+    the empty injection plan. *)
+
+val pipeline_key : options -> name -> Ckey.t
+(** The pipeline identity a function compiled under these options is
+    cached under: the strategy, its ordered pass names, and every field of
+    [options] that can change the generated code or a report — all but
+    [jobs], [on_error], [pass_timeout] and [finject]. The implementation
+    destructures both records exhaustively, so a new field fails to build
+    until it is classified as keyed or not. *)
+
 type report = {
   strategy : name;
   spilled : int;  (** pseudo-registers spilled across all functions *)
@@ -76,22 +148,10 @@ type report = {
           description linter), grouped per function in program order;
           empty when checking is off. Errors never land here — they raise
           {!Diag.Check_error}. *)
-  check_time : float;
-      (** wall-clock seconds (monotonic) spent inside the phase verifier
-          (and, through {!compile}, the description linter) for this
-          compile; [0.] when checking is off. Lets callers report checking
-          overhead without differencing two noisy end-to-end timings (see
-          [bench] — "checker"). Under [jobs > 1] this is summed across
-          domains. *)
   validate_diags : Diag.t list;
       (** non-error findings from the translation validators (Transval);
           empty when validation is off. Validator errors never land here —
           they raise {!Diag.Check_error}, exactly like verifier errors. *)
-  validate_time : float;
-      (** wall-clock seconds (monotonic) spent capturing pre-pass
-          snapshots and running the translation validators; [0.] when
-          validation is off. Summed across domains under [jobs > 1] (see
-          [bench transval]). *)
   faults : Degrade.event list;
       (** one event per function that faulted under a non-[`Abort]
           policy, in program order: the faults trapped (exception,
@@ -101,101 +161,48 @@ type report = {
           see no change. *)
   profile : Profile.t;
       (** per-pass wall times and code-shape statistics for this compile
-          ([marionc --time-passes], bench "parallel"). Timing values are
-          the only non-deterministic part of a report; fault and
-          degradation counts land in [p_faults]/[p_degraded]/[p_skipped]. *)
+          ([marionc --time-passes], bench "parallel"). Checking and
+          validation time are entries of their own: ["lint"],
+          ["verify:<phase>"], ["validate:capture:<phase>"] and
+          ["validate:<phase>"]. Timing values are the only
+          non-deterministic part of a report; fault and degradation
+          counts land in [p_faults]/[p_degraded]/[p_skipped]. *)
 }
 
-val apply :
-  ?check:bool -> ?check_options:Mircheck.options -> ?validate:bool ->
-  ?jobs:int -> ?dag_stats:bool -> ?disambig:bool -> ?profile:Profile.t ->
-  ?on_error:on_error -> ?pass_timeout:float -> ?finject:Finject.plan ->
-  name -> Mir.prog -> report
+val apply : ?opts:options -> name -> Mir.prog -> report
 (** Run the strategy's pipeline over every function of a selected
-    program: scheduling and register allocation per the strategy, then
-    frame layout. The program is rewritten in place and is ready for the
-    simulator or the assembly printer.
-
-    With [check] (the default), {!Mircheck.check_func} re-verifies every
-    function at each phase point — post-select, then after every pass
-    declaring a post-condition (post-regalloc, post-sched, final) —
-    raising {!Diag.Check_error} at the first phase whose invariants do
-    not hold and collecting warnings into [check_diags]. [check_options]
-    tunes the verifier (e.g. the opt-in hazard replay behind
-    [marionc --verify-mir]).
-
-    With [validate] (the default, independent of [check]), every pass
-    claiming a {!Transval.validated_phase} post-condition is bracketed by
-    translation validation: the function is captured before the pass and
-    the (input, output) pair is checked for semantic preservation —
-    Schedval after scheduling passes, Regval after allocation passes
-    (codes V001–V029). Validator errors raise {!Diag.Check_error} like
-    verifier errors; [marionc --no-validate] turns this off.
-
-    [jobs] (default 1) fans the per-function compile units out over an
-    OCaml domain pool. The observable outputs — rewritten program,
-    spills, estimates, schedule passes, diagnostics — are bit-identical
-    for every [jobs]: units share no mutable state, results merge in
-    program order, and errors re-raise for the earliest function that
-    would have failed sequentially. Only [check_time] and the [profile]
-    timings vary.
-
-    [dag_stats] (default false) additionally sizes each block's
-    post-select code DAG into the profile (costs one extra DAG build per
-    block; always the conservative DAG, so the statistic is comparable
-    across [disambig] settings). [profile] accumulates into a
-    caller-owned profile instead of a fresh one; the caller then owns
-    its wall/cpu totals.
-
-    [disambig] (default true) runs static memory disambiguation before
-    every post-allocation scheduling pass and prunes provably
-    independent Mem edges from the dependence DAGs (see {!pipeline});
-    the translation validators rebuild their DAGs through the same
-    oracle. Analysis time and
-    pruning counters land in the profile ([Profile.p_an_time] etc.).
-    [marionc --no-disambig] turns it off.
-
-    [on_error], [pass_timeout] and [finject] activate the fault-isolation
-    layer: every pass body runs under a {!Guard} that traps exceptions
-    (backtrace captured), checks the per-pass wall-clock deadline
-    [pass_timeout] (milliseconds, checked {e after} the pass returns —
-    domains cannot be preempted), and fires the deterministic injection
-    plan [finject] at pass boundaries. Faulted functions recover per
-    [on_error] (default [`Abort]); see {!type-on_error}. With the
-    defaults — [`Abort], no deadline, empty plan — no guard is installed
-    and behaviour is bit- and exception-identical to before. *)
+    program under [opts] (default {!default}): scheduling and register
+    allocation per the strategy, then frame layout. The program is
+    rewritten in place and is ready for the simulator or the assembly
+    printer. *)
 
 val compile :
-  ?check:bool -> ?check_options:Mircheck.options -> ?validate:bool ->
-  ?jobs:int -> ?dag_stats:bool -> ?disambig:bool -> ?cache:Cache.t ->
-  ?on_error:on_error -> ?pass_timeout:float -> ?finject:Finject.plan ->
-  Model.t -> name -> Ir.prog -> Mir.prog * report
-(** The incremental whole-program driver: lint (when [check]), glue the
-    IL to the model sequentially, then fan one unit per function out over
-    the domain pool — each unit selects and runs the strategy pipeline
-    (or replays a cache hit) — and merge in program order. When [check]
-    is set the description linter runs over the model first — memoized by
-    the model's content digest behind a mutex, so many (possibly
-    concurrent) compiles against one description lint it exactly once,
-    even when the description is re-parsed into a structurally equal
-    model each time — and a compile against an incoherent description
-    fails before selection.
+  ?opts:options -> ?cache:Cache.t -> Model.t -> name -> Ir.prog ->
+  Mir.prog * report
+(** The incremental whole-program driver: lint (when [opts.check]), glue
+    the IL to the model sequentially, then fan one unit per function out
+    over the domain pool — each unit selects and runs the strategy
+    pipeline (or replays a cache hit) — and merge in program order. The
+    description linter is memoized by the model's content digest behind
+    a mutex, so many (possibly concurrent) compiles against one
+    description lint it exactly once, even when the description is
+    re-parsed into a structurally equal model each time — and a compile
+    against an incoherent description fails before selection.
 
     [cache] supplies a content-addressed compilation cache (see
     {!Cache}). Each function's key combines the digest of its post-glue
     IL tree ({!Ckey.of_ir_func}), the model digest ({!Ckey.of_model}),
-    and the pipeline identity — strategy, ordered pass names, and every
-    report-changing flag ({!Ckey.of_pipeline}) — so any edit to the
-    source, the description, the strategy, or the checking flags misses
-    and recompiles. A hit returns the cached {!Mir.func} and replays the
-    deterministic report parts (spills, estimates, schedule passes,
-    diagnostics) bit-identically; its profile shows one synthetic
-    ["cached"] entry in place of the pass times, and the profile's
-    cache counters ([Profile.p_cache_hits] etc.) are filled in.
+    and {!pipeline_key} — so any edit to the source, the description, the
+    strategy, or an output-changing option misses and recompiles. A hit
+    returns the cached {!Mir.func} and replays the deterministic report
+    parts (spills, estimates, schedule passes, diagnostics)
+    bit-identically; its profile shows one synthetic ["cached"] entry in
+    place of the pass times, and the profile's cache counters
+    ([Profile.p_cache_hits] etc.) are filled in.
 
     Errors re-raise for the earliest function that would have failed; a
     function whose selection fails no longer preempts an earlier
-    function's pipeline error, since selection now runs inside the
+    function's pipeline error, since selection runs inside the
     per-function unit.
 
     The robust options interact with the cache in two ways. First, cache

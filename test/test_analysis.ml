@@ -154,7 +154,9 @@ let test_matrix_bit_identity () =
           in
           let run ~jobs ~disambig =
             let c =
-              Marion.compile ~jobs ~disambig model strat ~file:"<lfk1.c>" src
+              Marion.compile
+                ~opts:{ Strategy.default with jobs; disambig }
+                model strat ~file:"<lfk1.c>" src
             in
             (Marion.run c, c)
           in

@@ -62,7 +62,11 @@ let snapshot (prog, (report : Strategy.report)) =
     List.map Diag.to_string report.Strategy.validate_diags )
 
 let compile ?cache ~jobs model strat (file, src) =
-  match Strategy.compile ?cache ~jobs model strat (Cgen.compile ~file src) with
+  match
+    Strategy.compile
+      ~opts:{ Strategy.default with jobs }
+      ?cache model strat (Cgen.compile ~file src)
+  with
   | r -> Ok (snapshot r)
   | exception Select.No_pattern msg -> Error ("no-pattern: " ^ msg)
   | exception Loc.Error (loc, msg) -> Error (Loc.error_to_string loc msg)
@@ -205,19 +209,52 @@ let test_strategy_change_invalidates () =
   check Alcotest.int "same strategy hits" multi_fn_funcs
     (counters cache).Cache.hits
 
+(* every option, flipped from the default: the output-changing ones must
+   miss, the rest must hit. Strategy.pipeline_key cannot forget a field
+   (it destructures the records exhaustively); this pins down that each
+   field is classified the right way round. *)
 let test_flag_change_invalidates () =
   let m = Lazy.force r2000 in
-  let cache = Cache.create () in
-  let go ~validate =
-    ignore
-      (Strategy.compile ~cache ~validate m Strategy.Postpass
-         (Cgen.compile ~file:"multi" multi_fn_src))
+  let d = Strategy.default in
+  let verifier f =
+    { d with Strategy.check_options = f d.Strategy.check_options }
   in
-  go ~validate:true;
-  go ~validate:false;
-  let c = counters cache in
-  check Alcotest.int "no hits across flags" 0 c.Cache.hits;
-  check Alcotest.int "all misses" (2 * multi_fn_funcs) c.Cache.misses
+  let cases =
+    [
+      ("check", { d with check = false }, `Miss);
+      ("validate", { d with validate = false }, `Miss);
+      ("dag_stats", { d with dag_stats = true }, `Miss);
+      ("disambig", { d with disambig = false }, `Miss);
+      ( "def_use",
+        verifier (fun o -> Mircheck.{ o with def_use = not o.def_use }),
+        `Miss );
+      ( "global_dataflow",
+        verifier (fun o ->
+            Mircheck.{ o with global_dataflow = not o.global_dataflow }),
+        `Miss );
+      ( "hazard_replay",
+        verifier (fun o ->
+            Mircheck.{ o with hazard_replay = not o.hazard_replay }),
+        `Miss );
+      ("jobs", { d with jobs = 4 }, `Hit);
+      (* fault-free, so nothing degrades and the clean entry answers *)
+      ("on_error", { d with on_error = `Degrade }, `Hit);
+    ]
+  in
+  List.iter
+    (fun (field, opts, expect) ->
+      let cache = Cache.create () in
+      let go opts =
+        ignore
+          (Strategy.compile ~opts ~cache m Strategy.Postpass
+             (Cgen.compile ~file:"multi" multi_fn_src))
+      in
+      go d;
+      go opts;
+      check Alcotest.int (field ^ ": hits")
+        (if expect = `Hit then multi_fn_funcs else 0)
+        (counters cache).Cache.hits)
+    cases
 
 let test_source_edit_invalidates () =
   let m = Lazy.force r2000 in

@@ -127,8 +127,9 @@ let test_verify_mir_no_errors () =
     { Mircheck.default_options with Mircheck.hazard_replay = true }
   in
   let c =
-    Marion.compile (Lazy.force r2000) Strategy.Postpass
-      ~check_options:options ~file:"<clean.c>" clean_src
+    Marion.compile
+      ~opts:{ Strategy.default with check_options = options }
+      (Lazy.force r2000) Strategy.Postpass ~file:"<clean.c>" clean_src
   in
   let ds = c.Marion.report.Strategy.check_diags in
   check Alcotest.bool "no errors" false (Diag.has_errors ds);
@@ -142,7 +143,9 @@ let test_verify_mir_no_errors () =
 (* Seeded mutations: each must be caught with the right code + phase *)
 
 let compile_quiet strat src =
-  (Marion.compile ~check:false (Lazy.force r2000) strat ~file:"<mut.c>" src)
+  (Marion.compile
+     ~opts:{ Strategy.default with check = false }
+     (Lazy.force r2000) strat ~file:"<mut.c>" src)
     .Marion.prog
 
 let find_map_inst prog f =

@@ -110,7 +110,11 @@ let snapshot (prog, (report : Strategy.report)) =
    Such cells must fail identically under both drivers, so they stay in
    the comparison as [Error]s rather than being dropped. *)
 let compile ~jobs model strat (file, src) =
-  match Strategy.compile ~jobs model strat (Cgen.compile ~file src) with
+  match
+    Strategy.compile
+      ~opts:{ Strategy.default with jobs }
+      model strat (Cgen.compile ~file src)
+  with
   | r -> Ok (snapshot r)
   | exception Select.No_pattern msg -> Error ("no-pattern: " ^ msg)
   | exception Loc.Error (loc, msg) -> Error (Loc.error_to_string loc msg)
@@ -142,7 +146,9 @@ let test_jobs_identical_via_marion () =
   (* the public API end to end, including simulator behaviour *)
   let m = Lazy.force r2000 in
   let run jobs =
-    Marion.compile_and_run ~jobs m Strategy.Rase ~file:"multi" multi_fn_src
+    Marion.compile_and_run
+      ~opts:{ Strategy.default with jobs }
+      m Strategy.Rase ~file:"multi" multi_fn_src
   in
   let a = run 1 and b = run 4 in
   check Alcotest.string "output" a.Marion.sim.Sim.output b.Marion.sim.Sim.output;
@@ -166,7 +172,10 @@ let test_error_determinism () =
     prog
   in
   let result jobs =
-    match Strategy.apply ~jobs Strategy.Postpass (broken ()) with
+    match
+      Strategy.apply ~opts:{ Strategy.default with jobs } Strategy.Postpass
+        (broken ())
+    with
     | _ -> Alcotest.fail "expected Check_error"
     | exception Diag.Check_error ds -> List.map Diag.to_string ds
   in
@@ -179,7 +188,9 @@ let test_error_determinism () =
 let test_profile_sane () =
   let m = Lazy.force r2000 in
   let prog, report =
-    Strategy.compile ~dag_stats:true m Strategy.Rase
+    Strategy.compile
+      ~opts:{ Strategy.default with dag_stats = true }
+      m Strategy.Rase
       (Cgen.compile ~file:"multi" multi_fn_src)
   in
   let p = report.Strategy.profile in

@@ -44,8 +44,11 @@ let plan spec =
   | Ok p -> p
   | Error msg -> Alcotest.failf "bad plan %S: %s" spec msg
 
-let compile ?jobs ?cache ?on_error ?pass_timeout ?finject model strat =
-  Strategy.compile ?jobs ?cache ?on_error ?pass_timeout ?finject model strat
+let compile ?(jobs = 1) ?cache ?(on_error = `Abort) ?pass_timeout
+    ?(finject = Finject.empty) model strat =
+  Strategy.compile
+    ~opts:{ Strategy.default with jobs; on_error; pass_timeout; finject }
+    ?cache model strat
     (Cgen.compile ~file:"<robust.c>" multi_fn_src)
 
 (* every deterministic observable of a compile, in comparable form *)

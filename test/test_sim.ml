@@ -102,6 +102,31 @@ let test_cache_model () =
   check Alcotest.bool "misses counted" true (cold.Sim.cache_misses > 0);
   check Alcotest.bool "misses cost cycles" true (cold.Sim.cycles > warm.Sim.cycles)
 
+(* a load whose destination is its own base register: the cache must see
+   the address the load read, not one recomputed from the loaded value *)
+let test_cache_load_address () =
+  let src = Livermore.source ~iter:1 7 in
+  let oracle = Cinterp.run_source ~file:"lfk7" src in
+  let config =
+    {
+      Sim.default_config with
+      Sim.cache = Some { Sim.lines = 64; line_bytes = 16; miss_penalty = 8 };
+    }
+  in
+  List.iter
+    (fun model ->
+      let tag = model.Model.name in
+      let compiled = compile model Strategy.Ips src in
+      let cached = Marion.run ~config compiled in
+      let plain = Marion.run compiled in
+      check Alcotest.string (tag ^ " output") oracle.Cinterp.output
+        cached.Sim.output;
+      check Alcotest.int (tag ^ " exit") oracle.Cinterp.return_value
+        cached.Sim.return_value;
+      check Alcotest.bool (tag ^ " misses cost cycles") true
+        (cached.Sim.cycles >= plain.Sim.cycles))
+    [ Lazy.force toyp; M88000.load () ]
+
 let test_block_frequencies () =
   let m = Lazy.force toyp in
   let r =
@@ -163,6 +188,8 @@ let suite =
       test_scheduling_reduces_cycles;
     Alcotest.test_case "i860 dual issue visible" `Quick test_i860_dual_issue;
     Alcotest.test_case "cache model" `Quick test_cache_model;
+    Alcotest.test_case "cache sees a load's own address" `Quick
+      test_cache_load_address;
     Alcotest.test_case "block frequencies" `Quick test_block_frequencies;
     Alcotest.test_case "nested calls" `Quick test_nested_calls;
     Alcotest.test_case "deep recursion" `Quick test_recursion_deep;

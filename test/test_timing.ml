@@ -7,8 +7,8 @@
    golden digests captured from the pre-refactor compiler, at -j 1 and
    -j 4.
 
-   The digest logic is shared verbatim with bench/goldens.ml (the
-   generator); keep the two in sync. Regenerate the table with
+   The digests come from Golden.cell_digest, shared with the generator
+   bench/goldens.ml. Regenerate the table with
 
      dune exec bench/goldens.exe
 
@@ -24,85 +24,6 @@ let targets =
     ("m88000", lazy (M88000.load ()));
     ("i860", lazy (I860.load ()));
   ]
-
-(* One digest per (target, strategy) cell: everything the unified timing
-   engine must keep bit-identical. The blob covers the rendered assembly,
-   the report's deterministic statistics and diagnostics, the simulator's
-   cycle/instruction counts and program output, and the compilation-cache
-   key of every function (IR digest + model digest + pipeline digest,
-   combined exactly as Strategy.compile does). Wall-clock fields are
-   deliberately excluded. *)
-
-let kernel_ids = [ 1; 2; 3; 5; 7 ]
-
-let cell_blob ~jobs model strat : string =
-  let buf = Buffer.create (1 lsl 16) in
-  let add fmt = Printf.bprintf buf fmt in
-  List.iter
-    (fun id ->
-      let file = Printf.sprintf "lfk%d" id in
-      let src = Livermore.source id in
-      add "== %s\n" file;
-      match
-        let ir = Cgen.compile ~file src in
-        let r = Strategy.compile ~jobs model strat ir in
-        (ir, r)
-      with
-      | ir, (prog, report) ->
-          add "asm:\n%s\n" (Format.asprintf "%a" Mir.pp_prog prog);
-          add "spilled:%d passes:%d\n" report.Strategy.spilled
-            report.Strategy.schedule_passes;
-          Hashtbl.fold
-            (fun k v acc -> (k, v) :: acc)
-            report.Strategy.block_estimates []
-          |> List.sort compare
-          |> List.iter (fun (l, n) -> add "est:%s=%d\n" l n);
-          List.iter
-            (fun d -> add "diag:%s\n" (Diag.to_string d))
-            report.Strategy.check_diags;
-          List.iter
-            (fun d -> add "vdiag:%s\n" (Diag.to_string d))
-            report.Strategy.validate_diags;
-          (match Sim.run prog with
-          | r ->
-              add "sim:cycles=%d insts=%d ret=%d loads=%d out=%s\n"
-                r.Sim.cycles r.Sim.instructions r.Sim.return_value
-                r.Sim.loads
-                (String.escaped r.Sim.output)
-          | exception Sim.Sim_error m -> add "simerr:%s\n" m);
-          (* cache keys exactly as Strategy.compile builds them; the IR
-             was glued by the compile above, so of_ir_func sees the same
-             trees the cache would digest *)
-          let opts = Mircheck.default_options in
-          let pipe =
-            Ckey.of_pipeline
-              ~strategy:(Strategy.to_string strat)
-              ~passes:
-                (List.map
-                   (fun (p : Pass.t) -> p.Pass.name)
-                   (Strategy.pipeline strat))
-              ~check:true ~def_use:opts.Mircheck.def_use
-              ~global_dataflow:opts.Mircheck.global_dataflow
-              ~hazard_replay:opts.Mircheck.hazard_replay ~validate:true
-              ~dag_stats:false ~disambig:true
-          in
-          let md = Ckey.of_model model in
-          List.iter
-            (fun irfn ->
-              add "key:%s\n"
-                (Ckey.to_hex
-                   (Ckey.combine [ Ckey.of_ir_func irfn; md; pipe ])))
-            ir.Ir.funcs
-      | exception Select.No_pattern msg -> add "no-pattern:%s\n" msg
-      | exception Loc.Error (loc, msg) ->
-          add "error:%s\n" (Loc.error_to_string loc msg)
-      | exception Diag.Check_error ds ->
-          List.iter (fun d -> add "checkerr:%s\n" (Diag.to_string d)) ds)
-    kernel_ids;
-  Buffer.contents buf
-
-let cell_digest ~jobs model strat =
-  Digest.to_hex (Digest.string (cell_blob ~jobs model strat))
 
 let goldens =
   [
@@ -134,7 +55,7 @@ let test_bit_identity ~jobs () =
             (Printf.sprintf "%s/%s (-j %d)" tname
                (Strategy.to_string strat) jobs)
             expected
-            (cell_digest ~jobs (Lazy.force model) strat))
+            (Golden.cell_digest ~jobs (Lazy.force model) strat))
         Strategy.all)
     targets
 
