@@ -138,7 +138,10 @@ let verify_mir_flag =
   Arg.(value & flag & info [ "verify-mir" ] ~doc)
 
 let no_check_flag =
-  let doc = "Disable the MIR verifier and description linter." in
+  let doc =
+    "Disable the MIR verifier and description linter (wins over \
+     $(b,--verify-mir))."
+  in
   Arg.(value & flag & info [ "no-check" ] ~doc)
 
 let check_format_arg =
@@ -336,9 +339,8 @@ let main target maril strategy source run verify sim_cache trace stats
     in
     let opts =
       {
-        Strategy.check = not no_check;
-        check_options =
-          { Mircheck.default_options with Mircheck.hazard_replay = verify_mir };
+        Strategy.check =
+          (if no_check then `Off else if verify_mir then `Replay else `On);
         validate = not no_validate;
         dag_stats = time_passes;
         disambig = not no_disambig;

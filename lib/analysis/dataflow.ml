@@ -25,14 +25,18 @@ module type DOMAIN = sig
 end
 
 module Solve (D : DOMAIN) = struct
+  (* facts per block index; [index] maps a label to its (last) block *)
   type result = {
-    flow_in : (string, D.fact) Hashtbl.t;
-    flow_out : (string, D.fact) Hashtbl.t;
+    index : (string, int) Hashtbl.t;
+    inb : D.fact option array;
+    outb : D.fact option array;
   }
 
-  let flow_in r label = Hashtbl.find_opt r.flow_in label
+  let flow_in r label =
+    Option.bind (Hashtbl.find_opt r.index label) (Array.get r.inb)
 
-  let flow_out r label = Hashtbl.find_opt r.flow_out label
+  let flow_out r label =
+    Option.bind (Hashtbl.find_opt r.index label) (Array.get r.outb)
 
   let solve ?stats (fn : Mir.func) =
     let blocks = Array.of_list fn.Mir.f_blocks in
@@ -121,23 +125,13 @@ module Solve (D : DOMAIN) = struct
             if out_changed then List.iter enqueue sinks.(i)
           end
     done;
-    let flow_in = Hashtbl.create (2 * n) in
-    let flow_out = Hashtbl.create (2 * n) in
-    let facts = ref 0 in
-    Array.iteri
-      (fun i b ->
-        Option.iter
-          (fun f ->
-            facts := !facts + D.nfacts f;
-            Hashtbl.replace flow_in b.Mir.b_label f)
-          inb.(i);
-        Option.iter (fun f -> Hashtbl.replace flow_out b.Mir.b_label f) outb.(i))
-      blocks;
     Option.iter
       (fun (s : stats) ->
         s.solves <- s.solves + 1;
         s.iterations <- s.iterations + !iters;
-        s.facts <- s.facts + !facts)
+        Array.iter
+          (Option.iter (fun f -> s.facts <- s.facts + D.nfacts f))
+          inb)
       stats;
-    { flow_in; flow_out }
+    { index; inb; outb }
 end

@@ -15,7 +15,15 @@
     bottom element and unreachable blocks are distinguishable from blocks
     with an empty fact. Termination requires the usual: [join] computes a
     least upper bound in a lattice of finite height and [transfer] is
-    monotone. *)
+    monotone.
+
+    A {e must}-analysis gets its optimistic top from the same
+    representation: with intersection as [join], a source block not yet
+    reached contributes nothing — it acts as the universal set — so the
+    fixpoint is the greatest one, and blocks left without a fact are
+    exactly those unreachable from the boundary ([M031] in [Mircheck]).
+    Conversely, a backward problem leaves a loop with no path to an exit
+    without any fact (why [lib/regalloc/liveness.ml] keeps its own). *)
 
 type stats = {
   mutable solves : int;  (** fixpoints computed *)

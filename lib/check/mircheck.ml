@@ -6,15 +6,6 @@
    bug in any one phase shows up as a disagreement here rather than as a
    silent miscompile. *)
 
-type options = {
-  def_use : bool;
-  global_dataflow : bool;
-  hazard_replay : bool;
-}
-
-let default_options =
-  { def_use = true; global_dataflow = true; hazard_replay = false }
-
 let rank = function
   | Diag.Post_select -> 0
   | Diag.Post_regalloc -> 1
@@ -96,14 +87,6 @@ let entry_seed ks model =
   List.iter (fun r -> set_reg ks model s r) regs;
   s
 
-type avail = Top | Known of Bitset.t
-
-let avail_equal a b =
-  match (a, b) with
-  | Top, Top -> true
-  | Known x, Known y -> Bitset.equal x y
-  | Top, Known _ | Known _, Top -> false
-
 (* record one instruction's defs into [set] (clobbers count: the bytes
    hold *a* value afterwards, which is all M031 asks). The operand walk
    reads [i_writes] directly rather than going through {!Mir.inst_defs},
@@ -156,7 +139,7 @@ let use_name model = function
 
 (* ------------------------------------------------------------------ *)
 
-let check_func ?(options = default_options) phase (fn : Mir.func) :
+let check_func ?(hazard_replay = false) phase (fn : Mir.func) :
     Diag.t list =
   let model = fn.Mir.f_model in
   let diags = ref [] in
@@ -418,118 +401,53 @@ let check_func ?(options = default_options) phase (fn : Mir.func) :
     List.iter check_temporal fn.Mir.f_blocks;
 
   (* ---------------- def-before-use (M031) ---------------- *)
-  (if options.def_use then
-     match fn.Mir.f_blocks with
-     | [] -> ()
-     | entry :: _ ->
-         (* reachability: unreachable blocks carry no obligations *)
-         let reachable = Hashtbl.create 16 in
-         let rec visit lbl =
-           if not (Hashtbl.mem reachable lbl) then begin
-             Hashtbl.add reachable lbl ();
-             match Hashtbl.find_opt labels lbl with
-             | Some (b : Mir.block) -> List.iter visit b.Mir.b_succs
-             | None -> ()
-           end
-         in
-         visit entry.Mir.b_label;
-         (* predecessors over resolvable successors *)
-         let preds = Hashtbl.create 16 in
-         List.iter
-           (fun (b : Mir.block) ->
-             List.iter
-               (fun s ->
-                 if Hashtbl.mem labels s then
-                   Hashtbl.replace preds s
-                     (b.Mir.b_label
-                     :: Option.value ~default:[]
-                          (Hashtbl.find_opt preds s)))
-               b.Mir.b_succs)
-           fn.Mir.f_blocks;
-         (* per-block generated definitions *)
-         let ks = keyspace model fn in
-         let gen = Hashtbl.create 16 in
-         List.iter
-           (fun (b : Mir.block) ->
-             let s = Bitset.create ks.cap in
-             List.iter (add_inst_defs ks model s) b.Mir.b_insts;
-             Hashtbl.replace gen b.Mir.b_label s)
-           fn.Mir.f_blocks;
-         let seed = Known (entry_seed ks model) in
-         (* optimistic forward fixpoint, meet = intersection. Outs are
-            cached (recomputed only when a block's in changes) and the
-            meet accumulator is mutated in place: the fixpoint reruns at
-            every phase point, so copies are kept to one per update. *)
-         let inb = Hashtbl.create 16 and outb = Hashtbl.create 16 in
-         List.iter
-           (fun (b : Mir.block) ->
-             Hashtbl.replace inb b.Mir.b_label Top;
-             Hashtbl.replace outb b.Mir.b_label Top)
-           fn.Mir.f_blocks;
-         let out lbl =
-           match Hashtbl.find_opt outb lbl with None -> Top | Some v -> v
-         in
-         (* acc is owned by the fold and safe to mutate; cached outs and
-            the seed are read-only *)
-         let meet_into acc v =
-           match (acc, v) with
-           | Top, Top -> Top
-           | Top, Known s -> Known (Bitset.copy s)
-           | Known _, Top -> acc
-           | Known d, Known s ->
-               Bitset.inter_into ~dst:d s;
-               acc
-         in
-         let changed = ref true in
-         while !changed do
-           changed := false;
+  (* keys assigned on every path from entry; an unreached predecessor is
+     the optimistic top, and an unreached block carries no obligations *)
+  (let ks = keyspace model fn in
+   let seed = entry_seed ks model in
+   let module D = struct
+     type fact = Bitset.t
+
+     let direction = Dataflow.Forward
+
+     let boundary _ = seed
+
+     let equal = Bitset.equal
+
+     let join a b =
+       let d = Bitset.copy a in
+       Bitset.inter_into ~dst:d b;
+       d
+
+     let transfer _ (b : Mir.block) s =
+       let d = Bitset.copy s in
+       List.iter (add_inst_defs ks model d) b.Mir.b_insts;
+       d
+
+     let nfacts = Bitset.cardinal
+   end in
+   let module S = Dataflow.Solve (D) in
+   let avail = S.solve fn in
+   (* walk each reached block, checking uses before defs *)
+   List.iter
+     (fun (b : Mir.block) ->
+       match S.flow_in avail b.Mir.b_label with
+       | None -> ()
+       | Some s0 ->
+           let cur = Bitset.copy s0 in
            List.iter
-             (fun (b : Mir.block) ->
-               let lbl = b.Mir.b_label in
-               let from_preds =
-                 List.fold_left
-                   (fun acc p -> meet_into acc (out p))
-                   Top
-                   (Option.value ~default:[] (Hashtbl.find_opt preds lbl))
-               in
-               let v =
-                 if lbl = entry.Mir.b_label then meet_into from_preds seed
-                 else from_preds
-               in
-               if not (avail_equal v (Hashtbl.find inb lbl)) then begin
-                 Hashtbl.replace inb lbl v;
-                 Hashtbl.replace outb lbl
-                   (match v with
-                   | Top -> Top
-                   | Known s ->
-                       let z = Bitset.copy s in
-                       Bitset.union_into ~dst:z (Hashtbl.find gen lbl);
-                       Known z);
-                 changed := true
-               end)
-             fn.Mir.f_blocks
-         done;
-         (* walk each reachable block, checking uses before defs *)
-         List.iter
-           (fun (b : Mir.block) ->
-             if Hashtbl.mem reachable b.Mir.b_label then
-               match Hashtbl.find inb b.Mir.b_label with
-               | Top -> ()
-               | Known s0 ->
-                   let cur = Bitset.copy s0 in
-                   List.iter
-                     (fun (i : Mir.inst) ->
-                       iter_unassigned_uses ks model cur
-                         ~missing:(fun use ->
-                           report ~loc:i.Mir.n_op.Model.i_loc
-                             ~block:b.Mir.b_label ~code:"M031"
-                             "%s reads %s, which is not assigned on \
-                              every path from function entry"
-                             i.Mir.n_op.Model.i_name (use_name model use))
-                         i;
-                       add_inst_defs ks model cur i)
-                     b.Mir.b_insts)
-           fn.Mir.f_blocks);
+             (fun (i : Mir.inst) ->
+               iter_unassigned_uses ks model cur
+                 ~missing:(fun use ->
+                   report ~loc:i.Mir.n_op.Model.i_loc ~block:b.Mir.b_label
+                     ~code:"M031"
+                     "%s reads %s, which is not assigned on every path \
+                      from function entry"
+                     i.Mir.n_op.Model.i_name (use_name model use))
+                 i;
+               add_inst_defs ks model cur i)
+             b.Mir.b_insts)
+     fn.Mir.f_blocks);
 
   (* -------- global dataflow diagnostics (A001/A002, warnings) ------- *)
   (* Post_select only: pseudo-registers exist there, and later phases
@@ -537,7 +455,7 @@ let check_func ?(options = default_options) phase (fn : Mir.func) :
      warnings from the lib/analysis liveness client: A001 overlaps M031's
      error (the definitely-assigned analysis), but reports per pseudo
      with its live-in path; A002 has no M-series counterpart. *)
-  (if options.global_dataflow && phase = Diag.Post_select then begin
+  (if phase = Diag.Post_select then begin
      let live = Glive.compute fn in
      List.iter
        (fun (u : Glive.uninit) ->
@@ -560,7 +478,7 @@ let check_func ?(options = default_options) phase (fn : Mir.func) :
    end);
 
   (* ---------------- hazard replay (M045, opt-in) ---------------- *)
-  (if options.hazard_replay && at_least phase Diag.Post_sched then
+  (if hazard_replay && at_least phase Diag.Post_sched then
      let lat = Latency.for_model model in
      let busy = Scoreboard.create model in
      List.iter
@@ -606,8 +524,8 @@ let check_func ?(options = default_options) phase (fn : Mir.func) :
 
   List.rev !diags
 
-let check_prog ?options phase (p : Mir.prog) =
-  List.concat_map (check_func ?options phase) p.Mir.p_funcs
+let check_prog ?hazard_replay phase (p : Mir.prog) =
+  List.concat_map (check_func ?hazard_replay phase) p.Mir.p_funcs
 
-let check_prog_exn ?options phase p =
-  Diag.raise_if_errors (check_prog ?options phase p)
+let check_prog_exn ?hazard_replay phase p =
+  Diag.raise_if_errors (check_prog ?hazard_replay phase p)

@@ -13,51 +13,41 @@
       labels resolving to blocks) — [M001..M006];
     - CFG well-formedness (unique labels, [b_succs] resolve, nothing but
       delay-slot fills after a terminator) — [M011..M013];
-    - def-before-use on registers: a forward definitely-assigned dataflow
-      (meet = intersection over predecessors, seeded with the CWVM
-      environment registers) — [M031];
+    - def-before-use on registers: a forward definitely-assigned analysis
+      run through the shared solver ({!Dataflow.Solve}; join =
+      intersection over predecessors, seeded with the CWVM environment
+      registers, unreachable blocks exempt) — [M031];
     - EAP temporal discipline (paper 4.6 Rule 1): while a value launched
       into a temporal latch awaits its catch, no other instruction may
       advance that clock, and no catch may read a latch never launched in
       its block — [M043], [M044].
 
     Phase-dependent:
+    - [Post_select] only: the {!Glive} liveness clients warn of a pseudo
+      that may be used uninitialized ([A001]) and of a definition no path
+      reads ([A002]) — advisory analysis findings, never errors;
     - [Post_regalloc] and later: no pseudo-registers, no unresolved
       [Opart] — [M021], [M022];
     - [Post_sched] and later: every branch delay slot filled with a
       non-branch instruction — [M041], [M042]; plus a scoreboard /
       resource-vector / packing replay of each block that reports
-      structural interlock stalls ([M045], warning, opt-in);
+      structural interlock stalls ([M045], warning, only with
+      [~hazard_replay:true]);
     - [Final]: no frame slots left — [M023].
 
     Diagnostic codes are stable; see DESIGN.md ("Static checking"). *)
 
-type options = {
-  def_use : bool;  (** run the definitely-assigned analysis (M031) *)
-  global_dataflow : bool;
-      (** run the global-liveness clients of the dataflow framework
-          ({!Glive}) on post-selection code and report [A001] (pseudo
-          live into the function entry: may be used uninitialized) and
-          [A002] (definition whose value no path reads) warnings. The
-          A-series codes are analysis findings — advisory, never
-          errors. *)
-  hazard_replay : bool;
-      (** replay the scoreboard/resource model over scheduled blocks and
-          report structural stalls as [M045] warnings. Off by default:
-          interlock stalls are legal (the simulator stalls, it does not
-          break), so this is a performance diagnostic, surfaced by
-          [marionc --verify-mir]. *)
-}
+val check_func :
+  ?hazard_replay:bool -> Diag.phase -> Mir.func -> Diag.t list
+(** [hazard_replay] (default [false]) adds the [M045] replay. Interlock
+    stalls are legal (the simulator stalls, it does not break), so this
+    is a performance diagnostic, enabled by [Strategy.options.check =
+    `Replay] ([marionc --verify-mir]). *)
 
-val default_options : options
-(** [{ def_use = true; global_dataflow = true; hazard_replay = false }] *)
-
-val check_func : ?options:options -> Diag.phase -> Mir.func -> Diag.t list
-
-val check_prog : ?options:options -> Diag.phase -> Mir.prog -> Diag.t list
+val check_prog : ?hazard_replay:bool -> Diag.phase -> Mir.prog -> Diag.t list
 
 val check_prog_exn :
-  ?options:options -> Diag.phase -> Mir.prog -> Diag.t list
+  ?hazard_replay:bool -> Diag.phase -> Mir.prog -> Diag.t list
 (** Like {!check_prog} but raises {!Diag.Check_error} when any
     [Error]-severity diagnostic is found; returns the warnings
     otherwise. *)

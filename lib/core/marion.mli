@@ -58,10 +58,10 @@ val lint : ?suppress:string list -> Model.t -> Diag.t list
     consistency ([marionc --lint]). *)
 
 val check_mir :
-  ?options:Mircheck.options -> Diag.phase -> Mir.prog -> Diag.t list
+  ?hazard_replay:bool -> Diag.phase -> Mir.prog -> Diag.t list
 (** {!Mircheck.check_prog}: verify a machine program against its model at
-    one phase point ([marionc --verify-mir] runs it with the hazard
-    replay enabled). *)
+    one phase point; [hazard_replay] adds the [M045] stall replay of
+    scheduled code, as [marionc --verify-mir] does. *)
 
 val validate :
   ?disambig:bool -> Diag.phase -> before:Mir.prog -> Mir.prog ->

@@ -1,3 +1,9 @@
+(* Backward liveness for the register allocator, over pseudo and
+   physical registers. It stays outside {!Dataflow.Solve} on purpose:
+   that solver leaves a loop with no path to an exit without any fact,
+   and the allocator would miss the interference of values live around
+   it. Here every block contributes its uses, exits or not. *)
+
 type key = Kp of int | Kh of int * int
 
 module KeySet = Set.Make (struct

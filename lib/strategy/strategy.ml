@@ -27,8 +27,7 @@ let on_error_name = function
   | `Skip -> "skip"
 
 type options = {
-  check : bool;
-  check_options : Mircheck.options;
+  check : [ `Off | `On | `Replay ];
   validate : bool;
   dag_stats : bool;
   disambig : bool;
@@ -40,8 +39,7 @@ type options = {
 
 let default =
   {
-    check = true;
-    check_options = Mircheck.default_options;
+    check = `On;
     validate = true;
     dag_stats = false;
     disambig = true;
@@ -263,14 +261,16 @@ let pipeline ?(disambig = true) = function
         p_schedule ~disambig; p_estimate ~disambig; p_frame;
       ]
 
-(* The pipeline identity a cache entry is stored under. Both records are
+(* The pipeline identity a cache entry is stored under. The record is
    destructured without [; _], so a new field is a build error (warning 9)
    until it is either hashed here or explicitly bound to [_] as not
-   affecting any output. The flag order is part of the on-disk keys. *)
+   affecting any output. The flag order is part of the on-disk keys: the
+   two literal [true]s fill the slots of the retired verifier switches
+   for the definitely-assigned analysis and the global-liveness warnings,
+   which now always run, so existing keys stay valid. *)
 let pipeline_key
     {
       check;
-      check_options;
       validate;
       dag_stats;
       disambig;
@@ -279,13 +279,12 @@ let pipeline_key
       pass_timeout = _;
       finject = _;
     } strategy =
-  let { Mircheck.def_use; global_dataflow; hazard_replay } = check_options in
   Ckey.of_pipeline ~strategy:(to_string strategy)
     ~passes:
       (List.map (fun (p : Pass.t) -> p.Pass.name) (pipeline ~disambig strategy))
     ~flags:
       [
-        check; def_use; global_dataflow; hazard_replay; validate; dag_stats;
+        check <> `Off; true; true; check = `Replay; validate; dag_stats;
         disambig;
       ]
 
@@ -327,12 +326,14 @@ let compile_unit opts strategy (fn : Mir.func) =
      establish; errors abort the compile ({!Diag.Check_error}), warnings
      accumulate into the report. The identity when checking is off. *)
   let verify phase fn =
-    if opts.check then begin
+    if opts.check <> `Off then begin
       let ds =
         timed
           ("verify:" ^ Diag.phase_name phase)
           (fun () ->
-            Mircheck.check_func ~options:opts.check_options phase fn)
+            Mircheck.check_func
+              ~hazard_replay:(opts.check = `Replay)
+              phase fn)
       in
       (match Diag.errors ds with
       | [] -> ()
@@ -664,7 +665,7 @@ let compile ?(opts = default) ?cache model strategy (ir : Ir.prog) =
   let w0 = Mclock.wall () and c0 = Mclock.cpu () in
   let prof = Profile.create ~jobs:opts.jobs ~strategy:(to_string strategy) () in
   let lint_warnings =
-    if opts.check then begin
+    if opts.check <> `Off then begin
       let t0 = Mclock.wall () and tc0 = Mclock.thread_cpu () in
       let ds = Diag.raise_if_errors (lint_model model) in
       let wall = Mclock.wall () -. t0 in

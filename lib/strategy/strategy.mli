@@ -65,16 +65,15 @@ val on_error_name : on_error -> string
 (** ["abort"], ["degrade"] or ["skip"] — the [--on-error=] spelling. *)
 
 type options = {
-  check : bool;
-      (** Lint the description ({!compile} only) and re-verify every
-          function with {!Mircheck.check_func} at each phase point —
-          post-select, then after every pass declaring a post-condition
+  check : [ `Off | `On | `Replay ];
+      (** [`On]: lint the description ({!compile} only) and re-verify
+          every function with {!Mircheck.check_func} at each phase point
+          — post-select, then after every pass declaring a post-condition
           (post-regalloc, post-sched, final). The first phase whose
           invariants do not hold raises {!Diag.Check_error}; warnings land
-          in [report.check_diags]. [marionc --no-check] turns it off. *)
-  check_options : Mircheck.options;
-      (** Tunes the verifier, e.g. the opt-in hazard replay behind
-          [marionc --verify-mir]. *)
+          in [report.check_diags]. [`Replay] adds the verifier's [M045]
+          stall replay ([marionc --verify-mir]); [`Off] skips lint and
+          verifier ([marionc --no-check], which wins). *)
   validate : bool;
       (** Independent of [check]: bracket every pass claiming a
           {!Transval.validated_phase} post-condition with translation
@@ -124,16 +123,16 @@ type options = {
     to a compiler without that layer. *)
 
 val default : options
-(** [check], [validate] and [disambig] on; [dag_stats] off; the verifier's
-    {!Mircheck.default_options}; one job; [`Abort] with no deadline and
-    the empty injection plan. *)
+(** [check = `On] (verifier without the hazard replay); [validate] and
+    [disambig] on; [dag_stats] off; one job; [`Abort] with no deadline
+    and the empty injection plan. *)
 
 val pipeline_key : options -> name -> Ckey.t
 (** The pipeline identity a function compiled under these options is
     cached under: the strategy, its ordered pass names, and every field of
     [options] that can change the generated code or a report — all but
     [jobs], [on_error], [pass_timeout] and [finject]. The implementation
-    destructures both records exhaustively, so a new field fails to build
+    destructures the record exhaustively, so a new field fails to build
     until it is classified as keyed or not. *)
 
 type report = {
@@ -179,13 +178,13 @@ val apply : ?opts:options -> name -> Mir.prog -> report
 val compile :
   ?opts:options -> ?cache:Cache.t -> Model.t -> name -> Ir.prog ->
   Mir.prog * report
-(** The incremental whole-program driver: lint (when [opts.check]), glue
-    the IL to the model sequentially, then fan one unit per function out
-    over the domain pool — each unit selects and runs the strategy
-    pipeline (or replays a cache hit) — and merge in program order. The
-    description linter is memoized by the model's content digest behind
-    a mutex, so many (possibly concurrent) compiles against one
-    description lint it exactly once, even when the description is
+(** The incremental whole-program driver: lint (unless [opts.check] is
+    [`Off]), glue the IL to the model sequentially, then fan one unit per
+    function out over the domain pool — each unit selects and runs the
+    strategy pipeline (or replays a cache hit) — and merge in program
+    order. The description linter is memoized by the model's content
+    digest behind a mutex, so many (possibly concurrent) compiles against
+    one description lint it exactly once, even when the description is
     re-parsed into a structurally equal model each time — and a compile
     against an incoherent description fails before selection.
 

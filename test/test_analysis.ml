@@ -182,17 +182,13 @@ let test_matrix_bit_identity () =
 
 (* ---------------- seeded A001 / A002 ---------------- *)
 
-let only_glive =
-  {
-    Mircheck.default_options with
-    Mircheck.def_use = false;
-    Mircheck.global_dataflow = true;
-  }
-
-let codes ?(options = only_glive) phase fn =
-  List.map
-    (fun (d : Diag.t) -> d.Diag.code)
-    (Mircheck.check_func ~options phase fn)
+(* the A-series codes only: the verifier's own findings on these
+   hand-built functions (M031 on the unassigned read) are not under test *)
+let codes phase fn =
+  List.filter_map
+    (fun (d : Diag.t) ->
+      if d.Diag.code.[0] = 'A' then Some d.Diag.code else None)
+    (Mircheck.check_func phase fn)
 
 let test_seeded_a001 () =
   (* a pseudo read before any assignment is live into the entry block *)
@@ -209,12 +205,7 @@ let test_seeded_a001 () =
   check (Alcotest.list Alcotest.string) "A001 at post-select" [ "A001" ]
     (codes Diag.Post_select fn);
   check (Alcotest.list Alcotest.string) "quiet at post-sched" []
-    (List.filter (fun c -> c.[0] = 'A') (codes Diag.Post_sched fn));
-  check (Alcotest.list Alcotest.string) "gated off" []
-    (codes
-       ~options:
-         { only_glive with Mircheck.global_dataflow = false }
-       Diag.Post_select fn)
+    (codes Diag.Post_sched fn)
 
 let test_seeded_a002 () =
   (* a pseudo assigned and never read: the defining add is a dead store *)
@@ -231,7 +222,7 @@ let test_seeded_a002 () =
   check (Alcotest.list Alcotest.string) "A002 at post-select" [ "A002" ]
     (codes Diag.Post_select fn);
   check (Alcotest.list Alcotest.string) "quiet at final" []
-    (List.filter (fun c -> c.[0] = 'A') (codes Diag.Final fn));
+    (codes Diag.Final fn);
   (* a store to memory is an effect: never reported dead *)
   let st =
     Mir.mk_inst fn (instr m "st") [| rreg m 1; rreg m 2; Mir.Oimm 0 |]

@@ -211,31 +211,18 @@ let test_strategy_change_invalidates () =
 
 (* every option, flipped from the default: the output-changing ones must
    miss, the rest must hit. Strategy.pipeline_key cannot forget a field
-   (it destructures the records exhaustively); this pins down that each
+   (it destructures the record exhaustively); this pins down that each
    field is classified the right way round. *)
 let test_flag_change_invalidates () =
   let m = Lazy.force r2000 in
   let d = Strategy.default in
-  let verifier f =
-    { d with Strategy.check_options = f d.Strategy.check_options }
-  in
   let cases =
     [
-      ("check", { d with check = false }, `Miss);
+      ("check off", { d with check = `Off }, `Miss);
+      ("check replay", { d with check = `Replay }, `Miss);
       ("validate", { d with validate = false }, `Miss);
       ("dag_stats", { d with dag_stats = true }, `Miss);
       ("disambig", { d with disambig = false }, `Miss);
-      ( "def_use",
-        verifier (fun o -> Mircheck.{ o with def_use = not o.def_use }),
-        `Miss );
-      ( "global_dataflow",
-        verifier (fun o ->
-            Mircheck.{ o with global_dataflow = not o.global_dataflow }),
-        `Miss );
-      ( "hazard_replay",
-        verifier (fun o ->
-            Mircheck.{ o with hazard_replay = not o.hazard_replay }),
-        `Miss );
       ("jobs", { d with jobs = 4 }, `Hit);
       (* fault-free, so nothing degrades and the clean entry answers *)
       ("on_error", { d with on_error = `Degrade }, `Hit);

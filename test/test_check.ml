@@ -123,12 +123,9 @@ let test_clean_compiles_no_diags () =
 let test_verify_mir_no_errors () =
   (* the opt-in hazard replay may warn (M045) on interlocked machines but
      must never error on a clean compile *)
-  let options =
-    { Mircheck.default_options with Mircheck.hazard_replay = true }
-  in
   let c =
     Marion.compile
-      ~opts:{ Strategy.default with check_options = options }
+      ~opts:{ Strategy.default with check = `Replay }
       (Lazy.force r2000) Strategy.Postpass ~file:"<clean.c>" clean_src
   in
   let ds = c.Marion.report.Strategy.check_diags in
@@ -144,7 +141,7 @@ let test_verify_mir_no_errors () =
 
 let compile_quiet strat src =
   (Marion.compile
-     ~opts:{ Strategy.default with check = false }
+     ~opts:{ Strategy.default with check = `Off }
      (Lazy.force r2000) strat ~file:"<mut.c>" src)
     .Marion.prog
 
@@ -168,10 +165,10 @@ let find_map_inst prog f =
   | Some x -> x
   | None -> Alcotest.fail "mutation site not found"
 
-let codes_at ?options phase prog =
+let codes_at phase prog =
   List.map
     (fun (d : Diag.t) -> d.Diag.code)
-    (Marion.check_mir ?options phase prog)
+    (Marion.check_mir phase prog)
 
 let assert_caught what phase code prog =
   let found = codes_at phase prog in
@@ -323,17 +320,84 @@ let test_mutation_use_before_def () =
   let prog =
     { Mir.p_model = m; p_globals = []; p_funcs = [ fn ] }
   in
-  assert_caught "use before def" Diag.Post_select "M031" prog;
-  (* the analyses are optional, for triage of intentional oddities *)
-  let options =
-    {
-      Mircheck.default_options with
-      Mircheck.def_use = false;
-      Mircheck.global_dataflow = false;
-    }
+  assert_caught "use before def" Diag.Post_select "M031" prog
+
+(* M031 across blocks: hand-built post-select CFGs over one pseudo [p],
+   defined (from the stack pointer, which the entry seed assigns) in
+   [def_in] and read in [use_in]. [blocks] lists (label, successors) in
+   layout order; the first is the entry. Returns the blocks M031 fires
+   in. *)
+let m031_blocks ~blocks ~def_in ~use_in =
+  let m = Lazy.force r2000 in
+  let add = List.hd (Model.instrs_by_name m "addu") in
+  let cls =
+    match add.Model.i_opnds.(0) with
+    | Model.Kreg c -> c
+    | _ -> Alcotest.fail "addu operand 0 is not a register class"
   in
-  check (Alcotest.list Alcotest.string) "def-use off" []
-    (codes_at ~options Diag.Post_select prog)
+  let sp = Mir.Ophys m.Model.cwvm.Model.v_sp in
+  let fn = Mir.new_func m "f" in
+  let p = Mir.fresh_preg fn cls in
+  let mk (label, succs) =
+    let b = Mir.new_block label in
+    b.Mir.b_succs <- succs;
+    b.Mir.b_insts <-
+      (if List.mem label def_in then
+         [ Mir.mk_inst fn add [| Mir.Opreg p; sp; sp |] ]
+       else [])
+      @
+      if List.mem label use_in then
+        [ Mir.mk_inst fn add [| sp; Mir.Opreg p; Mir.Opreg p |] ]
+      else [];
+    b
+  in
+  fn.Mir.f_blocks <- List.map mk blocks;
+  List.sort_uniq compare
+    (List.filter_map
+       (fun (d : Diag.t) ->
+         if d.Diag.code = "M031" then d.Diag.block else None)
+       (Mircheck.check_func Diag.Post_select fn))
+
+let test_m031_multi_block () =
+  let diamond =
+    [
+      ("entry", [ "left"; "right" ]); ("left", [ "join" ]);
+      ("right", [ "join" ]); ("join", []);
+    ]
+  in
+  let blocks = Alcotest.list Alcotest.string in
+  check blocks "defined on one arm: M031 at the join" [ "join" ]
+    (m031_blocks ~blocks:diamond ~def_in:[ "left" ] ~use_in:[ "join" ]);
+  check blocks "defined on both arms: clean" []
+    (m031_blocks ~blocks:diamond ~def_in:[ "left"; "right" ]
+       ~use_in:[ "join" ]);
+  check blocks "defined only in the loop body: M031 at the header"
+    [ "head" ]
+    (m031_blocks
+       ~blocks:
+         [
+           ("entry", [ "head" ]); ("head", [ "body"; "exit" ]);
+           ("body", [ "head" ]); ("exit", []);
+         ]
+       ~def_in:[ "body" ] ~use_in:[ "head" ]);
+  check blocks "unreachable use: no obligation" []
+    (m031_blocks
+       ~blocks:[ ("entry", []); ("dead", []) ]
+       ~def_in:[] ~use_in:[ "dead" ])
+
+let test_duplicate_label_m011 () =
+  (* two blocks share a label: reported, never raised *)
+  let m = Lazy.force r2000 in
+  let fn = Mir.new_func m "f" in
+  let a = Mir.new_block "L" and b = Mir.new_block "L" in
+  a.Mir.b_succs <- [ "L" ];
+  fn.Mir.f_blocks <- [ a; b ];
+  let codes =
+    List.map
+      (fun (d : Diag.t) -> d.Diag.code)
+      (Mircheck.check_func Diag.Post_select fn)
+  in
+  check Alcotest.bool "M011 reported" true (List.mem "M011" codes)
 
 let test_mutation_broken_cfg () =
   (* point a successor edge at a label that does not exist: M012 *)
@@ -461,6 +525,9 @@ let suite =
       test_mutation_pseudo_after_alloc;
     Alcotest.test_case "mutation: use before def" `Quick
       test_mutation_use_before_def;
+    Alcotest.test_case "M031 across blocks" `Quick test_m031_multi_block;
+    Alcotest.test_case "duplicate label M011" `Quick
+      test_duplicate_label_m011;
     Alcotest.test_case "mutation: broken cfg" `Quick
       test_mutation_broken_cfg;
   ]

@@ -196,6 +196,32 @@ let test_liveness_basic () =
   let out = Hashtbl.find live.Liveness.live_out entry.Mir.b_label in
   check Alcotest.bool "live-out non-empty" false (Liveness.KeySet.is_empty out)
 
+let test_liveness_no_exit_loop () =
+  (* a pseudo defined on entry and read in a self-loop with no exit: it is
+     live across the entry->loop edge even though no path reaches an exit.
+     The shared dataflow solver (here through Glive) leaves such a loop
+     without any fact, which is why the allocator keeps its own liveness *)
+  let m = Lazy.force toyp in
+  let add = List.hd (Model.instrs_by_name m "add") in
+  let cls = (Option.get (Model.find_class m "r")).Model.c_id in
+  let r i = Mir.Ophys { Model.cls; idx = i } in
+  let fn = Mir.new_func m "f" in
+  let p = Mir.fresh_preg fn cls in
+  let entry = Mir.new_block "entry" and loop = Mir.new_block "loop" in
+  entry.Mir.b_insts <- [ Mir.mk_inst fn add [| Mir.Opreg p; r 1; r 2 |] ];
+  entry.Mir.b_succs <- [ "loop" ];
+  loop.Mir.b_insts <- [ Mir.mk_inst fn add [| r 1; Mir.Opreg p; r 2 |] ];
+  loop.Mir.b_succs <- [ "loop" ];
+  fn.Mir.f_blocks <- [ entry; loop ];
+  let live = Liveness.compute fn in
+  let key = Liveness.Kp p.Mir.p_id in
+  check Alcotest.bool "live out of entry" true
+    (Liveness.KeySet.mem key (Hashtbl.find live.Liveness.live_out "entry"));
+  check Alcotest.bool "live into the loop" true
+    (Liveness.KeySet.mem key (Hashtbl.find live.Liveness.live_in "loop"));
+  check Alcotest.bool "the shared solver reaches no fact there" true
+    (Glive.live_in (Glive.compute fn) "loop" = None)
+
 let suite =
   [
     Alcotest.test_case "allocation completes, no pregs left" `Quick
@@ -211,4 +237,6 @@ let suite =
     Alcotest.test_case "max_local budget forces spills" `Quick test_max_local_budget;
     Alcotest.test_case "loop depth detection" `Quick test_liveness_loop_depth;
     Alcotest.test_case "liveness basics" `Quick test_liveness_basic;
+    Alcotest.test_case "liveness in a loop with no exit" `Quick
+      test_liveness_no_exit_loop;
   ]
