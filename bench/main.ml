@@ -996,12 +996,15 @@ let timing () =
   print_endline
     "estimate passes over the selected code: `schedule' is one list-";
   print_endline
-    "scheduling pass per block (default options), `rase-sweep' is one";
+    "scheduling pass per block (no delay filling), `rase-sweep' is";
   print_endline
-    "pass per register budget per block — the hot path the RASE strategy";
+    "Listsched.sweep over every block — the code the RASE strategy runs";
   print_endline
-    "re-runs on every compile. estimate_func does not mutate the MIR, so";
-  print_endline "the same selected functions serve every repetition.";
+    "on every compile, one estimate per register budget per block, counted";
+  print_endline
+    "in b/s as blocks x budgets whether scheduled or proven equal. Neither";
+  print_endline
+    "mutates the MIR, so the same selected functions serve every repetition.";
   print_newline ();
   let targets =
     [
@@ -1012,14 +1015,6 @@ let timing () =
     ]
   in
   let srcs = Livermore.sources () in
-  (* the budget range rase-sweep explores (Strategy keeps this private:
-     the largest allocable class) *)
-  let max_budget (model : Model.t) =
-    Array.fold_left
-      (fun acc (c : Model.rclass) ->
-        max acc (List.length (Model.allocable_of_class model c.Model.c_id)))
-      1 model.Model.classes
-  in
   let no_delay =
     { Listsched.default_options with Listsched.fill_delay = false }
   in
@@ -1044,7 +1039,7 @@ let timing () =
           (fun acc (fn : Mir.func) -> acc + List.length fn.Mir.f_blocks)
           0 fns
       in
-      let budgets = max_budget model in
+      let budgets = Strategy.max_budget model in
       let sched_reps = 20 in
       let _, t_sched =
         time_it (fun () ->
@@ -1059,13 +1054,11 @@ let timing () =
         time_it (fun () ->
             for _ = 1 to sweep_reps do
               List.iter
-                (fun fn ->
-                  for n = 1 to budgets do
-                    let options =
-                      { no_delay with Listsched.reg_limit = Listsched.Fixed n }
-                    in
-                    ignore (Listsched.estimate_func ~options fn)
-                  done)
+                (fun (fn : Mir.func) ->
+                  List.iter
+                    (fun (b : Mir.block) ->
+                      ignore (Listsched.sweep ~budgets fn b.Mir.b_insts))
+                    fn.Mir.f_blocks)
                 fns
             done)
       in

@@ -131,62 +131,80 @@ let available_regs model max_local cls =
   | None -> all
   | Some k -> List.filteri (fun i _ -> i < k) all
 
-(* worst-case number of this node's colors a neighbour can block *)
-let blocking model (u : node) (v : node) =
-  let su = (Model.class_exn model u.preg.Mir.p_cls).Model.c_size in
-  let sv = (Model.class_exn model v.preg.Mir.p_cls).Model.c_size in
-  (sv + su - 1) / su
-
 let color_order model regs =
   (* prefer caller-save registers so we do not pay save/restore *)
   let caller, callee = List.partition (fun r -> not (Model.is_callee_save model r)) regs in
   caller @ callee
 
+let simplify ~adj ~size ~avail ~forbidden ~cost ~no_spill =
+  let n = Array.length adj in
+  (* worst-case number of u's colors a neighbour v can block *)
+  let blocking u v = (size.(v) + size.(u) - 1) / size.(u) in
+  (* colors blocked by u's forbidden registers and unremoved neighbours *)
+  let blocked =
+    Array.init n (fun u ->
+        Array.fold_left (fun acc v -> acc + blocking u v) forbidden.(u) adj.(u))
+  in
+  let weight =
+    Array.init n (fun u ->
+        (if no_spill.(u) then 1e18 else cost.(u))
+        /. float_of_int (Array.length adj.(u) + 1))
+  in
+  let removed = Array.make n false in
+  (* every unremoved node below [start] has blocked >= avail *)
+  let start = ref 0 in
+  Array.init n (fun _ ->
+      let pick = ref (-1) in
+      while !pick < 0 && !start < n do
+        if (not removed.(!start)) && blocked.(!start) < avail.(!start) then
+          pick := !start
+        else incr start
+      done;
+      if !pick < 0 then
+        (* optimistic: push the cheapest spill candidate *)
+        for u = 0 to n - 1 do
+          if (not removed.(u)) && (!pick < 0 || weight.(u) < weight.(!pick))
+          then pick := u
+        done;
+      let v = !pick in
+      removed.(v) <- true;
+      Array.iter
+        (fun u ->
+          if not removed.(u) then begin
+            blocked.(u) <- blocked.(u) - blocking u v;
+            if u < !start && blocked.(u) < avail.(u) then start := u
+          end)
+        adj.(v);
+      v)
+
 let try_color model max_local nodes =
-  let remaining =
+  let order =
     Hashtbl.fold (fun _ n acc -> n :: acc) nodes []
     |> List.sort (fun a b -> compare a.preg.Mir.p_id b.preg.Mir.p_id)
+    |> Array.of_list
   in
-  let removed : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let stack = ref [] in
-  let n_remaining = ref (List.length remaining) in
-  let degree_ok (u : node) =
-    let avail = List.length (available_regs model max_local u.preg.Mir.p_cls) in
-    let blocked =
-      IntSet.fold
-        (fun vid acc ->
-          if Hashtbl.mem removed vid then acc
-          else acc + blocking model u (Hashtbl.find nodes vid))
-        u.adj
-        (List.length u.forbidden)
-    in
-    blocked < avail
+  let index : (int, int) Hashtbl.t = Hashtbl.create (Array.length order) in
+  Array.iteri (fun k (u : node) -> Hashtbl.replace index u.preg.Mir.p_id k) order;
+  let per_class f =
+    let t = Array.init (Array.length model.Model.classes) f in
+    Array.map (fun (u : node) -> t.(u.preg.Mir.p_cls)) order
   in
-  while !n_remaining > 0 do
-    let candidates =
-      List.filter (fun u -> not (Hashtbl.mem removed u.preg.Mir.p_id)) remaining
-    in
-    let pick =
-      match List.find_opt degree_ok candidates with
-      | Some u -> u
-      | None ->
-          (* optimistic: push the cheapest spill candidate *)
-          let weight (u : node) =
-            let deg = IntSet.cardinal u.adj + 1 in
-            (if u.no_spill then 1e18 else u.cost) /. float_of_int deg
-          in
-          List.fold_left
-            (fun best u ->
-              match best with
-              | None -> Some u
-              | Some b -> if weight u < weight b then Some u else best)
-            None candidates
-          |> Option.get
-    in
-    Hashtbl.replace removed pick.preg.Mir.p_id ();
-    stack := pick :: !stack;
-    decr n_remaining
-  done;
+  let removal =
+    simplify
+      ~adj:
+        (Array.map
+           (fun (u : node) ->
+             Array.of_list
+               (List.map (Hashtbl.find index) (IntSet.elements u.adj)))
+           order)
+      ~size:(per_class (fun c -> (Model.class_exn model c).Model.c_size))
+      ~avail:
+        (per_class (fun c -> List.length (available_regs model max_local c)))
+      ~forbidden:(Array.map (fun (u : node) -> List.length u.forbidden) order)
+      ~cost:(Array.map (fun (u : node) -> u.cost) order)
+      ~no_spill:(Array.map (fun (u : node) -> u.no_spill) order)
+  in
+  let stack = Array.fold_left (fun acc k -> order.(k) :: acc) [] removal in
   (* select phase: the stack pops in reverse removal order *)
   let spilled = ref [] in
   List.iter
@@ -233,7 +251,7 @@ let try_color model max_local nodes =
                   u.preg.Mir.p_id
           end
           else spilled := u :: !spilled)
-    !stack;
+    stack;
   !spilled
 
 (* ------------------------------------------------------------------ *)
@@ -432,14 +450,16 @@ let allocate ?(forbid_global_pregs = false) ?max_local (fn : Mir.func) : stats =
                 let cv = Option.get v.color in
                 if Model.regs_overlap fn.Mir.f_model cu cv then
                   Loc.fail Loc.dummy
-                    "register allocation self-check: %%p%d and %%p%d share                      overlapping registers"
+                    "register allocation self-check: %%p%d and %%p%d share \
+                     overlapping registers"
                     u.preg.Mir.p_id v.preg.Mir.p_id)
               u.adj;
             List.iter
               (fun r ->
                 if Model.regs_overlap fn.Mir.f_model cu r then
                   Loc.fail Loc.dummy
-                    "register allocation self-check: %%p%d overlaps a live                      physical register"
+                    "register allocation self-check: %%p%d overlaps a live \
+                     physical register"
                     u.preg.Mir.p_id)
               u.forbidden)
           nodes;

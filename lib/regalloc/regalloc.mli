@@ -29,3 +29,20 @@ val allocate : ?forbid_global_pregs:bool -> ?max_local:int -> Mir.func -> stats
 
     [max_local] caps the number of allocable registers per class (used by
     RASE to enforce per-block schedule/register trade-offs). *)
+
+val simplify :
+  adj:int array array -> size:int array -> avail:int array ->
+  forbidden:int array -> cost:float array -> no_spill:bool array -> int array
+(** The simplify phase of coloring, over nodes [0 .. n-1] numbered in
+    pseudo-register id order. Node [u] has neighbours [adj.(u)] (a
+    symmetric relation without self-loops or duplicates), registers of
+    [size.(u)] bytes, [avail.(u)] colors, [forbidden.(u)] interfering
+    precolored registers and spill cost [cost.(u)]; [no_spill.(u)] marks
+    a spill temporary. Returns the removal order, a permutation of the
+    nodes; the select phase colors in its reverse.
+
+    Each step removes the first node whose forbidden registers and
+    unremoved neighbours cannot block all its colors — a neighbour [v]
+    blocks [ceil(size v / size u)] of [u]'s colors. If there is none it
+    removes, optimistically, the first node of least spill weight
+    [cost / (degree + 1)] (spill temporaries weigh [1e18 / (degree + 1)]). *)

@@ -56,6 +56,18 @@ val schedule_block :
     scoreboard probe/conflict/reserve counts across the call (surfaced by
     [--time-passes]). *)
 
+val sweep :
+  ?sb_stats:Scoreboard.stats -> budgets:int -> Mir.func -> Mir.inst list ->
+  int array
+(** [sweep ~budgets fn insts] is the RASE cost sweep of one block: the
+    array's element [n - 1] is the length of
+    [schedule_block ~options:{default_options with fill_delay = false;
+    reg_limit = Fixed n}] for [n = 1 .. budgets]. The DAG is built once,
+    and once the register limit stops binding at some budget the larger
+    budgets are filled with that length without rescheduling — exactly,
+    since a limit that never rejected a candidate leaves the schedule
+    equal to the unlimited one (see the implementation comment). *)
+
 val schedule_func :
   ?options:options -> ?oracle:Dag.oracle -> ?sb_stats:Scoreboard.stats ->
   Mir.func -> int

@@ -194,9 +194,10 @@ let max_budget (model : Model.t) =
       max acc (List.length (Model.allocable_of_class model c.Model.c_id)))
     1 model.Model.classes
 
-(* RASE's expensive half: gather schedule cost estimates under varying
-   register budgets (the scheduler runs once per budget per block) and
-   keep the budget where the estimated cost stops improving *)
+(* RASE's expensive half: gather schedule cost estimates under every
+   register budget 1 .. [max_budget] ([Listsched.sweep], one DAG per
+   block) and keep the smallest budget with the minimum total estimated
+   cost *)
 (* oracle-free like [p_ips_prepass]: the sweep's estimates must model
    the schedules the (pre-allocation, hence conservative) rase-prepass
    will actually produce, or the chosen budget is tuned for a different
@@ -204,26 +205,19 @@ let max_budget (model : Model.t) =
 let p_rase_sweep =
   Pass.v "rase-sweep" (fun st fn ->
       let budgets = max_budget fn.Mir.f_model in
-      let cost_at = Array.make (budgets + 1) max_int in
-      for n = 1 to budgets do
-        let options =
-          { no_delay with Listsched.reg_limit = Listsched.Fixed n }
-        in
-        let total =
-          List.fold_left
-            (fun acc (_, len) -> acc + len)
-            0
-            (with_sb_stats st (fun sb ->
-                 Listsched.estimate_func ~options ~sb_stats:sb fn))
-        in
-        st.Pass.sched_passes <- st.Pass.sched_passes + count_blocks fn;
-        cost_at.(n) <- total
-      done;
-      let best = ref 1 in
-      for n = 2 to budgets do
-        if cost_at.(n) < cost_at.(!best) then best := n
-      done;
-      st.Pass.reg_budget <- Some !best)
+      let cost_at = Array.make budgets 0 in
+      with_sb_stats st (fun sb ->
+          List.iter
+            (fun (b : Mir.block) ->
+              Array.iteri
+                (fun k len -> cost_at.(k) <- cost_at.(k) + len)
+                (Listsched.sweep ~sb_stats:sb ~budgets fn b.Mir.b_insts))
+            fn.Mir.f_blocks);
+      (* one block estimate per budget, whether scheduled or proven equal *)
+      st.Pass.sched_passes <- st.Pass.sched_passes + (budgets * count_blocks fn);
+      let best = ref 0 in
+      Array.iteri (fun k c -> if c < cost_at.(!best) then best := k) cost_at;
+      st.Pass.reg_budget <- Some (!best + 1))
 
 (* prepass under the chosen budget communicates the schedule's register
    appetite to the allocator; pre-allocation, so oracle-free — see

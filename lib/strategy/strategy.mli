@@ -45,6 +45,11 @@ val pipeline : ?disambig:bool -> name -> Pass.t list
     are identical either way — the flag is part of the cache key
     ({!pipeline_key}), not the pass list. *)
 
+val max_budget : Model.t -> int
+(** The largest register budget the RASE sweep explores: the size of the
+    model's largest allocable class (at least 1). The sweep estimates
+    every block under budgets [1 .. max_budget]. *)
+
 type on_error = [ `Abort | `Degrade | `Skip ]
 (** What the driver does when a pass faults — raises, exceeds the pass
     deadline, or trips an injected fault ({!Finject}) — while compiling

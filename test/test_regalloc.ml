@@ -222,6 +222,114 @@ let test_liveness_no_exit_loop () =
   check Alcotest.bool "the shared solver reaches no fact there" true
     (Glive.live_in (Glive.compute fn) "loop" = None)
 
+(* ---------------- simplify order (QCheck differential) ---------------- *)
+
+type sgraph = {
+  adj : int array array;
+  size : int array;
+  avail : int array;
+  forbidden : int array;
+  cost : float array;
+  no_spill : bool array;
+}
+
+(* The list/Hashtbl simplify loop Regalloc.try_color ran before
+   Regalloc.simplify existed, transcribed verbatim over the same array
+   inputs (node ids are the indices, already in p_id order): the
+   reference the incremental version must reproduce exactly. *)
+let reference_simplify g =
+  let module IntSet = Set.Make (Int) in
+  let adj = Array.map (fun a -> IntSet.of_list (Array.to_list a)) g.adj in
+  let blocking u v = (g.size.(v) + g.size.(u) - 1) / g.size.(u) in
+  let remaining = List.init (Array.length g.adj) Fun.id in
+  let removed : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let stack = ref [] in
+  let n_remaining = ref (List.length remaining) in
+  let degree_ok u =
+    let avail = g.avail.(u) in
+    let blocked =
+      IntSet.fold
+        (fun vid acc ->
+          if Hashtbl.mem removed vid then acc else acc + blocking u vid)
+        adj.(u) g.forbidden.(u)
+    in
+    blocked < avail
+  in
+  while !n_remaining > 0 do
+    let candidates =
+      List.filter (fun u -> not (Hashtbl.mem removed u)) remaining
+    in
+    let pick =
+      match List.find_opt degree_ok candidates with
+      | Some u -> u
+      | None ->
+          let weight u =
+            let deg = IntSet.cardinal adj.(u) + 1 in
+            (if g.no_spill.(u) then 1e18 else g.cost.(u)) /. float_of_int deg
+          in
+          List.fold_left
+            (fun best u ->
+              match best with
+              | None -> Some u
+              | Some b -> if weight u < weight b then Some u else best)
+            None candidates
+          |> Option.get
+    in
+    Hashtbl.replace removed pick ();
+    stack := pick :: !stack;
+    decr n_remaining
+  done;
+  Array.of_list (List.rev !stack)
+
+(* random interference graphs: 1- and 2-word classes, precolored
+   conflicts, spill temporaries, and costs from a small set so weights
+   tie often *)
+let gen_sgraph =
+  let open QCheck2.Gen in
+  let* n = int_range 0 40 in
+  let* density = int_range 0 100 in
+  let* pairs =
+    list_size (return (n * n / 2))
+      (pair (int_bound (max 0 (n - 1))) (int_bound (max 0 (n - 1))))
+  in
+  let* picks = list_repeat (List.length pairs) (int_bound 99) in
+  let* words = array_repeat n (int_range 1 2) in
+  let* avail = array_repeat n (int_range 1 8) in
+  let* forbidden = array_repeat n (int_range 0 3) in
+  let* cost = array_repeat n (map (fun k -> float_of_int (k * 10)) (int_bound 4)) in
+  let+ no_spill = array_repeat n (map (fun k -> k = 0) (int_bound 4)) in
+  let edges = Array.make n [] in
+  List.iter2
+    (fun (u, v) pick ->
+      if u <> v && pick < density && not (List.mem v edges.(u)) then begin
+        edges.(u) <- v :: edges.(u);
+        edges.(v) <- u :: edges.(v)
+      end)
+    pairs picks;
+  {
+    adj = Array.map Array.of_list edges;
+    size = Array.map (fun w -> 4 * w) words;
+    avail;
+    forbidden;
+    cost;
+    no_spill;
+  }
+
+let print_sgraph g =
+  String.concat "\n"
+    (List.init (Array.length g.adj) (fun u ->
+         Printf.sprintf "%d: size=%d avail=%d forbidden=%d cost=%g%s adj=[%s]"
+           u g.size.(u) g.avail.(u) g.forbidden.(u) g.cost.(u)
+           (if g.no_spill.(u) then " no_spill" else "")
+           (String.concat " " (Array.to_list (Array.map string_of_int g.adj.(u))))))
+
+let prop_simplify_matches_reference =
+  QCheck2.Test.make ~name:"simplify == list/Hashtbl reference" ~count:500
+    ~print:print_sgraph gen_sgraph (fun g ->
+      Regalloc.simplify ~adj:g.adj ~size:g.size ~avail:g.avail
+        ~forbidden:g.forbidden ~cost:g.cost ~no_spill:g.no_spill
+      = reference_simplify g)
+
 let suite =
   [
     Alcotest.test_case "allocation completes, no pregs left" `Quick
@@ -239,4 +347,5 @@ let suite =
     Alcotest.test_case "liveness basics" `Quick test_liveness_basic;
     Alcotest.test_case "liveness in a loop with no exit" `Quick
       test_liveness_no_exit_loop;
+    QCheck_alcotest.to_alcotest prop_simplify_matches_reference;
   ]

@@ -362,6 +362,85 @@ let test_priority_ablation_sound () =
           (fun (i : Mir.inst) -> i.Mir.n_op.Model.i_name <> "nop")
           r.Listsched.order))
 
+(* The RASE sweep against the per-budget scheduler it replaces, on every
+   block of every selected function of Livermore 1-14 and the program
+   suite on all four targets: exhaustive, not sampled. *)
+let test_sweep_matches_per_budget () =
+  let no_delay =
+    { Listsched.default_options with Listsched.fill_delay = false }
+  in
+  let saturated_early = ref false and bound_late = ref false in
+  List.iter
+    (fun (tname, load) ->
+      let model = load () in
+      let budgets = Strategy.max_budget model in
+      List.iter
+        (fun (file, src) ->
+          match
+            let ir = Cgen.compile ~file src in
+            List.iter (Glue.transform_func model) ir.Ir.funcs;
+            List.map (Select.select_func model) ir.Ir.funcs
+          with
+          | exception (Select.No_pattern _ | Loc.Error _) -> ()
+          | fns ->
+              List.iter
+                (fun (fn : Mir.func) ->
+                  List.iter
+                    (fun (b : Mir.block) ->
+                      let insts = b.Mir.b_insts in
+                      let sweep_sb = Scoreboard.make_stats () in
+                      let got =
+                        Listsched.sweep ~sb_stats:sweep_sb ~budgets fn insts
+                      in
+                      let ref_sb = Scoreboard.make_stats () in
+                      let want =
+                        Array.init budgets (fun k ->
+                            let options =
+                              {
+                                no_delay with
+                                Listsched.reg_limit = Listsched.Fixed (k + 1);
+                              }
+                            in
+                            (Listsched.schedule_block ~options ~sb_stats:ref_sb
+                               fn insts)
+                              .Listsched.length)
+                      in
+                      check
+                        Alcotest.(array int)
+                        (Printf.sprintf "%s %s %s" tname fn.Mir.f_name
+                           b.Mir.b_label)
+                        want got;
+                      (* fewer probes than the reference: some budget was
+                         proven equal instead of scheduled *)
+                      if
+                        tname = "r2000"
+                        && sweep_sb.Scoreboard.probes
+                           < ref_sb.Scoreboard.probes
+                      then saturated_early := true;
+                      (* a length other than the unlimited one: the limit
+                         still binds at that budget *)
+                      let free =
+                        (Listsched.schedule_block ~options:no_delay fn insts)
+                          .Listsched.length
+                      in
+                      Array.iteri
+                        (fun k len ->
+                          if k + 1 >= 2 && len <> free then bound_late := true)
+                        got)
+                    fn.Mir.f_blocks)
+                fns)
+        (Livermore.sources () @ Suite.programs))
+    [
+      ("toyp", Toyp.load);
+      ("r2000", R2000.load);
+      ("m88000", M88000.load);
+      ("i860", I860.load);
+    ];
+  check Alcotest.bool "some r2000 block saturates below its last budget" true
+    !saturated_early;
+  check Alcotest.bool "some block is still bound at a budget >= 2" true
+    !bound_late
+
 let suite =
   [
     Alcotest.test_case "true edges carry latency" `Quick test_true_edges_carry_latency;
@@ -383,4 +462,6 @@ let suite =
       test_ghfill_reduces_cycles;
     Alcotest.test_case "priority ablation is sound" `Quick
       test_priority_ablation_sound;
+    Alcotest.test_case "sweep == per-budget reference" `Quick
+      test_sweep_matches_per_budget;
   ]
