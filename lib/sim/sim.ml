@@ -28,22 +28,18 @@ exception Sim_error of string
 let fail fmt = Format.kasprintf (fun m -> raise (Sim_error m)) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Values                                                              *)
+(* Access kinds                                                        *)
 (* ------------------------------------------------------------------ *)
-
-type value = Vi of int | Vf of float
-
-let vi = function Vi n -> n | Vf f -> int_of_float f
-
-let vf = function Vf f -> f | Vi n -> float_of_int n
 
 (* memory / register access kinds *)
 type access = { a_width : int; a_float : bool }
 
+let word = { a_width = 4; a_float = false }
+
 let access_of_vtype = function
   | Ast.Char -> { a_width = 1; a_float = false }
   | Ast.Short -> { a_width = 2; a_float = false }
-  | Ast.Int | Ast.Long -> { a_width = 4; a_float = false }
+  | Ast.Int | Ast.Long -> word
   | Ast.Float -> { a_width = 4; a_float = true }
   | Ast.Double -> { a_width = 8; a_float = true }
 
@@ -74,9 +70,8 @@ type sinst = {
 type program = {
   code : sinst array;
   entry : int;  (* index of main *)
-  data : bytes;  (* initial memory image (globals) *)
-  data_end : int;
-  builtin_at : (int, string) Hashtbl.t;  (* code index -> builtin name *)
+  data : bytes;  (* memory image: zeroes plus the globals *)
+  builtin_base : int;  (* code index of the first builtin pseudo slot *)
 }
 
 let builtin_names = [ "print_int"; "print_char"; "print_double" ]
@@ -99,8 +94,8 @@ let store_kind model (op : Model.instr) =
               match op.Model.i_opnds.(n - 1) with
               | Model.Kreg c -> Some (access_of_class model c)
               | Model.Kregfix r -> Some (access_of_class model r.Model.cls)
-              | Model.Kimm _ | Model.Klab _ -> Some { a_width = 4; a_float = false })
-          | _ -> Some { a_width = 4; a_float = false }))
+              | Model.Kimm _ | Model.Klab _ -> Some word)
+          | _ -> Some word))
 
 let load_kind model (op : Model.instr) =
   if not op.Model.i_loads then None
@@ -114,15 +109,32 @@ let load_kind model (op : Model.instr) =
             match op.Model.i_opnds.(pos) with
             | Model.Kreg c -> Some (access_of_class model c)
             | Model.Kregfix r -> Some (access_of_class model r.Model.cls)
-            | Model.Kimm _ | Model.Klab _ -> Some { a_width = 4; a_float = false })
-        | [] -> Some { a_width = 4; a_float = false })
+            | Model.Kimm _ | Model.Klab _ -> Some word)
+        | [] -> Some word)
 
 let align_up v a = (v + a - 1) / a * a
+
+(* One data segment per domain, zeroed again for every run: a run's
+   memory is dead once its result is built, and allocating a fresh
+   segment per run leaves the major GC several dead ones to free. *)
+let segment = Domain.DLS.new_key (fun () -> Bytes.empty)
+
+let zeroed_segment size =
+  let seg = Domain.DLS.get segment in
+  if Bytes.length seg = size then begin
+    Bytes.fill seg 0 size '\000';
+    seg
+  end
+  else begin
+    let seg = Bytes.make size '\000' in
+    Domain.DLS.set segment seg;
+    seg
+  end
 
 let load_program (prog : Mir.prog) memory_size : program =
   let model = prog.Mir.p_model in
   (* data segment *)
-  let data = Bytes.make memory_size '\000' in
+  let data = zeroed_segment memory_size in
   let daddr : (string, int) Hashtbl.t = Hashtbl.create 32 in
   let cursor = ref 64 in
   List.iter
@@ -134,7 +146,6 @@ let load_program (prog : Mir.prog) memory_size : program =
     prog.Mir.p_globals;
   (* code layout: two passes (labels first) *)
   let label_at : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let builtin_at = Hashtbl.create 4 in
   let counter = ref 0 in
   List.iter
     (fun (fn : Mir.func) ->
@@ -146,10 +157,10 @@ let load_program (prog : Mir.prog) memory_size : program =
         fn.Mir.f_blocks)
     prog.Mir.p_funcs;
   (* builtins get one pseudo slot each so calls have a target index *)
+  let builtin_base = !counter in
   List.iter
     (fun name ->
       Hashtbl.replace label_at name !counter;
-      Hashtbl.replace builtin_at !counter name;
       incr counter)
     builtin_names;
   let ncode = !counter in
@@ -201,10 +212,7 @@ let load_program (prog : Mir.prog) memory_size : program =
                   s_store_kind = store_kind model i.Mir.n_op;
                 };
               incr pos)
-            b.Mir.b_insts;
-          (* empty blocks still need their frequency recorded: attach the
-             label to the next instruction slot if it exists *)
-          if b.Mir.b_insts = [] then ())
+            b.Mir.b_insts)
         fn.Mir.f_blocks)
     prog.Mir.p_funcs;
   let entry =
@@ -212,101 +220,67 @@ let load_program (prog : Mir.prog) memory_size : program =
     | Some e -> e
     | None -> fail "program has no main function"
   in
-  { code; entry; data; data_end = !cursor; builtin_at }
+  { code; entry; data; builtin_base }
 
 (* ------------------------------------------------------------------ *)
 (* Machine state                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The float accumulator: a float-valued compiled expression leaves its
+   value here, since a float returned from a closure would be boxed. *)
+type facc = { mutable f : float }
+
+(* An instruction with its semantics compiled against the run's state. *)
+type cinst = {
+  c_op : Model.instr;
+  c_ops : soperand array;
+  c_label : string option;
+  c_reads : int array;  (* scoreboard bytes the instruction waits on *)
+  c_aux : bool;  (* the op is the first instruction of some %aux *)
+  c_exec : unit -> unit;  (* semantics, cache penalty and redirects *)
+}
+
 type state = {
   model : Model.t;
   cfg : config;
-  prog : program;
+  mutable code : cinst array;
   banks : Bytes.t array;
-  ready : int array array;  (* per bank, per byte: cycle the value is ready *)
-  writer : int array array;  (* flat code index of the last writer, or -1 *)
-  wcycle : int array array;
+  bank_base : int array;  (* index of each bank's byte 0 in the tables *)
+  (* per register byte over all banks: the cycle its value is ready, the
+     code index of its last writer (or -1) and that writer's issue cycle *)
+  ready : int array;
+  writer : int array;
+  wcycle : int array;
+  aux_memo : (int, int) Hashtbl.t;  (* writer * ncode + consumer -> lat *)
   mem : Bytes.t;
+  acc : facc;
   out : Buffer.t;
   mutable pc : int;
   mutable cycle : int;
   mutable icount : int;
   mutable nloads : int;
   mutable misses : int;
-  (* pending branch: target, slots remaining *)
-  mutable redirect : (int * int) option;
+  (* pending branch: target and delay slots remaining, -1 when none *)
+  mutable redirect_to : int;
+  mutable redirect_in : int;
   mutable halted : bool;
   mutable trace_acc : (int * string) list;
-  block_freq : (string, int) Hashtbl.t;
+  (* issues per block-leading code index, and those indices in the order
+     of their first issue *)
+  freq : int array;
+  seen : int array;
+  mutable nseen : int;
   (* busy resources over a ring-buffer window of cycles *)
   busy : Scoreboard.t;
   lat : Latency.t;
-  mutable cur_class : Bitset.t option;
+  (* the packing classes still open in the current cycle, meaningful
+     only while [class_open] *)
+  cur_class : Bitset.t;
+  mutable class_open : bool;
   cache_tags : int array;  (* -1 = invalid *)
   halt_index : int;
+  builtin_base : int;
 }
-
-let bank_bytes st r =
-  let bank, off, size = Model.reg_bytes st.model r in
-  (bank, off, size)
-
-let read_reg st (r : Model.reg) : value =
-  let a = access_of_class st.model r.Model.cls in
-  let bank, off, _ = bank_bytes st r in
-  let b = st.banks.(bank) in
-  if a.a_float then
-    if a.a_width = 8 then Vf (Int64.float_of_bits (Bytes.get_int64_le b off))
-    else Vf (Int32.float_of_bits (Bytes.get_int32_le b off))
-  else
-    match a.a_width with
-    | 1 ->
-        let v = Bytes.get_uint8 b off in
-        Vi (if v land 0x80 <> 0 then v - 0x100 else v)
-    | 2 ->
-        let v = Bytes.get_uint16_le b off in
-        Vi (if v land 0x8000 <> 0 then v - 0x10000 else v)
-    | _ -> Vi (Int32.to_int (Bytes.get_int32_le b off))
-
-let write_reg st (r : Model.reg) (v : value) =
-  let a = access_of_class st.model r.Model.cls in
-  let bank, off, _ = bank_bytes st r in
-  let b = st.banks.(bank) in
-  if a.a_float then
-    if a.a_width = 8 then Bytes.set_int64_le b off (Int64.bits_of_float (vf v))
-    else Bytes.set_int32_le b off (Int32.bits_of_float (vf v))
-  else
-    match a.a_width with
-    | 1 -> Bytes.set_uint8 b off (vi v land 0xFF)
-    | 2 -> Bytes.set_uint16_le b off (vi v land 0xFFFF)
-    | _ -> Bytes.set_int32_le b off (Int32.of_int (vi v))
-
-let mem_load st (a : access) addr : value =
-  if addr < 0 || addr + a.a_width > Bytes.length st.mem then
-    fail "load out of bounds at %d (pc=%d)" addr st.pc;
-  if a.a_float then
-    if a.a_width = 8 then Vf (Int64.float_of_bits (Bytes.get_int64_le st.mem addr))
-    else Vf (Int32.float_of_bits (Bytes.get_int32_le st.mem addr))
-  else
-    match a.a_width with
-    | 1 ->
-        let v = Bytes.get_uint8 st.mem addr in
-        Vi (if v land 0x80 <> 0 then v - 0x100 else v)
-    | 2 ->
-        let v = Bytes.get_uint16_le st.mem addr in
-        Vi (if v land 0x8000 <> 0 then v - 0x10000 else v)
-    | _ -> Vi (Int32.to_int (Bytes.get_int32_le st.mem addr))
-
-let mem_store st (a : access) addr (v : value) =
-  if addr < 0 || addr + a.a_width > Bytes.length st.mem then
-    fail "store out of bounds at %d (pc=%d)" addr st.pc;
-  if a.a_float then
-    if a.a_width = 8 then Bytes.set_int64_le st.mem addr (Int64.bits_of_float (vf v))
-    else Bytes.set_int32_le st.mem addr (Int32.bits_of_float (vf v))
-  else
-    match a.a_width with
-    | 1 -> Bytes.set_uint8 st.mem addr (vi v land 0xFF)
-    | 2 -> Bytes.set_uint16_le st.mem addr (vi v land 0xFFFF)
-    | _ -> Bytes.set_int32_le st.mem addr (Int32.of_int (vi v))
 
 (* direct-mapped cache lookup for loads *)
 let cache_access st addr =
@@ -324,134 +298,162 @@ let cache_access st addr =
       end
 
 (* ------------------------------------------------------------------ *)
-(* Hazard bookkeeping                                                  *)
+(* Register and memory access                                          *)
 (* ------------------------------------------------------------------ *)
 
-let reg_ready_for st (consumer : Model.instr) (r : Model.reg) =
-  let bank, off, size = bank_bytes st r in
-  let req = ref 0 in
-  for b = off to off + size - 1 do
-    let t =
-      if st.writer.(bank).(b) >= 0 then begin
-        let widx = st.writer.(bank).(b) in
-        let wop = st.prog.code.(widx).s_op in
-        let opnd_eq a bpos =
-          (* operand condition of %aux: compare the operand values of the
-             two instructions *)
-          a >= 0
-          && a < Array.length st.prog.code.(widx).s_ops
-          && bpos >= 0
-          &&
-          (* the consumer instruction being checked is at st.pc *)
-          bpos < Array.length st.prog.code.(st.pc).s_ops
-          && st.prog.code.(widx).s_ops.(a) = st.prog.code.(st.pc).s_ops.(bpos)
-        in
-        match Latency.find st.lat ~first:wop ~second:consumer ~opnd_eq with
-        | Some l -> st.wcycle.(bank).(b) + l
-        | None -> st.ready.(bank).(b)
-      end
-      else st.ready.(bank).(b)
-    in
-    if t > !req then req := t
-  done;
-  !req
+(* A register resolved once: its bank bytes, offset and access kind, and
+   the index of its first byte in the scoreboard tables. A register that
+   does not fit its bank gets index -1, so its first scoreboard access
+   raises the same out-of-bounds error the bank access would. *)
+type slot = {
+  bank : Bytes.t;
+  off : int;
+  first : int;
+  width : int;
+  flt : bool;
+}
 
-let mark_written st (r : Model.reg) latency =
-  let bank, off, size = bank_bytes st r in
-  for b = off to off + size - 1 do
-    st.ready.(bank).(b) <- st.cycle + max 1 latency;
-    st.writer.(bank).(b) <- st.pc;
-    st.wcycle.(bank).(b) <- st.cycle
+let slot st (r : Model.reg) =
+  let bank, off, size = Model.reg_bytes st.model r in
+  let a = access_of_class st.model r.Model.cls in
+  let b = st.banks.(bank) in
+  let first =
+    if off >= 0 && off + size <= Bytes.length b then st.bank_base.(bank) + off
+    else -1
+  in
+  { bank = b; off; first; width = size; flt = a.a_float }
+
+let scoreboard_bytes (s : slot) =
+  List.init s.width (fun k -> if s.first < 0 then -1 else s.first + k)
+
+let sext_byte m = if m land 0x80 <> 0 then m - 0x100 else m
+
+let sext_half m = if m land 0x8000 <> 0 then m - 0x10000 else m
+
+let get_int b off width =
+  match width with
+  | 1 -> sext_byte (Bytes.get_uint8 b off)
+  | 2 -> sext_half (Bytes.get_uint16_le b off)
+  | _ -> Int32.to_int (Bytes.get_int32_le b off)
+
+let set_int b off width v =
+  match width with
+  | 1 -> Bytes.set_uint8 b off (v land 0xFF)
+  | 2 -> Bytes.set_uint16_le b off (v land 0xFFFF)
+  | _ -> Bytes.set_int32_le b off (Int32.of_int v)
+
+(* floats pass through the accumulator, never as boxed arguments *)
+let get_float acc b off width =
+  acc.f <-
+    (if width = 8 then Int64.float_of_bits (Bytes.get_int64_le b off)
+     else Int32.float_of_bits (Bytes.get_int32_le b off))
+
+let set_float acc b off width =
+  if width = 8 then Bytes.set_int64_le b off (Int64.bits_of_float acc.f)
+  else Bytes.set_int32_le b off (Int32.bits_of_float acc.f)
+
+let mark_written st first size latency =
+  for b = first to first + size - 1 do
+    st.ready.(b) <- st.cycle + latency;
+    st.writer.(b) <- st.pc;
+    st.wcycle.(b) <- st.cycle
   done
 
 (* ------------------------------------------------------------------ *)
-(* Semantics evaluation                                                *)
+(* Semantics compilation                                               *)
 (* ------------------------------------------------------------------ *)
+
+(* Once operands are bound, every semantics expression has a fixed kind:
+   registers carry their class, immediates and labels are ints, a binop
+   with a float side is float and a conversion decides by its type. So
+   each compiles to a closure over unboxed ints, or to one that leaves a
+   float in the accumulator. Errors stay in the closures and are raised
+   only when the instruction executes. Binop and comparison operands
+   evaluate right to left: the order decides which error an expression
+   with two faulting operands raises. *)
+type cexpr = I of (unit -> int) | F of (unit -> unit)
+
+let as_int acc = function
+  | I g -> g
+  | F g ->
+      fun () ->
+        g ();
+        int_of_float acc.f
+
+let as_float acc = function
+  | F g -> g
+  | I g -> fun () -> acc.f <- float_of_int (g ())
+
+let evaluate = function
+  | I g -> fun () -> ignore (g ())
+  | F g -> g
+
+let out_of_bounds () = invalid_arg "index out of bounds"
+
+let read_slot acc (s : slot) =
+  let { bank; off; width; _ } = s in
+  if s.flt then F (fun () -> get_float acc bank off width)
+  else I (fun () -> get_int bank off width)
+
+(* [s] := [v], converted to the register's kind *)
+let assign acc (s : slot) v =
+  let { bank; off; width; _ } = s in
+  match (s.flt, v) with
+  | false, I g -> fun () -> set_int bank off width (g ())
+  | false, F g ->
+      fun () ->
+        g ();
+        set_int bank off width (int_of_float acc.f)
+  | true, I g ->
+      fun () ->
+        acc.f <- float_of_int (g ());
+        set_float acc bank off width
+  | true, F g ->
+      fun () ->
+        g ();
+        set_float acc bank off width
 
 let find_named st name =
   match Model.find_class st.model name with
-  | Some c -> Locs.named_reg st.model c.Model.c_id
-  | None -> fail "unknown register name %S in semantics" name
+  | Some c -> Some (slot st (Locs.named_reg st.model c.Model.c_id))
+  | None -> None
 
-let operand_value st (si : sinst) n : value =
-  match si.s_ops.(n - 1) with
-  | Simm v -> Vi v
-  | Slab idx -> Vi idx
-  | Sreg r -> read_reg st r
+let int_binop op x y =
+  let s = Arith32.sext32 in
+  match op with
+  | Ast.Add -> s (x + y)
+  | Ast.Sub -> s (x - y)
+  | Ast.Mul -> s (x * y)
+  | Ast.Div -> if y = 0 then fail "division by zero" else s (x / y)
+  | Ast.Rem -> if y = 0 then fail "modulo by zero" else s (x mod y)
+  | Ast.And -> x land y
+  | Ast.Or -> x lor y
+  | Ast.Xor -> x lxor y
+  | Ast.Shl -> s (x lsl (y land 31))
+  | Ast.Sar -> s (x asr (y land 31))
+  | Ast.Shr -> s (Arith32.mask32 x lsr (y land 31))
+  | Ast.Cmp -> compare x y
 
-let rec eval st (si : sinst) (e : Ast.expr) : value =
-  match e with
-  | Ast.Eint n -> Vi n
-  | Ast.Eflt f -> Vf f
-  | Ast.Eopnd n -> operand_value st si n
-  | Ast.Ename name -> read_reg st (find_named st name)
-  | Ast.Emem (_, a) -> (
-      let addr = vi (eval st si a) in
-      match si.s_load_kind with
-      | Some k -> mem_load st k addr
-      | None -> mem_load st { a_width = 4; a_float = false } addr)
-  | Ast.Ebinop (op, a, b) -> eval_binop st op (eval st si a) (eval st si b)
-  | Ast.Erel (op, a, b) -> eval_rel st op (eval st si a) (eval st si b)
-  | Ast.Eunop (Ast.Neg, a) -> (
-      match eval st si a with
-      | Vi n -> Vi (Arith32.sext32 (-n))
-      | Vf f -> Vf (-.f))
-  | Ast.Eunop (Ast.Bnot, a) -> Vi (Arith32.sext32 (lnot (vi (eval st si a))))
-  | Ast.Eunop (Ast.Lnot, a) -> Vi (if vi (eval st si a) = 0 then 1 else 0)
-  | Ast.Ecvt (vt, a) -> (
-      let v = eval st si a in
-      match vt with
-      | Ast.Char ->
-          let m = vi v land 0xFF in
-          Vi (if m land 0x80 <> 0 then m - 0x100 else m)
-      | Ast.Short ->
-          let m = vi v land 0xFFFF in
-          Vi (if m land 0x8000 <> 0 then m - 0x10000 else m)
-      | Ast.Int | Ast.Long -> Vi (Arith32.sext32 (vi v))
-      | Ast.Float -> Vf (Int32.float_of_bits (Int32.bits_of_float (vf v)))
-      | Ast.Double -> Vf (vf v))
-  | Ast.Ebuiltin ("high", [ a ]) ->
-      Vi ((Arith32.mask32 (vi (eval st si a)) lsr 16) land 0xFFFF)
-  | Ast.Ebuiltin ("low", [ a ]) -> Vi (vi (eval st si a) land 0xFFFF)
-  | Ast.Ebuiltin ("eval", [ a ]) -> eval st si a
-  | Ast.Ebuiltin (f, _) -> fail "unknown builtin %S in semantics" f
-
-and eval_binop st op a b =
-  ignore st;
-  match (a, b) with
-  | Vi x, Vi y -> (
-      let s = Arith32.sext32 in
-      match op with
-      | Ast.Add -> Vi (s (x + y))
-      | Ast.Sub -> Vi (s (x - y))
-      | Ast.Mul -> Vi (s (x * y))
-      | Ast.Div -> if y = 0 then fail "division by zero" else Vi (s (x / y))
-      | Ast.Rem -> if y = 0 then fail "modulo by zero" else Vi (s (x mod y))
-      | Ast.And -> Vi (x land y)
-      | Ast.Or -> Vi (x lor y)
-      | Ast.Xor -> Vi (x lxor y)
-      | Ast.Shl -> Vi (s (x lsl (y land 31)))
-      | Ast.Sar -> Vi (s (x asr (y land 31)))
-      | Ast.Shr -> Vi (s (Arith32.mask32 x lsr (y land 31)))
-      | Ast.Cmp -> Vi (compare x y))
-  | (Vf _, _ | _, Vf _) -> (
-      let x = vf a and y = vf b in
-      match op with
-      | Ast.Add -> Vf (x +. y)
-      | Ast.Sub -> Vf (x -. y)
-      | Ast.Mul -> Vf (x *. y)
-      | Ast.Div -> Vf (x /. y)
-      | Ast.Cmp -> Vi (compare x y)
-      | Ast.Rem | Ast.And | Ast.Or | Ast.Xor | Ast.Shl | Ast.Sar | Ast.Shr ->
+(* float arithmetic stays inline in each closure so no float is boxed *)
+let float_binop acc op fa fb =
+  match op with
+  | Ast.Add ->
+      F (fun () -> fb (); let y = acc.f in fa (); acc.f <- acc.f +. y)
+  | Ast.Sub ->
+      F (fun () -> fb (); let y = acc.f in fa (); acc.f <- acc.f -. y)
+  | Ast.Mul ->
+      F (fun () -> fb (); let y = acc.f in fa (); acc.f <- acc.f *. y)
+  | Ast.Div ->
+      F (fun () -> fb (); let y = acc.f in fa (); acc.f <- acc.f /. y)
+  | Ast.Cmp -> I (fun () -> fb (); let y = acc.f in fa (); compare acc.f y)
+  | Ast.Rem | Ast.And | Ast.Or | Ast.Xor | Ast.Shl | Ast.Sar | Ast.Shr ->
+      I
+        (fun () ->
+          fb ();
+          fa ();
           fail "float operand on an integer operation")
 
-and eval_rel st op a b =
-  ignore st;
-  let c =
-    match (a, b) with
-    | Vi x, Vi y -> compare x y
-    | _ -> compare (vf a) (vf b)
-  in
+let rel op c =
   let r =
     match op with
     | Ast.Eq -> c = 0
@@ -462,140 +464,337 @@ and eval_rel st op a b =
     | Ast.Ge -> c >= 0
     | Ast.Ltu | Ast.Geu -> fail "unsigned comparisons are not modeled"
   in
-  Vi (if r then 1 else 0)
+  if r then 1 else 0
+
+let rec compile_expr st pc (si : sinst) (e : Ast.expr) : cexpr =
+  let acc = st.acc in
+  let sub = compile_expr st pc si in
+  match e with
+  | Ast.Eint n -> I (fun () -> n)
+  | Ast.Eflt x -> F (fun () -> acc.f <- x)
+  | Ast.Eopnd n ->
+      if n < 1 || n > Array.length si.s_ops then I out_of_bounds
+      else (
+        match si.s_ops.(n - 1) with
+        | Simm v | Slab v -> I (fun () -> v)
+        | Sreg r -> read_slot acc (slot st r))
+  | Ast.Ename name -> (
+      match find_named st name with
+      | Some s -> read_slot acc s
+      | None -> I (fun () -> fail "unknown register name %S in semantics" name))
+  | Ast.Emem (_, a) ->
+      let addr = as_int acc (sub a) in
+      let k = Option.value ~default:word si.s_load_kind in
+      let mem = st.mem and width = k.a_width in
+      let checked () =
+        let p = addr () in
+        if p < 0 || p + width > Bytes.length mem then
+          fail "load out of bounds at %d (pc=%d)" p pc;
+        p
+      in
+      if k.a_float then F (fun () -> get_float acc mem (checked ()) width)
+      else I (fun () -> get_int mem (checked ()) width)
+  | Ast.Ebinop (op, a, b) -> (
+      match (sub a, sub b) with
+      | I x, I y ->
+          I
+            (fun () ->
+              let b = y () in
+              int_binop op (x ()) b)
+      | a, b -> float_binop acc op (as_float acc a) (as_float acc b))
+  | Ast.Erel (op, a, b) -> (
+      match (sub a, sub b) with
+      | I x, I y ->
+          I
+            (fun () ->
+              let b = y () in
+              rel op (compare (x ()) b))
+      | a, b ->
+          let fa = as_float acc a and fb = as_float acc b in
+          I (fun () -> fb (); let y = acc.f in fa (); rel op (compare acc.f y)))
+  | Ast.Eunop (Ast.Neg, a) -> (
+      match sub a with
+      | I g -> I (fun () -> Arith32.sext32 (-g ()))
+      | F g -> F (fun () -> g (); acc.f <- -.acc.f))
+  | Ast.Eunop (Ast.Bnot, a) ->
+      let g = as_int acc (sub a) in
+      I (fun () -> Arith32.sext32 (lnot (g ())))
+  | Ast.Eunop (Ast.Lnot, a) ->
+      let g = as_int acc (sub a) in
+      I (fun () -> if g () = 0 then 1 else 0)
+  | Ast.Ecvt (vt, a) -> (
+      let v = sub a in
+      match vt with
+      | Ast.Char ->
+          let g = as_int acc v in
+          I (fun () -> sext_byte (g () land 0xFF))
+      | Ast.Short ->
+          let g = as_int acc v in
+          I (fun () -> sext_half (g () land 0xFFFF))
+      | Ast.Int | Ast.Long ->
+          let g = as_int acc v in
+          I (fun () -> Arith32.sext32 (g ()))
+      | Ast.Float ->
+          let g = as_float acc v in
+          F
+            (fun () ->
+              g ();
+              acc.f <- Int32.float_of_bits (Int32.bits_of_float acc.f))
+      | Ast.Double -> F (as_float acc v))
+  | Ast.Ebuiltin ("high", [ a ]) ->
+      let g = as_int acc (sub a) in
+      I (fun () -> (Arith32.mask32 (g ()) lsr 16) land 0xFFFF)
+  | Ast.Ebuiltin ("low", [ a ]) ->
+      let g = as_int acc (sub a) in
+      I (fun () -> g () land 0xFFFF)
+  | Ast.Ebuiltin ("eval", [ a ]) -> sub a
+  | Ast.Ebuiltin (f, _) ->
+      I (fun () -> fail "unknown builtin %S in semantics" f)
+
+let redirect st target slots =
+  st.redirect_to <- target;
+  st.redirect_in <- slots
+
+(* the output builtins, in [builtin_names] order *)
+let compile_builtins st =
+  let cwvm = st.model.Model.cwvm in
+  let arg vt k =
+    match
+      List.find_opt (fun (t, _, n) -> t = vt && n = 1) cwvm.Model.v_args
+    with
+    | Some (_, r, _) -> k (read_slot st.acc (slot st r))
+    | None ->
+        fun () ->
+          fail "CWVM has no first %s argument register" (Ast.vtype_to_string vt)
+  in
+  [|
+    arg Ast.Int (fun v ->
+        let g = as_int st.acc v in
+        fun () ->
+          Buffer.add_string st.out (string_of_int (g ()));
+          Buffer.add_char st.out '\n');
+    arg Ast.Int (fun v ->
+        let g = as_int st.acc v in
+        fun () -> Buffer.add_char st.out (Char.chr (g () land 0xFF)));
+    arg Ast.Double (fun v ->
+        let g = as_float st.acc v in
+        fun () ->
+          g ();
+          Buffer.add_string st.out (Printf.sprintf "%.6f\n" st.acc.f));
+  |]
+
+let compile_stmt st pc (si : sinst) builtins (s : Ast.stmt) : unit -> unit =
+  let acc = st.acc in
+  let expr = compile_expr st pc si in
+  let op = si.s_op in
+  let slots = abs op.Model.i_slots in
+  let latency = max 1 op.Model.i_latency in
+  let write (s : slot) v =
+    let w = assign acc s v and first = s.first and width = s.width in
+    fun () ->
+      w ();
+      mark_written st first width latency
+  in
+  let target n =
+    if n < 1 || n > Array.length si.s_ops then out_of_bounds
+    else
+      match si.s_ops.(n - 1) with
+      | Slab t | Simm t -> fun () -> t
+      | Sreg r -> as_int acc (read_slot acc (slot st r))
+  in
+  let ra () = slot st st.model.Model.cwvm.Model.v_retaddr in
+  match s with
+  | Ast.Snop -> fun () -> ()
+  | Ast.Sassign (lhs, e) -> (
+      let v = expr e in
+      let then_fail f =
+        let g = evaluate v in
+        fun () ->
+          g ();
+          f ()
+      in
+      match lhs with
+      | Ast.Lopnd n -> (
+          if n < 1 || n > Array.length si.s_ops then then_fail out_of_bounds
+          else
+            match si.s_ops.(n - 1) with
+            | Sreg r -> write (slot st r) v
+            | Simm _ | Slab _ ->
+                then_fail (fun () ->
+                    fail "assignment to a non-register operand"))
+      | Ast.Lname name -> (
+          match find_named st name with
+          | Some s -> write s v
+          | None ->
+              then_fail (fun () ->
+                  fail "unknown register name %S in semantics" name))
+      | Ast.Lmem (_, a) -> (
+          (* the value is evaluated before the address *)
+          let addr = as_int acc (expr a) in
+          let k = Option.value ~default:word si.s_store_kind in
+          let mem = st.mem and width = k.a_width in
+          let checked p =
+            if p < 0 || p + width > Bytes.length mem then
+              fail "store out of bounds at %d (pc=%d)" p pc
+          in
+          if not k.a_float then (
+            let g = as_int acc v in
+            fun () ->
+              let x = g () in
+              let p = addr () in
+              checked p;
+              set_int mem p width x)
+          else
+            let g = as_float acc v in
+            fun () ->
+              g ();
+              let x = acc.f in
+              let p = addr () in
+              checked p;
+              acc.f <- x;
+              set_float acc mem p width))
+  | Ast.Sifgoto (c, n) ->
+      let c = as_int acc (expr c) and t = target n in
+      fun () -> if c () <> 0 then redirect st (t ()) slots
+  | Ast.Sgoto n ->
+      let t = target n in
+      fun () -> redirect st (t ()) slots
+  | Ast.Scall n ->
+      let t = target n in
+      let link = write (ra ()) (I (fun () -> pc + 1 + slots)) in
+      fun () ->
+        let target = t () in
+        link ();
+        let k = target - st.builtin_base in
+        if k >= 0 && k < Array.length builtins then builtins.(k) ()
+        else redirect st target slots
+  | Ast.Sret ->
+      let back = as_int acc (read_slot acc (ra ())) in
+      fun () -> redirect st (back ()) slots
+
+(* bytes of the operands at [positions] (an out-of-range position or a
+   register outside its bank yields -1: the access raises when made) *)
+let operand_bytes st (si : sinst) positions =
+  List.concat_map
+    (fun pos ->
+      if pos < 0 || pos >= Array.length si.s_ops then [ -1 ]
+      else
+        match si.s_ops.(pos) with
+        | Sreg r -> scoreboard_bytes (slot st r)
+        | Simm _ | Slab _ -> [])
+    positions
+
+let compile_inst st builtins pc (si : sinst) : cinst =
+  let op = si.s_op in
+  let stmts =
+    Array.of_list (List.map (compile_stmt st pc si builtins) op.Model.i_sem)
+  in
+  let run () =
+    for k = 0 to Array.length stmts - 1 do
+      stmts.(k) ()
+    done
+  in
+  (* a load's cache penalty: its address must be read before the
+     semantics run, since the destination may be the base register;
+     the penalty then delays every byte the load writes *)
+  let address =
+    if op.Model.i_loads && st.cfg.cache <> None then
+      List.find_map
+        (function
+          | Ast.Sassign (_, Ast.Emem (_, a)) ->
+              Some (as_int st.acc (compile_expr st pc si a))
+          | _ -> None)
+        op.Model.i_sem
+    else None
+  in
+  let exec =
+    match address with
+    | None -> run
+    | Some address ->
+        let delayed = Array.of_list (operand_bytes st si op.Model.i_writes) in
+        fun () ->
+          let penalty = cache_access st (address ()) in
+          run ();
+          if penalty > 0 then
+            Array.iter (fun b -> st.ready.(b) <- st.ready.(b) + penalty) delayed
+  in
+  {
+    c_op = op;
+    c_ops = si.s_ops;
+    c_label = si.s_label;
+    c_reads =
+      Array.of_list
+        (operand_bytes st si op.Model.i_reads
+        @ List.concat_map
+            (fun cid ->
+              scoreboard_bytes (slot st (Locs.named_reg st.model cid)))
+            op.Model.i_rnames);
+    c_aux = Latency.producer st.lat op;
+    c_exec = exec;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Issue and execute                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let data_ready st (si : sinst) =
-  let op = si.s_op in
-  List.for_all
-    (fun pos ->
-      match si.s_ops.(pos) with
-      | Sreg r -> reg_ready_for st op r <= st.cycle
-      | Simm _ | Slab _ -> true)
-    op.Model.i_reads
-  && List.for_all
-       (fun cid -> reg_ready_for st op (Locs.named_reg st.model cid) <= st.cycle)
-       op.Model.i_rnames
+let no_override = min_int
 
-let resources_free st (si : sinst) =
-  not (Scoreboard.conflict st.busy ~cycle:st.cycle si.s_op.Model.i_rvec)
-
-let class_ok st (si : sinst) =
-  match (si.s_op.Model.i_class, st.cur_class) with
-  | None, _ -> true
-  | Some _, None -> true
-  | Some k, Some cur -> not (Bitset.inter_empty cur k)
-
-let do_builtin st name =
-  let cwvm = st.model.Model.cwvm in
-  let arg vt =
-    match
-      List.find_opt (fun (t, _, n) -> t = vt && n = 1) cwvm.Model.v_args
-    with
-    | Some (_, r, _) -> read_reg st r
-    | None -> fail "CWVM has no first %s argument register" (Ast.vtype_to_string vt)
-  in
-  match name with
-  | "print_int" ->
-      Buffer.add_string st.out (string_of_int (vi (arg Ast.Int)));
-      Buffer.add_char st.out '\n'
-  | "print_char" -> Buffer.add_char st.out (Char.chr (vi (arg Ast.Int) land 0xFF))
-  | "print_double" ->
-      Buffer.add_string st.out (Printf.sprintf "%.6f\n" (vf (arg Ast.Double)))
-  | other -> fail "unknown builtin %S" other
-
-let exec_sem st (si : sinst) =
-  let op = si.s_op in
-  let slots = abs op.Model.i_slots in
-  (* a load's cache penalty: its address must be read before the
-     semantics run, since the destination may be the base register *)
-  let penalty =
-    if op.Model.i_loads && st.cfg.cache <> None then
-      let rec addr_of = function
-        | [] -> None
-        | Ast.Sassign (_, Ast.Emem (_, a)) :: _ -> Some a
-        | _ :: tl -> addr_of tl
+(* The %aux latency between the instructions at code indices [w] and
+   [pc], or [no_override]. It depends only on the two instructions' ops
+   and bound operands, so it is looked up once per pair. *)
+let aux_override st w =
+  let key = (w * Array.length st.code) + st.pc in
+  match Hashtbl.find st.aux_memo key with
+  | l -> l
+  | exception Not_found ->
+      let wi = st.code.(w) and ci = st.code.(st.pc) in
+      let opnd_eq a b =
+        (* operand condition of %aux: compare the operand values of the
+           two instructions *)
+        a >= 0
+        && a < Array.length wi.c_ops
+        && b >= 0
+        && b < Array.length ci.c_ops
+        && wi.c_ops.(a) = ci.c_ops.(b)
       in
-      match addr_of op.Model.i_sem with
-      | Some a -> cache_access st (vi (eval st si a))
-      | None -> 0
-    else 0
-  in
-  List.iter
-    (fun (s : Ast.stmt) ->
-      match s with
-      | Ast.Snop -> ()
-      | Ast.Sassign (lhs, e) -> (
-          let v = eval st si e in
-          match lhs with
-          | Ast.Lopnd n -> (
-              match si.s_ops.(n - 1) with
-              | Sreg r ->
-                  write_reg st r v;
-                  mark_written st r op.Model.i_latency
-              | Simm _ | Slab _ -> fail "assignment to a non-register operand")
-          | Ast.Lname name ->
-              let r = find_named st name in
-              write_reg st r v;
-              mark_written st r op.Model.i_latency
-          | Ast.Lmem (_, a) -> (
-              let addr = vi (eval st si a) in
-              match si.s_store_kind with
-              | Some k -> mem_store st k addr v
-              | None -> mem_store st { a_width = 4; a_float = false } addr v))
-      | Ast.Sifgoto (c, n) ->
-          if vi (eval st si c) <> 0 then
-            let target =
-              match si.s_ops.(n - 1) with
-              | Slab t -> t
-              | Sreg r -> vi (read_reg st r)
-              | Simm t -> t
-            in
-            st.redirect <- Some (target, slots)
-      | Ast.Sgoto n ->
-          let target =
-            match si.s_ops.(n - 1) with
-            | Slab t -> t
-            | Sreg r -> vi (read_reg st r)
-            | Simm t -> t
-          in
-          st.redirect <- Some (target, slots)
-      | Ast.Scall n -> (
-          let target =
-            match si.s_ops.(n - 1) with
-            | Slab t -> t
-            | Sreg r -> vi (read_reg st r)
-            | Simm t -> t
-          in
-          let ra = st.model.Model.cwvm.Model.v_retaddr in
-          write_reg st ra (Vi (st.pc + 1 + slots));
-          mark_written st ra op.Model.i_latency;
-          match Hashtbl.find_opt st.prog.builtin_at target with
-          | Some name -> do_builtin st name
-          | None -> st.redirect <- Some (target, slots))
-      | Ast.Sret ->
-          let ra = st.model.Model.cwvm.Model.v_retaddr in
-          st.redirect <- Some (vi (read_reg st ra), slots))
-    op.Model.i_sem;
-  (* loads pay the cache penalty on their destination *)
-  if penalty > 0 then
-    List.iter
-      (fun pos ->
-        match si.s_ops.(pos) with
-        | Sreg r ->
-            let bank, off, size = bank_bytes st r in
-            for b = off to off + size - 1 do
-              st.ready.(bank).(b) <- st.ready.(bank).(b) + penalty
-            done
-        | Simm _ | Slab _ -> ())
-      op.Model.i_writes
+      let l =
+        Option.value ~default:no_override
+          (Latency.find st.lat ~first:wi.c_op ~second:ci.c_op ~opnd_eq)
+      in
+      Hashtbl.add st.aux_memo key l;
+      l
 
-let render_sinst st (si : sinst) =
+(* the first cycle at which every byte [ci] reads is ready for it; the
+   bytes of one register usually share their writer, so the last
+   writer's override is kept at hand *)
+let required st (ci : cinst) =
+  let reads = ci.c_reads in
+  let req = ref 0 and last_w = ref (-1) and last_l = ref no_override in
+  for k = 0 to Array.length reads - 1 do
+    let b = reads.(k) in
+    let w = st.writer.(b) in
+    let t =
+      if w >= 0 && st.code.(w).c_aux then begin
+        if w <> !last_w then begin
+          last_w := w;
+          last_l := aux_override st w
+        end;
+        if !last_l = no_override then st.ready.(b) else st.wcycle.(b) + !last_l
+      end
+      else st.ready.(b)
+    in
+    if t > !req then req := t
+  done;
+  !req
+
+let class_ok st (ci : cinst) =
+  match ci.c_op.Model.i_class with
+  | None -> true
+  | Some k -> (not st.class_open) || not (Bitset.inter_empty st.cur_class k)
+
+let render st (ci : cinst) =
   let b = Buffer.create 32 in
-  Buffer.add_string b si.s_op.Model.i_name;
+  Buffer.add_string b ci.c_op.Model.i_name;
   Array.iteri
     (fun k o ->
       Buffer.add_string b (if k = 0 then " " else ", ");
@@ -604,93 +803,144 @@ let render_sinst st (si : sinst) =
       | Slab t -> Buffer.add_string b (Printf.sprintf "@%d" t)
       | Sreg r ->
           Buffer.add_string b (Format.asprintf "%a" (Model.pp_reg st.model) r))
-    si.s_ops;
+    ci.c_ops;
   Buffer.contents b
 
-let issue st =
-  let si = st.prog.code.(st.pc) in
+let issue st (ci : cinst) =
   if st.icount < st.cfg.trace_limit then
-    st.trace_acc <- (st.cycle, render_sinst st si) :: st.trace_acc;
-  (match si.s_label with
-  | Some l ->
-      Hashtbl.replace st.block_freq l
-        (1 + Option.value ~default:0 (Hashtbl.find_opt st.block_freq l))
+    st.trace_acc <- (st.cycle, render st ci) :: st.trace_acc;
+  (match ci.c_label with
+  | Some _ ->
+      let n = st.freq.(st.pc) in
+      if n = 0 then begin
+        st.seen.(st.nseen) <- st.pc;
+        st.nseen <- st.nseen + 1
+      end;
+      st.freq.(st.pc) <- n + 1
   | None -> ());
-  Scoreboard.reserve st.busy ~cycle:st.cycle si.s_op.Model.i_rvec;
-  (match si.s_op.Model.i_class with
-  | Some k -> (
-      match st.cur_class with
-      | None -> st.cur_class <- Some (Bitset.copy k)
-      | Some cur ->
-          let inter = Bitset.copy cur in
-          Bitset.iter (fun b -> if not (Bitset.mem k b) then Bitset.unset inter b) cur;
-          st.cur_class <- Some inter)
+  Scoreboard.reserve st.busy ~cycle:st.cycle ci.c_op.Model.i_rvec;
+  (match ci.c_op.Model.i_class with
+  | Some k ->
+      if st.class_open then Bitset.inter_into ~dst:st.cur_class k
+      else begin
+        Bitset.clear st.cur_class;
+        Bitset.union_into ~dst:st.cur_class k;
+        st.class_open <- true
+      end
   | None -> ());
-  exec_sem st si;
+  ci.c_exec ();
   st.icount <- st.icount + 1;
   (* advance pc honouring any pending redirect and its delay slots *)
-  (match st.redirect with
-  | Some (target, 0) ->
-      st.redirect <- None;
-      if target = st.halt_index then st.halted <- true else st.pc <- target
-  | Some (target, k) ->
-      st.redirect <- Some (target, k - 1);
-      st.pc <- st.pc + 1
-  | None -> st.pc <- st.pc + 1);
-  if (not st.halted) && st.pc >= Array.length st.prog.code then
+  if st.redirect_in = 0 then begin
+    st.redirect_in <- -1;
+    if st.redirect_to = st.halt_index then st.halted <- true
+    else st.pc <- st.redirect_to
+  end
+  else begin
+    if st.redirect_in > 0 then st.redirect_in <- st.redirect_in - 1;
+    st.pc <- st.pc + 1
+  end;
+  if (not st.halted) && st.pc >= Array.length st.code then
     fail "program counter fell off the end of the code"
+
+(* the block frequencies, each label inserted at its first issue, so the
+   table iterates in the same order as one updated on every issue *)
+let block_freq st =
+  let t = Hashtbl.create 64 in
+  for k = 0 to st.nseen - 1 do
+    let pc = st.seen.(k) in
+    match st.code.(pc).c_label with
+    | Some l ->
+        Hashtbl.replace t l
+          (st.freq.(pc) + Option.value ~default:0 (Hashtbl.find_opt t l))
+    | None -> ()
+  done;
+  t
 
 let run ?(config = default_config) (prog : Mir.prog) : result =
   let model = prog.Mir.p_model in
   let loaded = load_program prog config.memory_size in
   let banks = Array.map (fun sz -> Bytes.make (max 8 sz) '\000') model.Model.banks in
+  let bank_base = Array.make (Array.length banks) 0 in
+  let nbytes = ref 0 in
+  Array.iteri
+    (fun k b ->
+      bank_base.(k) <- !nbytes;
+      nbytes := !nbytes + Bytes.length b)
+    banks;
+  let ncode = Array.length loaded.code in
   let st =
     {
       model;
       cfg = config;
-      prog = loaded;
+      code = [||];
       banks;
-      ready = Array.map (fun b -> Array.make (Bytes.length b) 0) banks;
-      writer = Array.map (fun b -> Array.make (Bytes.length b) (-1)) banks;
-      wcycle = Array.map (fun b -> Array.make (Bytes.length b) 0) banks;
+      bank_base;
+      ready = Array.make !nbytes 0;
+      writer = Array.make !nbytes (-1);
+      wcycle = Array.make !nbytes 0;
+      aux_memo = Hashtbl.create 64;
       mem = loaded.data;
+      acc = { f = 0.0 };
       out = Buffer.create 256;
       pc = loaded.entry;
       cycle = 0;
       icount = 0;
       nloads = 0;
       misses = 0;
-      redirect = None;
+      redirect_to = 0;
+      redirect_in = -1;
       halted = false;
       trace_acc = [];
-      block_freq = Hashtbl.create 64;
+      freq = Array.make ncode 0;
+      seen = Array.make ncode 0;
+      nseen = 0;
       busy = Scoreboard.create model;
       lat = Latency.for_model model;
-      cur_class = None;
+      cur_class = Bitset.create (Array.length model.Model.elements);
+      class_open = false;
       cache_tags =
         (match config.cache with
         | Some c -> Array.make c.lines (-1)
         | None -> [||]);
-      halt_index = Array.length loaded.code;
+      halt_index = ncode;
+      builtin_base = loaded.builtin_base;
     }
   in
+  let set r v = assign st.acc (slot st r) (I (fun () -> v)) () in
   (* hard registers hold their wired values; sp starts at the top *)
-  List.iter (fun (r, v) -> write_reg st r (Vi v)) model.Model.cwvm.Model.v_hard;
-  let sp = model.Model.cwvm.Model.v_sp in
-  write_reg st sp (Vi (config.memory_size - 64));
+  List.iter (fun (r, v) -> set r v) model.Model.cwvm.Model.v_hard;
+  set model.Model.cwvm.Model.v_sp (config.memory_size - 64);
   (* return from main halts *)
-  let ra = model.Model.cwvm.Model.v_retaddr in
-  write_reg st ra (Vi st.halt_index);
-  Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) st.ready;
-  Array.iter (fun a -> Array.fill a 0 (Array.length a) (-1)) st.writer;
+  set model.Model.cwvm.Model.v_retaddr st.halt_index;
+  let builtins = compile_builtins st in
+  st.code <- Array.mapi (compile_inst st builtins) loaded.code;
+  (* When an instruction's operands are not ready, nothing issues and
+     the readiness test fails before the resource and packing tests, so
+     no state changes until the cycle at which its last operand byte is
+     ready: that cycle is constant while stalled, and the clock jumps
+     straight to it, closing the packing classes once. The scoreboard
+     window advances over a jump exactly as over single steps. From then
+     on the operands stay ready while nothing issues, so structural
+     stalls step one cycle at a time through the resource and packing
+     tests alone. The fuel check is skipped while stalled, where the
+     instruction count cannot change. *)
   while not st.halted do
     if st.icount > config.fuel then fail "out of fuel after %d instructions" st.icount;
-    let si = st.prog.code.(st.pc) in
-    if data_ready st si && resources_free st si && class_ok st si then issue st
-    else begin
+    let ci = st.code.(st.pc) in
+    let req = required st ci in
+    if req > st.cycle then begin
+      st.cycle <- req;
+      st.class_open <- false
+    end;
+    while
+      Scoreboard.conflict st.busy ~cycle:st.cycle ci.c_op.Model.i_rvec
+      || not (class_ok st ci)
+    do
       st.cycle <- st.cycle + 1;
-      st.cur_class <- None
-    end
+      st.class_open <- false
+    done;
+    issue st ci
   done;
   let result_reg =
     List.find_map
@@ -700,10 +950,13 @@ let run ?(config = default_config) (prog : Mir.prog) : result =
   in
   {
     output = Buffer.contents st.out;
-    return_value = (match result_reg with Some r -> vi (read_reg st r) | None -> 0);
+    return_value =
+      (match result_reg with
+      | Some r -> as_int st.acc (read_slot st.acc (slot st r)) ()
+      | None -> 0);
     cycles = st.cycle + 1;
     instructions = st.icount;
-    block_freq = st.block_freq;
+    block_freq = block_freq st;
     loads = st.nloads;
     cache_misses = st.misses;
     trace = List.rev st.trace_acc;

@@ -8,6 +8,12 @@
     vectors for structural hazards, packing classes for long-instruction
     words, in-order multiple issue, branch delay slots.
 
+    Each run compiles every instruction's semantics once, after its
+    operands are bound: registers resolve to their bank bytes, and each
+    expression becomes a closure over unboxed ints or floats. Errors in
+    the semantics (division by zero, out-of-bounds accesses, unknown
+    names) are still raised only when the instruction executes.
+
     The optional direct-mapped data cache adds a miss penalty to load
     latencies; scheduler estimates ignore it, which reproduces the paper's
     actual-versus-estimated gap of Table 4. *)
@@ -30,7 +36,9 @@ type result = {
   return_value : int;  (** integer result register when main returns *)
   cycles : int;
   instructions : int;  (** instructions issued, nops included *)
-  block_freq : (string, int) Hashtbl.t;  (** executions per block label *)
+  block_freq : (string, int) Hashtbl.t;
+      (** executions per block label; a block that never issued an
+          instruction, such as an empty one, has no entry *)
   loads : int;
   cache_misses : int;
   trace : (int * string) list;

@@ -6,6 +6,7 @@ type t = {
   ninstr : int;
   pairs : (int, rule list) Hashtbl.t;
       (** (first.i_id * ninstr + second.i_id) -> rules in %aux order *)
+  producers : bool array;  (** by i_id: named first by some %aux *)
 }
 
 let pair_key t (first : Model.instr) (second : Model.instr) =
@@ -49,7 +50,14 @@ let create (model : Model.t) =
      fall through to later directives, so restore declaration order *)
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) pairs [] in
   List.iter (fun k -> Hashtbl.replace pairs k (List.rev (Hashtbl.find pairs k))) keys;
-  { ninstr; pairs }
+  let producers = Array.make ninstr false in
+  List.iter
+    (fun (x : Model.aux) ->
+      List.iter (fun f -> producers.(f) <- true) (ids x.Model.x_first))
+    model.Model.auxes;
+  { ninstr; pairs; producers }
+
+let producer t (i : Model.instr) = t.producers.(i.Model.i_id)
 
 let first_match rules ~opnd_eq =
   List.find_map

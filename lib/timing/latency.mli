@@ -32,6 +32,10 @@ val find : t -> first:Model.instr -> second:Model.instr ->
     first equals operand [b] of the second. Agrees with
     [Model.aux_latency] on every pair and predicate. *)
 
+val producer : t -> Model.instr -> bool
+(** Whether some %aux directive names the instruction as its first;
+    when not, {!find} answers [None] for it against every consumer. *)
+
 val dep : t -> Mir.inst -> Mir.inst -> int
 (** [dep t src dst]: the dependence latency of a bound MIR pair — the
     %aux override under operand-value equality, or [src]'s base

@@ -97,12 +97,16 @@ let inter_into ~dst src =
     dst.words.(i) <- dst.words.(i) land src.words.(i)
   done
 
+(* a loop, not a local recursive function: this runs on every scoreboard
+   probe, and the closure would be allocated per call *)
 let inter_empty a b =
   same_cap a b;
-  let rec go i =
-    i >= Array.length a.words || (a.words.(i) land b.words.(i) = 0 && go (i + 1))
-  in
-  go 0
+  let n = Array.length a.words in
+  let i = ref 0 in
+  while !i < n && a.words.(!i) land b.words.(!i) = 0 do
+    incr i
+  done;
+  !i = n
 
 let equal a b = a.cap = b.cap && Array.for_all2 ( = ) a.words b.words
 

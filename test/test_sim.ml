@@ -179,6 +179,67 @@ let test_estimated_cycles_close () =
     true
     (ratio > 0.9 && ratio < 1.2)
 
+(* ------------------------------------------------------------------ *)
+(* Simulator contract: one digest per target over Livermore 1-14 x every
+   strategy, run with the Table-4 cache and a 64-issue trace. It covers
+   every Sim.result field (cycles, instructions, return value, loads,
+   cache misses, output, block frequencies and the trace) and the text of
+   simulation errors and compile failures, so any change to the
+   simulator's observable behaviour moves it. The digests were captured
+   before the simulator was staged and must never be regenerated to
+   absorb a difference. *)
+
+let contract_config =
+  {
+    Sim.default_config with
+    Sim.cache = Some { Sim.lines = 128; line_bytes = 32; miss_penalty = 8 };
+    trace_limit = 64;
+  }
+
+let contract_blob model =
+  let buf = Buffer.create (1 lsl 16) in
+  let add fmt = Printf.bprintf buf fmt in
+  for id = 1 to 14 do
+    List.iter
+      (fun strat ->
+        let file = Printf.sprintf "lfk%d" id in
+        add "== %s %s\n" file (Strategy.to_string strat);
+        let src = Livermore.source id in
+        match Strategy.compile model strat (Cgen.compile ~file src) with
+        | exception e -> add "compile-error:%s\n" (Printexc.to_string e)
+        | prog, _ -> (
+            match Sim.run ~config:contract_config prog with
+            | exception Sim.Sim_error m -> add "simerr:%s\n" m
+            | r ->
+                add "cycles=%d insts=%d ret=%d loads=%d misses=%d out=%s\n"
+                  r.Sim.cycles r.Sim.instructions r.Sim.return_value
+                  r.Sim.loads r.Sim.cache_misses
+                  (String.escaped r.Sim.output);
+                Hashtbl.fold (fun l n acc -> (l, n) :: acc) r.Sim.block_freq []
+                |> List.sort compare
+                |> List.iter (fun (l, n) -> add "freq:%s=%d\n" l n);
+                List.iter (fun (c, s) -> add "trace:%d %s\n" c s) r.Sim.trace))
+      Strategy.all
+  done;
+  Buffer.contents buf
+
+let contract_goldens =
+  [
+    ("toyp", "dc98ec0e714f6c33ad72ed468a4970a8");
+    ("r2000", "c88094cfa5d442881cf40be0896c1a7c");
+    ("m88000", "fabb3e19a5953c9f95281d900750cb7f");
+    ("i860", "07507504e0d3bd0b28e504c3d4acb865");
+  ]
+
+let test_sim_contract () =
+  List.iter
+    (fun (model : Model.t) ->
+      check Alcotest.string
+        (model.Model.name ^ " contract digest")
+        (List.assoc model.Model.name contract_goldens)
+        (Digest.to_hex (Digest.string (contract_blob model))))
+    [ Lazy.force toyp; R2000.load (); M88000.load (); I860.load () ]
+
 let suite =
   [
     Alcotest.test_case "basic execution" `Quick test_basic_execution;
@@ -196,4 +257,6 @@ let suite =
     Alcotest.test_case "bad memory traps" `Quick test_sim_error_on_bad_memory;
     Alcotest.test_case "estimate matches simulation" `Quick
       test_estimated_cycles_close;
+    Alcotest.test_case "contract digests vs the unstaged simulator" `Slow
+      test_sim_contract;
   ]

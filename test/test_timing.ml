@@ -61,7 +61,8 @@ let test_bit_identity ~jobs () =
 
 (* ------------------------------------------------------------------ *)
 (* Latency oracle: memoized table == direct aux-table scan, for every
-   (op, op) pair of every target under several operand predicates. *)
+   (op, op) pair of every target under several operand predicates, and
+   the producer flag == "some %aux names the op first". *)
 
 let test_latency_oracle () =
   List.iter
@@ -77,6 +78,12 @@ let test_latency_oracle () =
       in
       Array.iter
         (fun (first : Model.instr) ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: %s starts some %%aux" tname first.Model.i_name)
+            (List.exists
+               (fun (x : Model.aux) -> x.Model.x_first = first.Model.i_name)
+               model.Model.auxes)
+            (Latency.producer oracle first);
           Array.iter
             (fun (second : Model.instr) ->
               List.iter
@@ -181,6 +188,28 @@ let test_scoreboard_bounded () =
     true
     (live1 - live0 < 10_000)
 
+(* the simulator probes the scoreboard on every cycle it tries to issue
+   in, so its hot paths must not allocate *)
+let test_scoreboard_no_alloc () =
+  let model = Lazy.force (List.assoc "r2000" targets) in
+  let sb = Scoreboard.create model in
+  let rvec = (instr_exn model "mult").Model.i_rvec in
+  let a = rvec.(0) in
+  let b = Bitset.create (Bitset.capacity a) in
+  let words name f =
+    let w0 = Gc.minor_words () in
+    for c = 1 to 10_000 do
+      f c
+    done;
+    check (Alcotest.float 0.) (name ^ " allocates nothing") 0.
+      (Gc.minor_words () -. w0)
+  in
+  words "Bitset.inter_empty" (fun _ -> ignore (Bitset.inter_empty a b : bool));
+  words "Scoreboard.conflict" (fun c ->
+      ignore (Scoreboard.conflict sb ~cycle:c rvec : bool));
+  words "Scoreboard.reserve" (fun c ->
+      Scoreboard.reserve sb ~cycle:(c + 10_000) rvec)
+
 (* the end-to-end shape of the same regression: a long Livermore run
    (hundreds of thousands of simulated cycles) completes with resource
    tracking bounded by the ring window *)
@@ -256,6 +285,8 @@ let suite =
       test_scoreboard_vs_reference;
     Alcotest.test_case "scoreboard memory bounded" `Slow
       test_scoreboard_bounded;
+    Alcotest.test_case "scoreboard probes allocate nothing" `Quick
+      test_scoreboard_no_alloc;
     Alcotest.test_case "long Livermore sim run" `Slow test_sim_long_run;
     QCheck_alcotest.to_alcotest sched_sim_agree;
   ]
