@@ -866,7 +866,6 @@ let parallel () =
   print_endline "Per-pass profile of one representative compile (rase, r2000, lfk7):";
   let _, report =
     Strategy.compile
-      ~opts:{ Strategy.default with dag_stats = true }
       (List.assoc "r2000" targets)
       Strategy.Rase
       (Cgen.compile ~file:"lfk7" (Livermore.source 7))

@@ -207,8 +207,8 @@ let jobs_arg =
 let time_passes_flag =
   let doc =
     "Print a per-pass profile of the compile (wall-clock time per pass, \
-     spills, schedule passes, code-DAG sizes) to stderr, as text or JSON \
-     per --check-format."
+     spills, schedule passes) to stderr, as text or JSON per \
+     --check-format."
   in
   Arg.(value & flag & info [ "time-passes" ] ~doc)
 
@@ -342,7 +342,6 @@ let main target maril strategy source run verify sim_cache trace stats
         Strategy.check =
           (if no_check then `Off else if verify_mir then `Replay else `On);
         validate = not no_validate;
-        dag_stats = time_passes;
         disambig = not no_disambig;
         jobs = (if jobs <= 0 then Dpool.recommended_jobs () else jobs);
         on_error;

@@ -4,8 +4,6 @@ type payload = {
   c_diags : Diag.t list;
   c_vdiags : Diag.t list;
   c_insts : int;
-  c_dag_nodes : int;
-  c_dag_edges : int;
 }
 
 type counters = {
@@ -170,8 +168,9 @@ let magic = "MARION-CACHE"
    persisted entry changes without affecting key derivation (kept out of
    Ckey.format_version, which is hashed into the keys themselves).
    rev 2: Pass.stats grew scoreboard probe/conflict/reserve counters.
-   rev 3: Pass.stats grew dataflow-analysis counters. *)
-let entry_rev = 3
+   rev 3: Pass.stats grew dataflow-analysis counters.
+   rev 4: the payload lost its DAG node/edge counts. *)
+let entry_rev = 4
 
 let version_line =
   Printf.sprintf "format %d.%d marshal %s" Ckey.format_version entry_rev

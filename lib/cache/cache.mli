@@ -30,8 +30,6 @@ type payload = {
   c_diags : Diag.t list;  (** verifier diagnostics, oldest-first *)
   c_vdiags : Diag.t list;  (** validator diagnostics, oldest-first *)
   c_insts : int;  (** final instruction count (profile shape) *)
-  c_dag_nodes : int;  (** DAG sizes when the compile collected them *)
-  c_dag_edges : int;
 }
 
 type counters = {

@@ -23,9 +23,10 @@ type stats = {
   mutable spilled : int;  (** pseudo-registers sent to memory *)
   mutable sched_passes : int;
       (** block schedule estimates consumed so far: one per block per
-          scheduling pass, and one per block per register budget in the
-          RASE sweep — including the budgets [Listsched.sweep] proves
-          equal to a smaller one without rerunning the scheduler *)
+          scheduling pass (two for the final schedule, consumed as code
+          and as estimate), and one per block per RASE sweep budget, the
+          budgets [Listsched.sweep] proves equal without rescheduling
+          included *)
   mutable estimates : (string * int) list;
       (** block-label/cost pairs, accumulated {e reversed} (newest first);
           {!run_pipeline} returns them oldest-first. Use

@@ -11,8 +11,6 @@ type t = {
   mutable p_funcs : int;
   mutable p_blocks : int;
   mutable p_insts : int;
-  mutable p_dag_nodes : int;
-  mutable p_dag_edges : int;
   mutable p_spilled : int;
   mutable p_schedule_passes : int;
   mutable p_sb_probes : int;
@@ -44,8 +42,6 @@ let create ?(jobs = 1) ~strategy () =
     p_funcs = 0;
     p_blocks = 0;
     p_insts = 0;
-    p_dag_nodes = 0;
-    p_dag_edges = 0;
     p_spilled = 0;
     p_schedule_passes = 0;
     p_sb_probes = 0;
@@ -96,9 +92,6 @@ let to_text t =
   Printf.bprintf buf
     "#   funcs=%d blocks=%d insts=%d spilled=%d schedule-passes=%d\n"
     t.p_funcs t.p_blocks t.p_insts t.p_spilled t.p_schedule_passes;
-  if t.p_dag_nodes > 0 then
-    Printf.bprintf buf "#   dag-nodes=%d dag-edges=%d\n" t.p_dag_nodes
-      t.p_dag_edges;
   if t.p_sb_probes > 0 then
     Printf.bprintf buf
       "#   scoreboard: probes=%d conflicts=%d reserves=%d\n" t.p_sb_probes
@@ -173,8 +166,6 @@ let to_json t =
         field "funcs" (string_of_int t.p_funcs);
         field "blocks" (string_of_int t.p_blocks);
         field "insts" (string_of_int t.p_insts);
-        field "dag_nodes" (string_of_int t.p_dag_nodes);
-        field "dag_edges" (string_of_int t.p_dag_edges);
         field "spilled" (string_of_int t.p_spilled);
         field "schedule_passes" (string_of_int t.p_schedule_passes);
         field "sb_probes" (string_of_int t.p_sb_probes);

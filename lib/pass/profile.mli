@@ -6,9 +6,9 @@
     strategy driver feed it named time samples — one per pass per
     function, merged in program order so the rendered profile is
     deterministic up to timing jitter — plus aggregate shape statistics
-    (functions, blocks, instructions, code-DAG sizes, spills, schedule
-    passes) and, when a compilation cache is attached, its
-    hit/miss/eviction/stale counters for this compile. Rendered as text
+    (functions, blocks, instructions, spills, schedule passes) and, when
+    a compilation cache is attached, its hit/miss/eviction/stale counters
+    for this compile. Rendered as text
     ([marionc --time-passes]) or JSON ([--check-format=json]), alongside
     — not inside — the Diag JSON. *)
 
@@ -29,9 +29,6 @@ type t = {
   mutable p_funcs : int;
   mutable p_blocks : int;
   mutable p_insts : int;  (** instructions in the final code, nops included *)
-  mutable p_dag_nodes : int;  (** post-select code-DAG nodes; [0] unless
-                                  DAG statistics were requested *)
-  mutable p_dag_edges : int;
   mutable p_spilled : int;
   mutable p_schedule_passes : int;
   mutable p_sb_probes : int;

@@ -267,13 +267,7 @@ let run ~options ~busy (fn : Mir.func) (p : prepared) =
         | Some k -> (
             match !cur_class with
             | None -> cur_class := Some (Bitset.copy k)
-            | Some cur ->
-                let inter = Bitset.copy cur in
-                (* intersection: clear bits not in k *)
-                Bitset.iter
-                  (fun b -> if not (Bitset.mem k b) then Bitset.unset inter b)
-                  cur;
-                cur_class := Some inter)
+            | Some cur -> Bitset.inter_into ~dst:cur k)
         | None -> ());
         apply_pressure i
     | None ->
@@ -338,12 +332,12 @@ let sweep ?sb_stats ~budgets (fn : Mir.func) (insts : Mir.inst list) =
   lengths
 
 let schedule_func ?options ?oracle ?sb_stats (fn : Mir.func) =
-  List.fold_left
-    (fun acc (b : Mir.block) ->
+  List.map
+    (fun (b : Mir.block) ->
       let r = schedule_block ?options ?oracle ?sb_stats fn b.Mir.b_insts in
       b.Mir.b_insts <- r.order;
-      acc + r.length)
-    0 fn.Mir.f_blocks
+      (b.Mir.b_label, r.length))
+    fn.Mir.f_blocks
 
 let estimate_func ?options ?oracle ?sb_stats (fn : Mir.func) =
   List.map

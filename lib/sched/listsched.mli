@@ -70,12 +70,11 @@ val sweep :
 
 val schedule_func :
   ?options:options -> ?oracle:Dag.oracle -> ?sb_stats:Scoreboard.stats ->
-  Mir.func -> int
-(** Schedule every block in place; returns the total of block lengths. *)
+  Mir.func -> (string * int) list
+(** Schedule every block in place; returns each block's label and
+    schedule length, in block order. *)
 
 val estimate_func :
   ?options:options -> ?oracle:Dag.oracle -> ?sb_stats:Scoreboard.stats ->
   Mir.func -> (string * int) list
-(** Block label and schedule length, without rewriting — schedule cost
-    estimates as used by RASE and by the Table 4 estimated-cycles
-    methodology. *)
+(** {!schedule_func}'s result without rewriting any block. *)

@@ -29,7 +29,6 @@ let on_error_name = function
 type options = {
   check : [ `Off | `On | `Replay ];
   validate : bool;
-  dag_stats : bool;
   disambig : bool;
   jobs : int;
   on_error : on_error;
@@ -41,7 +40,6 @@ let default =
   {
     check = `On;
     validate = true;
-    dag_stats = false;
     disambig = true;
     jobs = 1;
     on_error = `Abort;
@@ -123,13 +121,6 @@ let with_oracle ~disambig st fn f =
     r
   end
 
-let record_estimates ?oracle st fn options =
-  List.iter
-    (fun (label, len) -> Pass.record_estimate st label len)
-    (with_sb_stats st (fun sb ->
-         Listsched.estimate_func ~options ?oracle ~sb_stats:sb fn));
-  st.Pass.sched_passes <- st.Pass.sched_passes + count_blocks fn
-
 let p_allocate =
   Pass.v ~post:Diag.Post_regalloc "allocate" (fun st fn ->
       let r = Regalloc.allocate fn in
@@ -145,13 +136,17 @@ let p_allocate_local =
 let p_fill_delay =
   Pass.v ~post:Diag.Post_sched "fill-delay" (fun _ fn -> Delay.fill_func fn)
 
+(* the final schedule; its block lengths are the Table 4 estimates. Used
+   twice, as the code and as the estimate, it counts two schedules per
+   block: the rule by which the RASE sweep counts budgets proven equal *)
 let p_schedule ~disambig =
   Pass.v ~post:Diag.Post_sched "schedule" (fun st fn ->
       with_oracle ~disambig st fn (fun oracle ->
-          ignore
+          List.iter
+            (fun (label, len) -> Pass.record_estimate st label len)
             (with_sb_stats st (fun sb ->
                  Listsched.schedule_func ?oracle ~sb_stats:sb fn)));
-      st.Pass.sched_passes <- st.Pass.sched_passes + count_blocks fn)
+      st.Pass.sched_passes <- st.Pass.sched_passes + (2 * count_blocks fn))
 
 (* IPS prepass: schedule under a register-use limit so the allocator sees
    the schedule's register appetite; no post-condition — the output is
@@ -174,18 +169,18 @@ let p_ips_prepass =
              Listsched.schedule_func ~options ~sb_stats:sb fn));
       st.Pass.sched_passes <- st.Pass.sched_passes + count_blocks fn)
 
-let p_estimate ~disambig =
-  Pass.v "estimate" (fun st fn ->
-      with_oracle ~disambig st fn (fun oracle ->
-          record_estimates ?oracle st fn Listsched.default_options))
-
 (* the "estimate" of unscheduled (naive) code is its in-order issue span.
    NOTE: estimating naive code with the list scheduler slightly flatters
    it; the naive strategy is only a baseline *)
 let p_estimate_inorder ~disambig =
   Pass.v "estimate-inorder" (fun st fn ->
       with_oracle ~disambig st fn (fun oracle ->
-          record_estimates ?oracle st fn no_delay))
+          List.iter
+            (fun (label, len) -> Pass.record_estimate st label len)
+            (with_sb_stats st (fun sb ->
+                 Listsched.estimate_func ~options:no_delay ?oracle
+                   ~sb_stats:sb fn)));
+      st.Pass.sched_passes <- st.Pass.sched_passes + count_blocks fn)
 
 (* The largest register budget worth exploring for RASE estimates. *)
 let max_budget (model : Model.t) =
@@ -242,31 +237,27 @@ let pipeline ?(disambig = true) = function
         p_allocate_local; p_fill_delay; p_estimate_inorder ~disambig;
         p_frame;
       ]
-  | Postpass ->
-      [ p_allocate; p_schedule ~disambig; p_estimate ~disambig; p_frame ]
-  | Ips ->
-      [
-        p_ips_prepass; p_allocate; p_schedule ~disambig;
-        p_estimate ~disambig; p_frame;
-      ]
+  | Postpass -> [ p_allocate; p_schedule ~disambig; p_frame ]
+  | Ips -> [ p_ips_prepass; p_allocate; p_schedule ~disambig; p_frame ]
   | Rase ->
       [
-        p_rase_sweep; p_rase_prepass; p_allocate;
-        p_schedule ~disambig; p_estimate ~disambig; p_frame;
+        p_rase_sweep; p_rase_prepass; p_allocate; p_schedule ~disambig;
+        p_frame;
       ]
 
 (* The pipeline identity a cache entry is stored under. The record is
    destructured without [; _], so a new field is a build error (warning 9)
    until it is either hashed here or explicitly bound to [_] as not
-   affecting any output. The flag order is part of the on-disk keys: the
-   two literal [true]s fill the slots of the retired verifier switches
-   for the definitely-assigned analysis and the global-liveness warnings,
-   which now always run, so existing keys stay valid. *)
+   affecting any output. Pass names and flag order are part of the
+   on-disk keys, so retired ones keep their place and existing keys stay
+   valid: ["estimate"] after ["schedule"] (which now records the
+   estimates), two [true]s for the verifier switches that now always run
+   (definitely-assigned analysis, global-liveness warnings), and [false]
+   for the deleted DAG-statistics flag. *)
 let pipeline_key
     {
       check;
       validate;
-      dag_stats;
       disambig;
       jobs = _;
       on_error = _;
@@ -275,11 +266,14 @@ let pipeline_key
     } strategy =
   Ckey.of_pipeline ~strategy:(to_string strategy)
     ~passes:
-      (List.map (fun (p : Pass.t) -> p.Pass.name) (pipeline ~disambig strategy))
+      (List.concat_map
+         (fun (p : Pass.t) ->
+           if p.Pass.name = "schedule" then [ "schedule"; "estimate" ]
+           else [ p.Pass.name ])
+         (pipeline ~disambig strategy))
     ~flags:
       [
-        check <> `Off; true; true; check = `Replay; validate; dag_stats;
-        disambig;
+        check <> `Off; true; true; check = `Replay; validate; false; disambig;
       ]
 
 (* ------------------------------------------------------------------ *)
@@ -371,15 +365,6 @@ let compile_unit opts strategy (fn : Mir.func) =
     vdiags := List.rev_append ds !vdiags
   in
   verify Diag.Post_select fn;
-  let dag_nodes = ref 0 and dag_edges = ref 0 in
-  if opts.dag_stats then
-    timed "dag-stats" (fun () ->
-        List.iter
-          (fun (b : Mir.block) ->
-            let dag = Dag.build fn.Mir.f_model b.Mir.b_insts in
-            dag_nodes := !dag_nodes + Array.length dag.Dag.insts;
-            dag_edges := !dag_edges + List.length dag.Dag.edges)
-          fn.Mir.f_blocks);
   (* the guard closes over this function's name and the rung being run;
      the trivial policy installs no guard at all, so the default path is
      the seed path *)
@@ -407,8 +392,6 @@ let compile_unit opts strategy (fn : Mir.func) =
         c_diags = List.rev !diags;
         c_vdiags = List.rev !vdiags;
         c_insts = count_insts fn;
-        c_dag_nodes = !dag_nodes;
-        c_dag_edges = !dag_edges;
       };
     u_times = List.rev !times;
     u_events = [];
@@ -457,8 +440,6 @@ let skipped_unit fn events =
         c_diags = [];
         c_vdiags = [];
         c_insts = count_insts fn;
-        c_dag_nodes = 0;
-        c_dag_edges = 0;
       };
     u_times = [];
     u_events = events;
@@ -570,10 +551,6 @@ let merge_units prof strategy units : report =
       prof.Profile.p_blocks <-
         prof.Profile.p_blocks + count_blocks out.Cache.c_func;
       prof.Profile.p_insts <- prof.Profile.p_insts + out.Cache.c_insts;
-      prof.Profile.p_dag_nodes <-
-        prof.Profile.p_dag_nodes + out.Cache.c_dag_nodes;
-      prof.Profile.p_dag_edges <-
-        prof.Profile.p_dag_edges + out.Cache.c_dag_edges;
       List.iter
         (fun (e : Degrade.event) ->
           prof.Profile.p_faults <-

@@ -5,9 +5,11 @@
     DAG builder, scheduling support) without changing it.
 
     Each strategy is a declarative {!Pass} pipeline — a phase ordering of
-    one shared allocate/schedule/estimate vocabulary (see {!pipeline}),
-    with MIR verification inserted uniformly after every pass that
-    declares a {!Diag.phase} post-condition:
+    one shared allocate/schedule vocabulary (see {!pipeline}), with MIR
+    verification inserted uniformly after every pass that declares a
+    {!Diag.phase} post-condition. The final post-allocation schedule
+    records each block's length as its cost estimate, the estimated side
+    of Table 4:
 
     - {b Naive} — local-only baseline: no global register allocation, no
       scheduling. Stands in for the paper's [cc -O1] comparison point.
@@ -34,7 +36,8 @@ val pipeline : ?disambig:bool -> name -> Pass.t list
 (** The strategy's phase ordering, in execution order. All
     strategy-specific allocation/scheduling behaviour lives in these pass
     definitions; {!apply} contains none. With [disambig] (the default)
-    every {e post-allocation} scheduling or estimate pass computes a
+    every {e post-allocation} pass that builds dependence DAGs — the final
+    [schedule], and the naive baseline's [estimate-inorder] — computes a
     static memory-disambiguation oracle from its input ({!Disambig}) and
     hands it to the DAG builder, so provably independent memory accesses
     carry no Mem edge. Pre-allocation passes (the IPS and RASE
@@ -87,11 +90,6 @@ type options = {
           scheduling passes, Regval after allocation passes (codes
           V001–V029). Validator errors raise {!Diag.Check_error} like
           verifier errors. [marionc --no-validate] turns it off. *)
-  dag_stats : bool;
-      (** Size each block's post-select code DAG into the profile
-          ([marionc --time-passes]). Costs one extra DAG build per block;
-          always the conservative DAG, so the statistic is comparable
-          across [disambig] settings. *)
   disambig : bool;
       (** Run static memory disambiguation before every post-allocation
           scheduling pass and prune provably independent Mem edges from
@@ -129,8 +127,8 @@ type options = {
 
 val default : options
 (** [check = `On] (verifier without the hazard replay); [validate] and
-    [disambig] on; [dag_stats] off; one job; [`Abort] with no deadline
-    and the empty injection plan. *)
+    [disambig] on; one job; [`Abort] with no deadline and the empty
+    injection plan. *)
 
 val pipeline_key : options -> name -> Ckey.t
 (** The pipeline identity a function compiled under these options is
@@ -146,7 +144,8 @@ type report = {
   block_estimates : (string, int) Hashtbl.t;
       (** scheduler cost estimate per block label — the estimated-cycles
           side of Table 4 *)
-  schedule_passes : int;  (** how many block schedules were computed *)
+  schedule_passes : int;
+      (** block schedule estimates consumed ([Pass.stats.sched_passes]) *)
   check_diags : Diag.t list;
       (** warnings from the phase verifier (and, through {!compile}, the
           description linter), grouped per function in program order;

@@ -70,6 +70,73 @@ let test_strategy_names () =
     Strategy.all;
   check Alcotest.bool "unknown" true (Strategy.of_string "wombat" = None)
 
+(* The final schedule pass records the block estimates (Table 4's
+   estimated side). The reference is the separate estimate pass that
+   pass replaced: list-schedule the pipeline's output again, through a
+   disambiguation oracle solved on that code when [disambig] is on.
+   Cells that do not compile are left out: toyp cannot color a spill
+   temporary of poly under IPS and RASE, and m88000 has no branch
+   pattern for lfk14's f64 compare. *)
+let uncompilable target program strat =
+  match (target, program, strat) with
+  | "toyp", "poly", (Strategy.Ips | Strategy.Rase) -> true
+  | "m88000", "lfk14", _ -> true
+  | _ -> false
+
+let test_schedule_records_estimates () =
+  let targets =
+    [
+      ("toyp", Toyp.load ());
+      ("r2000", R2000.load ());
+      ("m88000", M88000.load ());
+      ("i860", I860.load ());
+    ]
+  in
+  let programs =
+    List.init 14 (fun k ->
+        (Printf.sprintf "lfk%d" (k + 1), Livermore.source (k + 1)))
+    @ Suite.programs
+  in
+  let estimates = Alcotest.(list (pair string int)) in
+  List.iter
+    (fun (target, model) ->
+      List.iter
+        (fun (program, src) ->
+          List.iter
+            (fun strat ->
+              if not (uncompilable target program strat) then
+                List.iter
+                  (fun disambig ->
+                    let ir = Cgen.compile ~file:program src in
+                    List.iter (Glue.transform_func model) ir.Ir.funcs;
+                    let passes =
+                      List.filter
+                        (fun (p : Pass.t) -> p.Pass.name <> "frame-layout")
+                        (Strategy.pipeline ~disambig strat)
+                    in
+                    List.iter
+                      (fun irfn ->
+                        let fn = Select.select_func model irfn in
+                        let st = Pass.run_pipeline passes fn in
+                        let oracle =
+                          if disambig then
+                            Some
+                              (Dag.oracle
+                                 (Disambig.may_alias (Disambig.compute fn)))
+                          else None
+                        in
+                        check estimates
+                          (Printf.sprintf "%s %s %s disambig=%b %s" target
+                             program (Strategy.to_string strat) disambig
+                             fn.Mir.f_name)
+                          (Listsched.estimate_func ?oracle fn)
+                          st.Pass.estimates)
+                      ir.Ir.funcs)
+                  [ true; false ])
+            [ Strategy.Postpass; Strategy.Ips; Strategy.Rase ])
+        programs)
+    targets
+
 let suite =
   [
     Alcotest.test_case "all strategies correct" `Quick test_all_strategies_correct;
@@ -78,4 +145,6 @@ let suite =
     Alcotest.test_case "estimates populated" `Quick test_estimates_populated;
     Alcotest.test_case "naive spills globals" `Quick test_naive_is_local_only;
     Alcotest.test_case "strategy names" `Quick test_strategy_names;
+    Alcotest.test_case "schedule records the estimate pass's lengths" `Slow
+      test_schedule_records_estimates;
   ]

@@ -262,7 +262,10 @@ let sched_sim_agree =
       let b = Mir.new_block "main" in
       b.Mir.b_insts <- body @ [ jr ];
       fn.Mir.f_blocks <- [ b ];
-      let predicted = Listsched.schedule_func fn in
+      let predicted =
+        List.fold_left (fun acc (_, len) -> acc + len) 0
+          (Listsched.schedule_func fn)
+      in
       let prog =
         { Mir.p_model = model; Mir.p_globals = []; Mir.p_funcs = [ fn ] }
       in
