@@ -129,23 +129,15 @@ let lint_flag =
   in
   Arg.(value & flag & info [ "lint" ] ~doc)
 
-let verify_mir_flag =
-  let doc =
-    "Run the phase verifier with the hazard replay enabled and print every \
-     diagnostic, warnings included (performance diagnostics such as \
-     structural interlock stalls, M045)."
-  in
-  Arg.(value & flag & info [ "verify-mir" ] ~doc)
-
 let no_check_flag =
-  let doc =
-    "Disable the MIR verifier and description linter (wins over \
-     $(b,--verify-mir))."
-  in
+  let doc = "Disable the MIR verifier and description linter." in
   Arg.(value & flag & info [ "no-check" ] ~doc)
 
 let check_format_arg =
-  let doc = "Diagnostic rendering: $(b,text) or $(b,json)." in
+  let doc =
+    "Diagnostic rendering, for the linter, the MIR verifier and the \
+     translation validators alike: $(b,text) or $(b,json)."
+  in
   Arg.(
     value
     & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
@@ -168,16 +160,6 @@ let no_validate_flag =
      every scheduling and allocation pass for semantic preservation."
   in
   Arg.(value & flag & info [ "no-validate" ] ~doc)
-
-let validate_format_arg =
-  let doc =
-    "Rendering for translation-validator diagnostics (V-codes): $(b,text) \
-     or $(b,json). Defaults to the --check-format setting."
-  in
-  Arg.(
-    value
-    & opt (some (enum [ ("text", `Text); ("json", `Json) ])) None
-    & info [ "validate-format" ] ~docv:"FMT" ~doc)
 
 (* distinct exit codes per failing subsystem, so scripts (and CI) can tell
    a bad invocation from a bad description from a miscompile *)
@@ -294,10 +276,9 @@ let resolve_finject spec =
   | Error msg -> raise (Usage (Printf.sprintf "bad fault-injection plan: %s" msg))
 
 let main target maril strategy source run verify sim_cache trace stats
-    ghfill jobs time_passes lint verify_mir no_check check_format no_validate
-    validate_format cache no_cache cache_stats on_error pass_timeout
-    finject_spec strict fault_report no_disambig analysis_format livermore =
-  let validate_format = Option.value ~default:check_format validate_format in
+    ghfill jobs time_passes lint no_check check_format no_validate cache
+    no_cache cache_stats on_error pass_timeout finject_spec strict
+    fault_report no_disambig analysis_format livermore =
   try
     let model =
       match maril with
@@ -339,8 +320,7 @@ let main target maril strategy source run verify sim_cache trace stats
     in
     let opts =
       {
-        Strategy.check =
-          (if no_check then `Off else if verify_mir then `Replay else `On);
+        Strategy.check = not no_check;
         validate = not no_validate;
         disambig = not no_disambig;
         jobs = (if jobs <= 0 then Dpool.recommended_jobs () else jobs);
@@ -385,9 +365,9 @@ let main target maril strategy source run verify sim_cache trace stats
             "# cache: disabled (pass --cache or set MARION_CACHE)"
     end;
     if compiled.Marion.report.Strategy.validate_diags <> [] then
-      print_diags validate_format stderr
+      print_diags check_format stderr
         compiled.Marion.report.Strategy.validate_diags;
-    if verify_mir || compiled.Marion.report.Strategy.check_diags <> [] then
+    if compiled.Marion.report.Strategy.check_diags <> [] then
       print_diags check_format stderr
         compiled.Marion.report.Strategy.check_diags;
     if time_passes then begin
@@ -467,11 +447,9 @@ let main target maril strategy source run verify sim_cache trace stats
     end
   with
   | Diag.Check_error diags ->
-      let code = check_error_exit diags in
-      let fmt = if code = 5 then validate_format else check_format in
-      if fmt = `Text then Printf.eprintf "marionc: check failed:\n";
-      print_diags fmt stderr diags;
-      code
+      if check_format = `Text then Printf.eprintf "marionc: check failed:\n";
+      print_diags check_format stderr diags;
+      check_error_exit diags
   | Guard.Trip f ->
       (* an injected fault surfacing under --on-error=abort: there is no
          original exception to re-raise, so report the fault itself *)
@@ -524,10 +502,9 @@ let cmd =
       const main $ target_arg $ maril_arg $ strategy_arg $ source_arg
       $ run_flag $ verify_flag $ sim_cache_flag $ trace_arg $ stats_flag
       $ ghfill_flag $ jobs_arg $ time_passes_flag $ lint_flag
-      $ verify_mir_flag $ no_check_flag $ check_format_arg
-      $ no_validate_flag $ validate_format_arg $ cache_arg $ no_cache_flag
-      $ cache_stats_flag $ on_error_arg $ pass_timeout_arg $ finject_arg
-      $ strict_flag $ fault_report_arg $ no_disambig_flag
+      $ no_check_flag $ check_format_arg $ no_validate_flag $ cache_arg
+      $ no_cache_flag $ cache_stats_flag $ on_error_arg $ pass_timeout_arg
+      $ finject_arg $ strict_flag $ fault_report_arg $ no_disambig_flag
       $ analysis_format_arg $ livermore_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -139,8 +139,7 @@ let use_name model = function
 
 (* ------------------------------------------------------------------ *)
 
-let check_func ?(hazard_replay = false) phase (fn : Mir.func) :
-    Diag.t list =
+let check_func phase (fn : Mir.func) : Diag.t list =
   let model = fn.Mir.f_model in
   let diags = ref [] in
   let report ?severity ?loc ?block ~code fmt =
@@ -477,55 +476,9 @@ let check_func ?(hazard_replay = false) phase (fn : Mir.func) :
        (Glive.dead_stores live fn)
    end);
 
-  (* ---------------- hazard replay (M045, opt-in) ---------------- *)
-  (if hazard_replay && at_least phase Diag.Post_sched then
-     let lat = Latency.for_model model in
-     let busy = Scoreboard.create model in
-     List.iter
-       (fun (b : Mir.block) ->
-         Scoreboard.reset busy;
-         (* newest-first writer records: location, producer, issue cycle *)
-         let writers : (Locs.t * (Mir.inst * int)) list ref = ref [] in
-         let prev = ref (-1) in
-         let stalls = ref 0 in
-         List.iter
-           (fun (i : Mir.inst) ->
-             let ready =
-               List.fold_left
-                 (fun acc l ->
-                   match
-                     List.find_opt
-                       (fun (wl, _) -> Locs.overlap model l wl)
-                       !writers
-                   with
-                   | Some (_, (w, wc)) -> max acc (wc + Latency.dep lat w i)
-                   | None -> acc)
-                 0 (Locs.reads model i)
-             in
-             let base = max ready (!prev + 1) in
-             let rvec = i.Mir.n_op.Model.i_rvec in
-             let c = ref base in
-             while Scoreboard.conflict busy ~cycle:!c rvec do
-               incr c
-             done;
-             stalls := !stalls + (!c - base);
-             Scoreboard.reserve busy ~cycle:!c rvec;
-             writers :=
-               List.map (fun l -> (l, (i, !c))) (Locs.writes model i)
-               @ !writers;
-             prev := !c)
-           b.Mir.b_insts;
-         if !stalls > 0 then
-           report ~severity:Diag.Warning ~block:b.Mir.b_label ~code:"M045"
-             "scheduled block replays with %d structural interlock stall \
-              cycle(s)"
-             !stalls)
-       fn.Mir.f_blocks);
-
   List.rev !diags
 
-let check_prog ?hazard_replay phase (p : Mir.prog) =
-  List.concat_map (check_func ?hazard_replay phase) p.Mir.p_funcs
+let check_prog phase (p : Mir.prog) =
+  List.concat_map (check_func phase) p.Mir.p_funcs
 
-let check_prog_exn ?hazard_replay phase p =
-  Diag.raise_if_errors (check_prog ?hazard_replay phase p)
+let check_prog_exn phase p = Diag.raise_if_errors (check_prog phase p)

@@ -29,25 +29,19 @@
     - [Post_regalloc] and later: no pseudo-registers, no unresolved
       [Opart] — [M021], [M022];
     - [Post_sched] and later: every branch delay slot filled with a
-      non-branch instruction — [M041], [M042]; plus a scoreboard /
-      resource-vector / packing replay of each block that reports
-      structural interlock stalls ([M045], warning, only with
-      [~hazard_replay:true]);
+      non-branch instruction — [M041], [M042];
     - [Final]: no frame slots left — [M023].
 
     Diagnostic codes are stable; see DESIGN.md ("Static checking"). *)
 
-val check_func :
-  ?hazard_replay:bool -> Diag.phase -> Mir.func -> Diag.t list
-(** [hazard_replay] (default [false]) adds the [M045] replay. Interlock
-    stalls are legal (the simulator stalls, it does not break), so this
-    is a performance diagnostic, enabled by [Strategy.options.check =
-    `Replay] ([marionc --verify-mir]). *)
+val check_func : Diag.phase -> Mir.func -> Diag.t list
+(** The findings of every check above that applies at the phase point.
+    Interlock stalls are not among them: they are legal (the simulator
+    stalls, it does not break), and its cycle counts price them. *)
 
-val check_prog : ?hazard_replay:bool -> Diag.phase -> Mir.prog -> Diag.t list
+val check_prog : Diag.phase -> Mir.prog -> Diag.t list
 
-val check_prog_exn :
-  ?hazard_replay:bool -> Diag.phase -> Mir.prog -> Diag.t list
+val check_prog_exn : Diag.phase -> Mir.prog -> Diag.t list
 (** Like {!check_prog} but raises {!Diag.Check_error} when any
     [Error]-severity diagnostic is found; returns the warnings
     otherwise. *)

@@ -57,11 +57,9 @@ val lint : ?suppress:string list -> Model.t -> Diag.t list
 (** {!Marilint.lint}: check a machine description for internal
     consistency ([marionc --lint]). *)
 
-val check_mir :
-  ?hazard_replay:bool -> Diag.phase -> Mir.prog -> Diag.t list
+val check_mir : Diag.phase -> Mir.prog -> Diag.t list
 (** {!Mircheck.check_prog}: verify a machine program against its model at
-    one phase point; [hazard_replay] adds the [M045] stall replay of
-    scheduled code, as [marionc --verify-mir] does. *)
+    one phase point. *)
 
 val validate :
   ?disambig:bool -> Diag.phase -> before:Mir.prog -> Mir.prog ->

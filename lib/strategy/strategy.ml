@@ -27,7 +27,7 @@ let on_error_name = function
   | `Skip -> "skip"
 
 type options = {
-  check : [ `Off | `On | `Replay ];
+  check : bool;
   validate : bool;
   disambig : bool;
   jobs : int;
@@ -38,7 +38,7 @@ type options = {
 
 let default =
   {
-    check = `On;
+    check = true;
     validate = true;
     disambig = true;
     jobs = 1;
@@ -252,8 +252,9 @@ let pipeline ?(disambig = true) = function
    on-disk keys, so retired ones keep their place and existing keys stay
    valid: ["estimate"] after ["schedule"] (which now records the
    estimates), two [true]s for the verifier switches that now always run
-   (definitely-assigned analysis, global-liveness warnings), and [false]
-   for the deleted DAG-statistics flag. *)
+   (definitely-assigned analysis, global-liveness warnings), a [false]
+   for the deleted hazard-replay verifier level, and a [false] for the
+   deleted DAG-statistics flag. *)
 let pipeline_key
     {
       check;
@@ -271,10 +272,7 @@ let pipeline_key
            if p.Pass.name = "schedule" then [ "schedule"; "estimate" ]
            else [ p.Pass.name ])
          (pipeline ~disambig strategy))
-    ~flags:
-      [
-        check <> `Off; true; true; check = `Replay; validate; false; disambig;
-      ]
+    ~flags:[ check; true; true; false; validate; false; disambig ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-function compile units and the domain-parallel driver           *)
@@ -314,14 +312,11 @@ let compile_unit opts strategy (fn : Mir.func) =
      establish; errors abort the compile ({!Diag.Check_error}), warnings
      accumulate into the report. The identity when checking is off. *)
   let verify phase fn =
-    if opts.check <> `Off then begin
+    if opts.check then begin
       let ds =
         timed
           ("verify:" ^ Diag.phase_name phase)
-          (fun () ->
-            Mircheck.check_func
-              ~hazard_replay:(opts.check = `Replay)
-              phase fn)
+          (fun () -> Mircheck.check_func phase fn)
       in
       (match Diag.errors ds with
       | [] -> ()
@@ -636,7 +631,7 @@ let compile ?(opts = default) ?cache model strategy (ir : Ir.prog) =
   let w0 = Mclock.wall () and c0 = Mclock.cpu () in
   let prof = Profile.create ~jobs:opts.jobs ~strategy:(to_string strategy) () in
   let lint_warnings =
-    if opts.check <> `Off then begin
+    if opts.check then begin
       let t0 = Mclock.wall () and tc0 = Mclock.thread_cpu () in
       let ds = Diag.raise_if_errors (lint_model model) in
       let wall = Mclock.wall () -. t0 in

@@ -73,15 +73,14 @@ val on_error_name : on_error -> string
 (** ["abort"], ["degrade"] or ["skip"] — the [--on-error=] spelling. *)
 
 type options = {
-  check : [ `Off | `On | `Replay ];
-      (** [`On]: lint the description ({!compile} only) and re-verify
+  check : bool;
+      (** [true]: lint the description ({!compile} only) and re-verify
           every function with {!Mircheck.check_func} at each phase point
           — post-select, then after every pass declaring a post-condition
           (post-regalloc, post-sched, final). The first phase whose
           invariants do not hold raises {!Diag.Check_error}; warnings land
-          in [report.check_diags]. [`Replay] adds the verifier's [M045]
-          stall replay ([marionc --verify-mir]); [`Off] skips lint and
-          verifier ([marionc --no-check], which wins). *)
+          in [report.check_diags]. [false] skips lint and verifier
+          ([marionc --no-check]). *)
   validate : bool;
       (** Independent of [check]: bracket every pass claiming a
           {!Transval.validated_phase} post-condition with translation
@@ -126,9 +125,8 @@ type options = {
     to a compiler without that layer. *)
 
 val default : options
-(** [check = `On] (verifier without the hazard replay); [validate] and
-    [disambig] on; one job; [`Abort] with no deadline and the empty
-    injection plan. *)
+(** [check], [validate] and [disambig] on; one job; [`Abort] with no
+    deadline and the empty injection plan. *)
 
 val pipeline_key : options -> name -> Ckey.t
 (** The pipeline identity a function compiled under these options is
@@ -182,8 +180,8 @@ val apply : ?opts:options -> name -> Mir.prog -> report
 val compile :
   ?opts:options -> ?cache:Cache.t -> Model.t -> name -> Ir.prog ->
   Mir.prog * report
-(** The incremental whole-program driver: lint (unless [opts.check] is
-    [`Off]), glue the IL to the model sequentially, then fan one unit per
+(** The incremental whole-program driver: lint (when [opts.check]),
+    glue the IL to the model sequentially, then fan one unit per
     function out over the domain pool — each unit selects and runs the
     strategy pipeline (or replays a cache hit) — and merge in program
     order. The description linter is memoized by the model's content

@@ -218,8 +218,7 @@ let test_flag_change_invalidates () =
   let d = Strategy.default in
   let cases =
     [
-      ("check off", { d with check = `Off }, `Miss);
-      ("check replay", { d with check = `Replay }, `Miss);
+      ("check off", { d with check = false }, `Miss);
       ("validate", { d with validate = false }, `Miss);
       ("disambig", { d with disambig = false }, `Miss);
       ("jobs", { d with jobs = 4 }, `Hit);
@@ -244,16 +243,16 @@ let test_flag_change_invalidates () =
 
 (* the exact bytes of every pipeline key: a cache entry written by an
    earlier build must stay reachable when passes or options are retired.
-   Captured before the estimate pass and the DAG-statistics flag were
-   folded away; never regenerate them. *)
+   Captured before the estimate pass, the DAG-statistics flag and the
+   hazard-replay verifier level were folded away; never regenerate
+   them. *)
 let test_pipeline_key_pins () =
   let d = Strategy.default in
   let options =
     [
       ("default", d);
       ("disambig off", { d with disambig = false });
-      ("check off", { d with check = `Off });
-      ("check replay", { d with check = `Replay });
+      ("check off", { d with check = false });
       ("validate off", { d with validate = false });
     ]
   in
@@ -264,7 +263,6 @@ let test_pipeline_key_pins () =
           "06b9bd27703525dd5ab8db2fbc4e40d6";
           "972431aa66a48b9a67d0666f81e61ad7";
           "ec0719c62eec922e192ec09cb5878c89";
-          "831f5848e7bcb3979ad914f25fe641f3";
           "b57a2c7e0dbbe8b05b9ea1d4df025f22";
         ] );
       ( Strategy.Postpass,
@@ -272,7 +270,6 @@ let test_pipeline_key_pins () =
           "dd0d252bc56a4ed0ed4e239f8facff80";
           "8d29dab9258db03a2fbfd84f814ca9eb";
           "e2ee647c759bc88692674013e5d47d11";
-          "fc1c108977615bc8e2d597c1a0706ca4";
           "c6ea4b573b83eed7b3ab86c9f04cb069";
         ] );
       ( Strategy.Ips,
@@ -280,7 +277,6 @@ let test_pipeline_key_pins () =
           "08b2813e675e8c77677cd965af2bd2bc";
           "578e381438d93884c086a1c13c321c74";
           "ef4985a74e3a0b54e9ebcd2fd209bab6";
-          "627d2fced2ffee5ca91affc23d24534b";
           "1583dd2960be2d59f4a7330874356e0c";
         ] );
       ( Strategy.Rase,
@@ -288,7 +284,6 @@ let test_pipeline_key_pins () =
           "a5d381fc863a40830487120ed5cd23e1";
           "a44d7e127cb56a4351721c7a7f885335";
           "d97a3500f869791650fb8a386587c26e";
-          "8f50fe2f57997fd37bbe01085a125fd6";
           "9e945835572cb90cf335a45860deea57";
         ] );
     ]

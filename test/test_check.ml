@@ -120,28 +120,12 @@ let test_clean_compiles_no_diags () =
         Strategy.all)
     builtins
 
-let test_verify_mir_no_errors () =
-  (* the opt-in hazard replay may warn (M045) on interlocked machines but
-     must never error on a clean compile *)
-  let c =
-    Marion.compile
-      ~opts:{ Strategy.default with check = `Replay }
-      (Lazy.force r2000) Strategy.Postpass ~file:"<clean.c>" clean_src
-  in
-  let ds = c.Marion.report.Strategy.check_diags in
-  check Alcotest.bool "no errors" false (Diag.has_errors ds);
-  List.iter
-    (fun (d : Diag.t) ->
-      if d.Diag.code.[0] <> 'A' then
-        check Alcotest.string "only replay warnings" "M045" d.Diag.code)
-    ds
-
 (* ------------------------------------------------------------------ *)
 (* Seeded mutations: each must be caught with the right code + phase *)
 
 let compile_quiet strat src =
   (Marion.compile
-     ~opts:{ Strategy.default with check = `Off }
+     ~opts:{ Strategy.default with check = false }
      (Lazy.force r2000) strat ~file:"<mut.c>" src)
     .Marion.prog
 
@@ -511,8 +495,6 @@ let suite =
       test_compile_rejects_broken_description;
     Alcotest.test_case "clean compiles carry no diags" `Quick
       test_clean_compiles_no_diags;
-    Alcotest.test_case "verify-mir replay never errors" `Quick
-      test_verify_mir_no_errors;
     Alcotest.test_case "mutation: operand class" `Quick
       test_mutation_operand_class;
     Alcotest.test_case "mutation: fixed register" `Quick

@@ -1,66 +1,110 @@
 (* End-to-end differential tests: every program is run through the
    reference interpreter and through the full pipeline (front end, glue,
    selection, strategy, frame, simulator) — outputs and exit codes must
-   agree. *)
-
-let check = Alcotest.check
+   agree, except in the cells [known_failures] lists. *)
 
 let models = lazy [ Toyp.load (); R2000.load (); M88000.load (); I860.load () ]
 
-let differential ?(strategies = Strategy.all) ?(targets = None) name src () =
-  let oracle = Marion.interpret ~file:name src in
-  let ms =
-    match targets with
-    | Some ts -> ts
-    | None -> Lazy.force models
+(* Every program runs on every target under every strategy. *)
+
+type failure =
+  | Mismatch  (** compiles and runs, but output or exit code differ *)
+  | Raises of string  (** the compile raises; the text is in its message *)
+
+(* Every cell of the matrix known not to match the interpreter, with how
+   it fails. A listed cell must keep failing exactly this way, so a fix
+   fails the test until its entry is deleted; every unlisted cell must
+   match. *)
+let known_failures =
+  [
+    (* TOYP has two allocable double registers; poly keeps three doubles
+       live once a prepass stretches the pair-copy live ranges *)
+    ("poly", "toyp", Strategy.Ips, Raises "cannot be colored");
+    ("poly", "toyp", Strategy.Rase, Raises "cannot be colored");
+    (* the IPS prepass splits the halves of a double move, and a spill
+       reload then clobbers the written half *)
+    ("lfk9", "r2000", Strategy.Ips, Mismatch);
+    ("lfk9", "m88000", Strategy.Ips, Mismatch);
+    (* the m88000 description has no branch pattern for an f64 compare *)
+    ("lfk14", "m88000", Strategy.Naive, Raises "No_pattern");
+    ("lfk14", "m88000", Strategy.Postpass, Raises "No_pattern");
+    ("lfk14", "m88000", Strategy.Ips, Raises "No_pattern");
+    ("lfk14", "m88000", Strategy.Rase, Raises "No_pattern");
+    (* by design: TOYP's integer argument registers are the halves of d1,
+       as the paper notes, so it cannot pass a double and an integer *)
+    ("args-and-doubles", "toyp", Strategy.Naive, Raises "no CWVM argument");
+    ("args-and-doubles", "toyp", Strategy.Postpass, Raises "no CWVM argument");
+    ("args-and-doubles", "toyp", Strategy.Ips, Raises "no CWVM argument");
+    ("args-and-doubles", "toyp", Strategy.Rase, Raises "no CWVM argument");
+  ]
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
   in
+  at 0
+
+(* one program's row of the matrix, checked against [known_failures] *)
+let matrix name src () =
+  let oracle = Marion.interpret ~file:name src in
   List.iter
     (fun model ->
       List.iter
         (fun strat ->
+          let target = model.Model.name in
           let tag =
-            Printf.sprintf "%s on %s/%s" name model.Model.name
+            Printf.sprintf "%s on %s/%s" name target
               (Strategy.to_string strat)
           in
-          let r = Marion.compile_and_run model strat ~file:name src in
-          check Alcotest.string (tag ^ " output") oracle.Cinterp.output
-            r.Marion.sim.Sim.output;
-          check Alcotest.int (tag ^ " exit") oracle.Cinterp.return_value
-            r.Marion.sim.Sim.return_value)
-        strategies)
-    ms
+          let outcome =
+            match Marion.compile_and_run model strat ~file:name src with
+            | r ->
+                if
+                  r.Marion.sim.Sim.output = oracle.Cinterp.output
+                  && r.Marion.sim.Sim.return_value
+                     = oracle.Cinterp.return_value
+                then `Matches
+                else `Differs
+            | exception e -> `Raised (Printexc.to_string e)
+          in
+          let expected =
+            List.find_map
+              (fun (n, t, st, f) ->
+                if n = name && t = target && st = strat then Some f else None)
+              known_failures
+          in
+          match (expected, outcome) with
+          | None, `Matches | Some Mismatch, `Differs -> ()
+          | Some (Raises sub), `Raised msg when contains ~sub msg -> ()
+          | Some _, `Matches ->
+              Alcotest.failf
+                "%s now matches the interpreter: delete its known_failures \
+                 entry"
+                tag
+          | _, `Differs ->
+              Alcotest.failf "%s: output or exit code differs from the \
+                              interpreter" tag
+          | _, `Raised msg -> Alcotest.failf "%s: raised %s" tag msg)
+        Strategy.all)
+    (Lazy.force models)
+
+let kernel_programs =
+  List.map
+    (fun (k : Livermore.kernel) ->
+      (Printf.sprintf "lfk%d" k.Livermore.k_id, k.Livermore.k_source 1))
+    Livermore.kernels
+
+let livermore_kernels =
+  List.map
+    (fun (name, src) -> Alcotest.test_case name `Slow (matrix name src))
+    kernel_programs
 
 let suite_programs =
   List.map
     (fun (name, src) ->
-      (* poly keeps three doubles live at once; TOYP's two allocable double
-         registers cannot color that once the IPS prepass stretches the
-         pair-copy live ranges, so poly runs on the three real targets *)
-      if name = "poly" then
-        Alcotest.test_case ("suite:" ^ name) `Slow
-          (fun () ->
-            differential ~targets:(Some (List.tl (Lazy.force models))) name src ())
-      else Alcotest.test_case ("suite:" ^ name) `Slow (differential name src))
+      Alcotest.test_case ("suite:" ^ name) `Slow (matrix name src))
     Suite.programs
-
-let livermore_kernels =
-  (* the full 4x4 matrix is exercised for a representative subset; the
-     remaining kernels run on the R2000 under Postpass and RASE *)
-  List.concat_map
-    (fun (k : Livermore.kernel) ->
-      let name = Printf.sprintf "lfk%d" k.Livermore.k_id in
-      let src = k.Livermore.k_source 1 in
-      if List.mem k.Livermore.k_id [ 1; 6; 13 ] then
-        [ Alcotest.test_case name `Slow (differential name src) ]
-      else
-        [
-          Alcotest.test_case name `Slow
-            (differential
-               ~strategies:[ Strategy.Postpass; Strategy.Rase ]
-               ~targets:(Some [ List.nth (Lazy.force models) 1 ])
-               name src);
-        ])
-    Livermore.kernels
 
 let edge_cases =
   [
@@ -125,9 +169,9 @@ let edge_cases =
           return 0;
         }|} );
     ( "args-and-doubles",
-      (* one double + one int argument: TOYP's paper register file (two
-         allocable double registers) cannot color two simultaneous double
-         arguments, so the mixed form is the portable one *)
+      (* one double + one int argument. TOYP can pass neither this mix
+         (see [known_failures]) nor two doubles: its paper register file
+         has two allocable double registers *)
       {|double mix(double a, int b) { return a * 2.0 + (double)b; }
         int imix(int a, int b) { return a * 10 + b; }
         int main(void) {
@@ -150,16 +194,7 @@ let edge_cases =
 
 let edge_tests =
   List.map
-    (fun (name, src) ->
-      (* TOYP cannot mix double and integer arguments (its integer argument
-         registers are the halves of d1, as the paper notes) *)
-      if name = "args-and-doubles" then
-        Alcotest.test_case name `Quick
-          (fun () ->
-            differential
-              ~targets:(Some (List.tl (Lazy.force models)))
-              name src ())
-      else Alcotest.test_case name `Quick (differential name src))
+    (fun (name, src) -> Alcotest.test_case name `Quick (matrix name src))
     edge_cases
 
 let suite = suite_programs @ livermore_kernels @ edge_tests
