@@ -222,3 +222,20 @@ let allocable_of_class t cid =
 
 let is_callee_save t r =
   List.exists (fun s -> regs_overlap t s r) t.cwvm.v_calleesave
+
+(* Keyed by physical identity: models are built once per target and never
+   mutated (the contract Ckey.of_model also relies on). The few live
+   models fit a short list; only the list is guarded. *)
+let memo f =
+  let table = ref [] and lock = Mutex.create () in
+  fun model ->
+    Mutex.lock lock;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock lock)
+      (fun () ->
+        match List.assq_opt model !table with
+        | Some v -> v
+        | None ->
+            let v = f model in
+            table := (model, v) :: List.filteri (fun i _ -> i < 7) !table;
+            v)

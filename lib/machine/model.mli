@@ -159,3 +159,7 @@ val allocable_of_class : t -> int -> reg list
 
 val is_callee_save : t -> reg -> bool
 (** Overlap-aware: half of a callee-save pair is callee-save. *)
+
+val memo : (t -> 'a) -> t -> 'a
+(** [memo f] caches [f] per model by physical identity (thread-safe), for
+    tables derived from an immutable model once per target. *)

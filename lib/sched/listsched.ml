@@ -195,8 +195,7 @@ let run ~options ~busy (fn : Mir.func) (p : prepared) =
       dag.Dag.preds.(i)
   in
   let resources_free i =
-    let rvec = dag.Dag.insts.(i).Mir.n_op.Model.i_rvec in
-    not (Scoreboard.conflict busy ~cycle:!cycle rvec)
+    not (Scoreboard.conflict busy ~cycle:!cycle dag.Dag.insts.(i).Mir.n_op)
   in
   let class_ok i =
     match (dag.Dag.insts.(i).Mir.n_op.Model.i_class, !cur_class) with
@@ -262,7 +261,7 @@ let run ~options ~busy (fn : Mir.func) (p : prepared) =
         if not p.term.(i) then decr nonbranch_left;
         order := i :: !order;
         let inst = dag.Dag.insts.(i) in
-        Scoreboard.reserve busy ~cycle:!cycle inst.Mir.n_op.Model.i_rvec;
+        Scoreboard.reserve busy ~cycle:!cycle inst.Mir.n_op;
         (match inst.Mir.n_op.Model.i_class with
         | Some k -> (
             match !cur_class with

@@ -818,7 +818,7 @@ let issue st (ci : cinst) =
       end;
       st.freq.(st.pc) <- n + 1
   | None -> ());
-  Scoreboard.reserve st.busy ~cycle:st.cycle ci.c_op.Model.i_rvec;
+  Scoreboard.reserve st.busy ~cycle:st.cycle ci.c_op;
   (match ci.c_op.Model.i_class with
   | Some k ->
       if st.class_open then Bitset.inter_into ~dst:st.cur_class k
@@ -921,10 +921,12 @@ let run ?(config = default_config) (prog : Mir.prog) : result =
      ready: that cycle is constant while stalled, and the clock jumps
      straight to it, closing the packing classes once. The scoreboard
      window advances over a jump exactly as over single steps. From then
-     on the operands stay ready while nothing issues, so structural
-     stalls step one cycle at a time through the resource and packing
-     tests alone. The fuel check is skipped while stalled, where the
-     instruction count cannot change. *)
+     on the operands stay ready while nothing issues. A structural stall
+     (a closed packing class or a resource conflict) closes the classes
+     on the next cycle, so from there only resources can block, and the
+     clock jumps to the first cycle at which the resource vector fits.
+     The fuel check is skipped while stalled, where the instruction count
+     cannot change. *)
   while not st.halted do
     if st.icount > config.fuel then fail "out of fuel after %d instructions" st.icount;
     let ci = st.code.(st.pc) in
@@ -933,13 +935,13 @@ let run ?(config = default_config) (prog : Mir.prog) : result =
       st.cycle <- req;
       st.class_open <- false
     end;
-    while
-      Scoreboard.conflict st.busy ~cycle:st.cycle ci.c_op.Model.i_rvec
-      || not (class_ok st ci)
-    do
-      st.cycle <- st.cycle + 1;
+    if
+      (not (class_ok st ci))
+      || Scoreboard.conflict st.busy ~cycle:st.cycle ci.c_op
+    then begin
+      st.cycle <- Scoreboard.first_free st.busy ~cycle:(st.cycle + 1) ci.c_op;
       st.class_open <- false
-    done;
+    end;
     issue st ci
   done;
   let result_reg =

@@ -89,21 +89,4 @@ let dep t (src : Mir.inst) (dst : Mir.inst) =
       | Some l -> l
       | None -> src.Mir.n_op.Model.i_latency)
 
-(* Per-model memo, keyed by physical identity: models are built once per
-   target and never mutated (the contract Ckey.of_model also relies on).
-   The table itself is immutable after [create], so lookups on a published
-   oracle are lock-free; only the memo list is guarded. *)
-let memo : (Model.t * t) list ref = ref []
-let memo_mutex = Mutex.create ()
-
-let for_model model =
-  Mutex.lock memo_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock memo_mutex)
-    (fun () ->
-      match List.find_opt (fun (m, _) -> m == model) !memo with
-      | Some (_, t) -> t
-      | None ->
-          let t = create model in
-          memo := (model, t) :: List.filteri (fun i _ -> i < 7) !memo;
-          t)
+let for_model = Model.memo create

@@ -4,8 +4,8 @@
     consume its result": the base [i_latency] of the producer, overridden
     by the first matching %aux directive whose operand-equality condition
     holds. Directives are pre-filtered into a per-model table keyed on
-    [(i_id, i_id)], so DAG construction, simulation, and hazard replay no
-    longer re-scan the whole aux list per dependence.
+    [(i_id, i_id)], so DAG construction and simulation no longer re-scan
+    the whole aux list per dependence.
 
     The memo never needs invalidating: a [Model.t] is immutable after
     loading, so the oracle is cached by physical identity ({!for_model}).

@@ -6,77 +6,141 @@ type stats = {
 
 let make_stats () = { probes = 0; conflicts = 0; reserves = 0 }
 
+(* A model's resource vectors in word form: [rvecs.(i_id)] holds flat
+   (cycle offset, word, mask) triples, one per non-empty word of each
+   cycle, in cycle order. *)
+type packed = {
+  span : int;  (** the longest resource vector, at least 1 *)
+  words : int;  (** ints per cycle row *)
+  rvecs : int array array;
+}
+
+let pack (model : Model.t) =
+  let nres = Array.length model.Model.resources in
+  let words = (nres + Sys.int_size - 1) / Sys.int_size in
+  let row = Array.make words 0 in
+  let pack_rvec (rvec : Bitset.t array) =
+    let triples = ref [] in
+    Array.iteri
+      (fun off res ->
+        Array.fill row 0 words 0;
+        Bitset.iter
+          (fun r ->
+            let w = r / Sys.int_size in
+            row.(w) <- row.(w) lor (1 lsl (r mod Sys.int_size)))
+          res;
+        Array.iteri
+          (fun w m -> if m <> 0 then triples := m :: w :: off :: !triples)
+          row)
+      rvec;
+    Array.of_list (List.rev !triples)
+  in
+  let instrs = model.Model.instrs in
+  {
+    span =
+      Array.fold_left
+        (fun acc (i : Model.instr) -> max acc (Array.length i.Model.i_rvec))
+        1 instrs;
+    words;
+    rvecs =
+      Array.map (fun (i : Model.instr) -> pack_rvec i.Model.i_rvec) instrs;
+  }
+
+let packed_for = Model.memo pack
+
+(* The ring has a power-of-two number of slots, at least [span], so a
+   cycle's row starts at [(c land mask) * words]. Only cycles
+   [base .. base+span-1] can hold reservations: a reservation is made at
+   the base and lasts at most [span] cycles. *)
 type t = {
-  ring : Bitset.t array;
-  size : int;  (** window length: the model's longest resource vector *)
-  mutable base : int;  (** cycles [base .. base+size-1] are live *)
+  ring : int array;
+  mask : int;
+  p : packed;
+  mutable base : int;
   stats : stats option;
 }
 
-(* the window only ever needs one slot per cycle an instruction can still
-   occupy resources after issue, i.e. the longest %instr resource vector *)
-let span (model : Model.t) =
-  Array.fold_left
-    (fun acc (i : Model.instr) -> max acc (Array.length i.Model.i_rvec))
-    1 model.Model.instrs
-
 let create ?stats (model : Model.t) =
-  let nres = Array.length model.Model.resources in
-  let size = span model in
-  { ring = Array.init size (fun _ -> Bitset.create nres); size; base = 0; stats }
+  let p = packed_for model in
+  let slots = ref 1 in
+  while !slots < p.span do
+    slots := 2 * !slots
+  done;
+  {
+    ring = Array.make (!slots * p.words) 0;
+    mask = !slots - 1;
+    p;
+    base = 0;
+    stats;
+  }
 
-let window t = t.size
+let window t = t.p.span
+
+let clear t = Array.fill t.ring 0 (Array.length t.ring) 0
 
 let reset t =
-  Array.iter Bitset.clear t.ring;
+  clear t;
   t.base <- 0
 
-let slot t c = t.ring.(c mod t.size)
-
 (* Every consumer probes at monotonically non-decreasing cycles (the list
-   scheduler's and simulator's clocks only advance; the hazard replay
-   places instructions at strictly increasing cycles), so moving the
-   window forward may recycle every slot that fell behind it. *)
+   scheduler's and simulator's clocks only advance), so moving the window
+   forward may recycle every row that fell behind it. *)
 let advance t cycle =
   if cycle < t.base then
     invalid_arg "Scoreboard: probe behind the window base";
   if cycle > t.base then begin
-    if cycle - t.base >= t.size then Array.iter Bitset.clear t.ring
+    let words = t.p.words in
+    if cycle - t.base >= t.p.span then clear t
     else
       for c = t.base to cycle - 1 do
-        Bitset.clear (slot t c)
+        Array.fill t.ring ((c land t.mask) * words) words 0
       done;
     t.base <- cycle
   end
 
-(* probe loops walk the ring with an incrementally wrapped index — one
-   division per call, not per slot — and conflict exits on first hit *)
-
-let conflict t ~cycle (rvec : Bitset.t array) =
-  advance t cycle;
-  let n = Array.length rvec in
-  let hit = ref false in
-  let i = ref (cycle mod t.size) in
-  let c = ref 0 in
-  while (not !hit) && !c < n do
-    if not (Bitset.inter_empty t.ring.(!i) rvec.(!c)) then hit := true;
-    incr c;
-    incr i;
-    if !i = t.size then i := 0
+(* whether [rvec] collides when issued on [cycle >= base]; rows from
+   [base + span] on hold nothing *)
+let collides t cycle (rvec : int array) =
+  let limit = t.base + t.p.span and words = t.p.words in
+  let hit = ref false and k = ref 0 in
+  while (not !hit) && !k < Array.length rvec do
+    let c = cycle + rvec.(!k) in
+    if c < limit then begin
+      let row = (c land t.mask) * words in
+      if t.ring.(row + rvec.(!k + 1)) land rvec.(!k + 2) <> 0 then hit := true
+    end;
+    k := !k + 3
   done;
+  !hit
+
+let conflict t ~cycle (i : Model.instr) =
+  advance t cycle;
+  let hit = collides t cycle t.p.rvecs.(i.Model.i_id) in
   (match t.stats with
   | Some s ->
       s.probes <- s.probes + 1;
-      if !hit then s.conflicts <- s.conflicts + 1
+      if hit then s.conflicts <- s.conflicts + 1
   | None -> ());
-  !hit
+  hit
 
-let reserve t ~cycle (rvec : Bitset.t array) =
+let reserve t ~cycle (i : Model.instr) =
   advance t cycle;
-  let i = ref (cycle mod t.size) in
-  for c = 0 to Array.length rvec - 1 do
-    Bitset.union_into ~dst:t.ring.(!i) rvec.(c);
-    incr i;
-    if !i = t.size then i := 0
+  let rvec = t.p.rvecs.(i.Model.i_id) and words = t.p.words in
+  let k = ref 0 in
+  while !k < Array.length rvec do
+    let at = (((cycle + rvec.(!k)) land t.mask) * words) + rvec.(!k + 1) in
+    t.ring.(at) <- t.ring.(at) lor rvec.(!k + 2);
+    k := !k + 3
   done;
   match t.stats with Some s -> s.reserves <- s.reserves + 1 | None -> ()
+
+(* terminates by [base + span], where every row is free *)
+let first_free t ~cycle (i : Model.instr) =
+  if cycle < t.base then
+    invalid_arg "Scoreboard: probe behind the window base";
+  let rvec = t.p.rvecs.(i.Model.i_id) in
+  let c = ref cycle in
+  while collides t !c rvec do
+    incr c
+  done;
+  !c

@@ -4,14 +4,17 @@
     window. The window length is the model's longest resource vector — an
     instruction issued on cycle [c] can occupy resources no later than
     [c + span - 1], so once every consumer probes at monotonically
-    non-decreasing cycles (the scheduler clock, the simulator clock, the
-    hazard replay's strictly increasing placements), [span] slots suffice
-    and memory stays bounded for arbitrarily long runs.
+    non-decreasing cycles (the scheduler clock and the simulator clock),
+    [span] slots suffice and memory stays bounded for arbitrarily long
+    runs.
 
-    This replaces three prior copies of the busy-table logic: the list
-    scheduler's grow-by-doubling array, the simulator's per-cycle
-    hashtable (which leaked future-cycle entries), and Mircheck's replay
-    composite. *)
+    Occupancy is packed into machine words: each cycle is a row of
+    [⌈resources / Sys.int_size⌉] ints, and each instruction's resource
+    vector is packed once per model (memoized by physical identity) into
+    (cycle offset, word, mask) triples, so a probe tests one ring word
+    per non-empty word of the vector.
+
+    One scoreboard serves the list scheduler and the simulator. *)
 
 type stats = {
   mutable probes : int;  (** [conflict] queries *)
@@ -25,20 +28,26 @@ type t
 
 val create : ?stats:stats -> Model.t -> t
 (** An empty scoreboard over the model's resources; when [stats] is given,
-    every probe and reservation is counted into it. *)
+    every {!conflict} and {!reserve} is counted into it. *)
 
 val window : t -> int
-(** The ring size: the model's maximum resource-vector span (at least 1). *)
+(** The window length: the model's maximum resource-vector span (at
+    least 1). *)
 
 val reset : t -> unit
 (** Clear all occupancy and rewind the window base to cycle 0. *)
 
-val conflict : t -> cycle:int -> Bitset.t array -> bool
-(** [conflict t ~cycle rvec]: would issuing an instruction with resource
-    vector [rvec] on [cycle] collide with a prior reservation? Advances
-    the window to [cycle]. Raises [Invalid_argument] if [cycle] is behind
-    the window base — probes must be monotone. *)
+val conflict : t -> cycle:int -> Model.instr -> bool
+(** [conflict t ~cycle i]: would issuing [i] (an instruction of the
+    scoreboard's model) on [cycle] collide with a prior reservation?
+    Advances the window to [cycle]. Raises [Invalid_argument] if [cycle]
+    is behind the window base — probes must be monotone. *)
 
-val reserve : t -> cycle:int -> Bitset.t array -> unit
-(** Occupy [rvec]'s resources starting at [cycle]. Advances the window;
+val reserve : t -> cycle:int -> Model.instr -> unit
+(** Occupy [i]'s resource vector starting at [cycle]. Advances the window;
     the same monotonicity contract as {!conflict} applies. *)
+
+val first_free : t -> cycle:int -> Model.instr -> int
+(** The earliest cycle [>= cycle] at which [i] would not {!conflict}.
+    Does not move the window and is not counted in [stats]; [cycle]
+    must not be behind the window base. *)

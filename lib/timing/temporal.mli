@@ -5,8 +5,8 @@
     While a window on clock [k] is open, Rule 1 forbids any other
     instruction affecting [k] from issuing. One tracker serves both
     enforcement sites: the scheduler's legality check ({!rule1_ok}, over
-    the DAG's pending temporal edges) and Mircheck's replay of a block in
-    issue order ({!launch}/{!catch}/{!blocking}).
+    the DAG's pending temporal edges) and Mircheck's M043/M044 walk over
+    a block in issue order ({!launch}/{!catch}/{!blocking}).
 
     The simulator needs no tracker of its own: it realizes the same
     discipline operationally through per-byte latch ready-times (a catch

@@ -113,71 +113,113 @@ let instr_exn model name =
   | Some i -> i
   | None -> Alcotest.failf "%s: no %%instr %s" model.Model.name name
 
+(* No built-in target has more resources than fit one word, so this
+   description spreads its resource vectors over two words per cycle. *)
+let wide_model =
+  lazy
+    (Builder.load ~name:"wide" ~file:"<wide>"
+       (Printf.sprintf
+          {|declare { %%reg r[0:3] (int); %%resource %s; }
+cwvm { %%general (int) r; %%allocable r[1:2]; %%SP r[3]; %%fp r[2];
+       %%retaddr r[1]; %%hard r[0] 0; }
+instr {
+  %%instr add r, r, r (int) {$1 = $2 + $3;} [R0; R63; R69;] (1,1,0)
+  %%instr sub r, r, r (int) {$1 = $2 - $3;}
+         [R1,R64; R62,R63; R2,R68;] (1,1,0)
+  %%instr mul r, r, r (int) {$1 = $2 * $3;}
+         [R0; R64; R64; R64; R1,R69;] (1,3,0)
+  %%instr div r, r, r (int) {$1 = $2 / $3;}
+         [R65; R2; ; R66,R67; R69;] (1,4,0)
+  %%instr nop {nop;} [] (1,1,0)
+}|}
+          (String.concat "; " (List.init 70 (Printf.sprintf "R%d")))))
+
 let test_scoreboard_vs_reference () =
-  let model = Lazy.force (List.assoc "r2000" targets) in
-  let nres = Array.length model.Model.resources in
-  (* reference: one bitset per absolute cycle, never recycled *)
-  let ref_busy : (int, Bitset.t) Hashtbl.t = Hashtbl.create 64 in
-  let ref_at c =
-    match Hashtbl.find_opt ref_busy c with
-    | Some b -> b
-    | None ->
-        let b = Bitset.create nres in
-        Hashtbl.replace ref_busy c b;
-        b
+  let check_model (model : Model.t) =
+    let nres = Array.length model.Model.resources in
+    (* reference: one bitset per absolute cycle, never recycled *)
+    let ref_busy : (int, Bitset.t) Hashtbl.t = Hashtbl.create 64 in
+    let ref_at c =
+      match Hashtbl.find_opt ref_busy c with
+      | Some b -> b
+      | None ->
+          let b = Bitset.create nres in
+          Hashtbl.replace ref_busy c b;
+          b
+    in
+    let ref_conflict cycle (rvec : Bitset.t array) =
+      let hit = ref false in
+      Array.iteri
+        (fun c req ->
+          if (not !hit) && not (Bitset.inter_empty (ref_at (cycle + c)) req)
+          then hit := true)
+        rvec;
+      !hit
+    in
+    let ref_reserve cycle (rvec : Bitset.t array) =
+      Array.iteri
+        (fun c req -> Bitset.union_into ~dst:(ref_at (cycle + c)) req)
+        rvec
+    in
+    let rec ref_first_free cycle rvec =
+      if ref_conflict cycle rvec then ref_first_free (cycle + 1) rvec else cycle
+    in
+    let sb = Scoreboard.create model in
+    let rng = Random.State.make [| 0x5eed; 42 |] in
+    let ops = model.Model.instrs in
+    let cycle = ref 0 in
+    for _ = 1 to 20_000 do
+      (* monotone, sometimes jumping past the whole window *)
+      cycle := !cycle + Random.State.int rng 40;
+      let op = ops.(Random.State.int rng (Array.length ops)) in
+      let rvec = op.Model.i_rvec in
+      let tag what =
+        Printf.sprintf "%s: %s %s at %d" model.Model.name what op.Model.i_name
+          !cycle
+      in
+      (* before the probe, so the window may still lag [cycle] *)
+      check Alcotest.int (tag "first_free")
+        (ref_first_free !cycle rvec)
+        (Scoreboard.first_free sb ~cycle:!cycle op);
+      check Alcotest.bool (tag "conflict")
+        (ref_conflict !cycle rvec)
+        (Scoreboard.conflict sb ~cycle:!cycle op);
+      check Alcotest.int (tag "first_free after the probe")
+        (ref_first_free (!cycle + 1) rvec)
+        (Scoreboard.first_free sb ~cycle:(!cycle + 1) op);
+      if Random.State.bool rng then begin
+        ref_reserve !cycle rvec;
+        Scoreboard.reserve sb ~cycle:!cycle op
+      end
+    done;
+    (* probing behind the window base is a contract violation, not a
+       silent wrong answer *)
+    check Alcotest.bool "backward probe raises" true
+      (match Scoreboard.conflict sb ~cycle:0 ops.(0) with
+      | (_ : bool) -> false
+      | exception Invalid_argument _ -> true);
+    check Alcotest.bool "backward first_free raises" true
+      (match Scoreboard.first_free sb ~cycle:0 ops.(0) with
+      | (_ : int) -> false
+      | exception Invalid_argument _ -> true)
   in
-  let ref_conflict cycle (rvec : Bitset.t array) =
-    let hit = ref false in
-    Array.iteri
-      (fun c req ->
-        if (not !hit) && not (Bitset.inter_empty (ref_at (cycle + c)) req)
-        then hit := true)
-      rvec;
-    !hit
-  in
-  let ref_reserve cycle (rvec : Bitset.t array) =
-    Array.iteri
-      (fun c req -> Bitset.union_into ~dst:(ref_at (cycle + c)) req)
-      rvec
-  in
-  let sb = Scoreboard.create model in
-  let rng = Random.State.make [| 0x5eed; 42 |] in
-  let ops =
-    Array.map (instr_exn model)
-      [| "addu"; "mult"; "div"; "lw"; "add.d"; "jr"; "nop" |]
-  in
-  let cycle = ref 0 in
-  for _ = 1 to 20_000 do
-    (* monotone, sometimes jumping past the whole window *)
-    cycle := !cycle + Random.State.int rng 40;
-    let rvec = ops.(Random.State.int rng (Array.length ops)).Model.i_rvec in
-    check Alcotest.bool
-      (Printf.sprintf "conflict at %d" !cycle)
-      (ref_conflict !cycle rvec)
-      (Scoreboard.conflict sb ~cycle:!cycle rvec);
-    if Random.State.bool rng then begin
-      ref_reserve !cycle rvec;
-      Scoreboard.reserve sb ~cycle:!cycle rvec
-    end
-  done;
-  (* probing behind the window base is a contract violation, not a
-     silent wrong answer *)
-  check Alcotest.bool "backward probe raises" true
-    (match Scoreboard.conflict sb ~cycle:0 ops.(0).Model.i_rvec with
-    | (_ : bool) -> false
-    | exception Invalid_argument _ -> true)
+  let wide = Lazy.force wide_model in
+  check Alcotest.bool "wide model spans two words" true
+    (Array.length wide.Model.resources > Sys.int_size);
+  List.iter (fun (_, m) -> check_model (Lazy.force m)) targets;
+  check_model wide
 
 let test_scoreboard_bounded () =
   let model = Lazy.force (List.assoc "r2000" targets) in
   let sb = Scoreboard.create model in
   check Alcotest.bool "window is the max resource-vector span" true
     (Scoreboard.window sb <= 40);
-  let rvec = (instr_exn model "addu").Model.i_rvec in
+  let addu = instr_exn model "addu" in
   Gc.full_major ();
   let live0 = (Gc.stat ()).Gc.live_words in
   for c = 0 to 2_000_000 do
-    ignore (Scoreboard.conflict sb ~cycle:c rvec : bool);
-    Scoreboard.reserve sb ~cycle:c rvec
+    ignore (Scoreboard.conflict sb ~cycle:c addu : bool);
+    Scoreboard.reserve sb ~cycle:c addu
   done;
   Gc.full_major ();
   let live1 = (Gc.stat ()).Gc.live_words in
@@ -193,8 +235,8 @@ let test_scoreboard_bounded () =
 let test_scoreboard_no_alloc () =
   let model = Lazy.force (List.assoc "r2000" targets) in
   let sb = Scoreboard.create model in
-  let rvec = (instr_exn model "mult").Model.i_rvec in
-  let a = rvec.(0) in
+  let mult = instr_exn model "mult" in
+  let a = mult.Model.i_rvec.(0) in
   let b = Bitset.create (Bitset.capacity a) in
   let words name f =
     let w0 = Gc.minor_words () in
@@ -206,9 +248,11 @@ let test_scoreboard_no_alloc () =
   in
   words "Bitset.inter_empty" (fun _ -> ignore (Bitset.inter_empty a b : bool));
   words "Scoreboard.conflict" (fun c ->
-      ignore (Scoreboard.conflict sb ~cycle:c rvec : bool));
+      ignore (Scoreboard.conflict sb ~cycle:c mult : bool));
   words "Scoreboard.reserve" (fun c ->
-      Scoreboard.reserve sb ~cycle:(c + 10_000) rvec)
+      Scoreboard.reserve sb ~cycle:(c + 10_000) mult);
+  words "Scoreboard.first_free" (fun c ->
+      ignore (Scoreboard.first_free sb ~cycle:(c + 20_000) mult : int))
 
 (* the end-to-end shape of the same regression: a long Livermore run
    (hundreds of thousands of simulated cycles) completes with resource
