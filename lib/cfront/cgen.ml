@@ -142,7 +142,7 @@ let node fx key ty kind =
   | Some e -> e
   | None ->
       let e = I.mk ty kind in
-      Hashtbl.replace fx.cse key e;
+      Hashtbl.add fx.cse key e;
       e
 
 let n_const fx ty v = node fx (Kconst (ty, v)) ty (I.Const v)
@@ -938,11 +938,6 @@ let rec gen_stmt fx (s : stmt) =
 (* DAG pass: force multi-parent nodes into temps                       *)
 (* ------------------------------------------------------------------ *)
 
-let is_leaf (e : I.expr) =
-  match e.I.e_kind with
-  | I.Const _ | I.Sym _ | I.Slotaddr _ | I.Temp _ -> true
-  | I.Unop _ | I.Binop _ | I.Rel _ | I.Load _ | I.Cvt _ -> false
-
 let stmt_children (s : I.stmt) =
   match s with
   | I.Assign (_, e) -> [ e ]
@@ -952,40 +947,47 @@ let stmt_children (s : I.stmt) =
   | I.Jump _ | I.Ret None -> []
   | I.Ret (Some e) -> [ e ]
 
-let expr_children (e : I.expr) =
-  match e.I.e_kind with
-  | I.Const _ | I.Sym _ | I.Slotaddr _ | I.Temp _ -> []
-  | I.Unop (_, a) | I.Load a | I.Cvt (_, a) -> [ a ]
-  | I.Binop (_, a, b) | I.Rel (_, a, b) -> [ a; b ]
+(* A node of one block's DAG: its parent edges, the statement that first
+   reaches it, and the temp it is forced into, if any. *)
+type use =
+  { node : I.expr; first : int; mutable parents : int;
+    mutable temp : I.expr option }
 
 let force_dags fn (b : I.block) =
-  let count : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let first : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let node_of : (int, I.expr) Hashtbl.t = Hashtbl.create 32 in
-  let seen : (int, unit) Hashtbl.t = Hashtbl.create 32 in
+  let uses : (int, use) Hashtbl.t = Hashtbl.create 32 in
   (* count parent edges; each shared node's subtree is traversed once *)
   let rec count_edges sidx (e : I.expr) =
-    Hashtbl.replace count e.I.e_id
-      (1 + Option.value ~default:0 (Hashtbl.find_opt count e.I.e_id));
-    if not (Hashtbl.mem first e.I.e_id) then Hashtbl.replace first e.I.e_id sidx;
-    if not (Hashtbl.mem seen e.I.e_id) then begin
-      Hashtbl.replace seen e.I.e_id ();
-      Hashtbl.replace node_of e.I.e_id e;
-      List.iter (count_edges sidx) (expr_children e)
-    end
+    match Hashtbl.find uses e.I.e_id with
+    | u -> u.parents <- u.parents + 1
+    | exception Not_found -> (
+        Hashtbl.add uses e.I.e_id
+          { node = e; first = sidx; parents = 1; temp = None };
+        match e.I.e_kind with
+        | I.Const _ | I.Sym _ | I.Slotaddr _ | I.Temp _ -> ()
+        | I.Unop (_, a) | I.Load a | I.Cvt (_, a) -> count_edges sidx a
+        | I.Binop (_, a, b) | I.Rel (_, a, b) ->
+            count_edges sidx a;
+            count_edges sidx b)
   in
   List.iteri
     (fun sidx s -> List.iter (count_edges sidx) (stmt_children s))
     b.I.b_stmts;
+  (* every shared non-leaf, in creation (bottom-up) order, so nested
+     shared nodes substitute *)
   let forced =
-    Hashtbl.fold (fun id n acc -> if n >= 2 then id :: acc else acc) count []
-    |> List.sort compare
-    |> List.filter (fun id -> not (is_leaf (Hashtbl.find node_of id)))
+    Hashtbl.fold
+      (fun id u acc ->
+        match u.node.I.e_kind with
+        | I.Unop _ | I.Binop _ | I.Rel _ | I.Load _ | I.Cvt _
+          when u.parents >= 2 ->
+            (id, u) :: acc
+        | _ -> acc)
+      uses []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   if forced <> [] then begin
-    let subst : (int, I.expr) Hashtbl.t = Hashtbl.create 8 in
     let rec rewrite (e : I.expr) : I.expr =
-      match Hashtbl.find_opt subst e.I.e_id with
+      match (Hashtbl.find uses e.I.e_id).temp with
       | Some r -> r
       | None -> (
           match e.I.e_kind with
@@ -1008,39 +1010,33 @@ let force_dags fn (b : I.block) =
               if a' == a && b' == b then e
               else I.mk e.I.e_ty (I.Rel (op, a', b')))
     in
-    (* in creation (bottom-up) order, so nested shared nodes substitute *)
-    let inserts : (int, I.stmt list) Hashtbl.t = Hashtbl.create 8 in
+    (* each statement's temp definitions, newest first *)
+    let inserts = Array.make (List.length b.I.b_stmts) [] in
     List.iter
-      (fun id ->
-        let e = Hashtbl.find node_of id in
+      (fun (_, u) ->
+        let e = u.node in
         let def = rewrite e in
         let t = I.new_temp fn e.I.e_ty in
-        let sidx = Hashtbl.find first id in
-        Hashtbl.replace subst id (I.mk e.I.e_ty (I.Temp t));
-        Hashtbl.replace inserts sidx
-          (Option.value ~default:[] (Hashtbl.find_opt inserts sidx)
-          @ [ I.Assign (t, def) ]))
+        u.temp <- Some (I.mk e.I.e_ty (I.Temp t));
+        inserts.(u.first) <- I.Assign (t, def) :: inserts.(u.first))
       forced;
+    let sidx = ref (-1) in
     b.I.b_stmts <-
-      List.concat
-        (List.mapi
-           (fun sidx (s : I.stmt) ->
-             let pre =
-               Option.value ~default:[] (Hashtbl.find_opt inserts sidx)
-             in
-             let s' =
-               match s with
-               | I.Assign (t, e) -> I.Assign (t, rewrite e)
-               | I.Store (ty, a, v) -> I.Store (ty, rewrite a, rewrite v)
-               | I.Cjump (op, a, b, l) ->
-                   I.Cjump (op, rewrite a, rewrite b, l)
-               | I.Call { dst; fn = f; args } ->
-                   I.Call { dst; fn = f; args = List.map rewrite args }
-               | I.Jump _ | I.Ret None -> s
-               | I.Ret (Some e) -> I.Ret (Some (rewrite e))
-             in
-             pre @ [ s' ])
-           b.I.b_stmts)
+      List.concat_map
+        (fun (s : I.stmt) ->
+          incr sidx;
+          let s' =
+            match s with
+            | I.Assign (t, e) -> I.Assign (t, rewrite e)
+            | I.Store (ty, a, v) -> I.Store (ty, rewrite a, rewrite v)
+            | I.Cjump (op, a, b, l) -> I.Cjump (op, rewrite a, rewrite b, l)
+            | I.Call { dst; fn = f; args } ->
+                I.Call { dst; fn = f; args = List.map rewrite args }
+            | I.Jump _ | I.Ret None -> s
+            | I.Ret (Some e) -> I.Ret (Some (rewrite e))
+          in
+          List.rev_append inserts.(!sidx) [ s' ])
+        b.I.b_stmts
   end
 
 (* ------------------------------------------------------------------ *)

@@ -45,14 +45,16 @@ let expect_id st =
 
 (* ---------------- types ---------------- *)
 
-let type_kw = [ "void"; "char"; "short"; "int"; "long"; "float"; "double" ]
-
-let starts_type st =
-  match kind st with
-  | Clex.KW w ->
-      List.mem w type_kw
-      || List.mem w [ "static"; "unsigned"; "signed"; "register"; "const" ]
+(* a declaration may open with a storage class; a cast may not *)
+let type_word ~decl = function
+  | Clex.KW
+      ( "void" | "char" | "short" | "int" | "long" | "float" | "double"
+      | "unsigned" | "signed" | "const" ) ->
+      true
+  | Clex.KW ("static" | "register") -> decl
   | _ -> false
+
+let starts_type st = type_word ~decl:true (kind st)
 
 (* Base type: qualifiers are accepted and ignored; 'unsigned' is accepted
    and treated as its signed counterpart (Maril models the signed C native
@@ -117,6 +119,28 @@ let parse_declarator st base =
 
 (* ---------------- expressions ---------------- *)
 
+(* binary operators by binding strength, loosest first *)
+let binop = function
+  | "||" -> Some (1, Blor)
+  | "&&" -> Some (2, Bland)
+  | "|" -> Some (3, Bor)
+  | "^" -> Some (4, Bxor)
+  | "&" -> Some (5, Band)
+  | "==" -> Some (6, Beq)
+  | "!=" -> Some (6, Bne)
+  | "<" -> Some (7, Blt)
+  | "<=" -> Some (7, Ble)
+  | ">" -> Some (7, Bgt)
+  | ">=" -> Some (7, Bge)
+  | "<<" -> Some (8, Bshl)
+  | ">>" -> Some (8, Bshr)
+  | "+" -> Some (9, Badd)
+  | "-" -> Some (9, Bsub)
+  | "*" -> Some (10, Bmul)
+  | "/" -> Some (10, Bdiv)
+  | "%" -> Some (10, Brem)
+  | _ -> None
+
 let rec parse_expr st = parse_assign st
 
 and parse_assign st =
@@ -143,7 +167,7 @@ and parse_assign st =
 
 and parse_cond st =
   let l = loc st in
-  let c = parse_lor st in
+  let c = parse_binary st 1 in
   if is_punct st "?" then begin
     advance st;
     let t = parse_expr st in
@@ -153,42 +177,21 @@ and parse_cond st =
   end
   else c
 
-and parse_binlevel st ops next =
+(* precedence climbing over the left-associative binary levels *)
+and parse_binary st min =
   let l = loc st in
   let rec go lhs =
     match kind st with
-    | Clex.PUNCT p when List.mem_assoc p ops ->
-        advance st;
-        let rhs = next st in
-        go { ek = Ebin (List.assoc p ops, lhs, rhs); eloc = l }
+    | Clex.PUNCT p -> (
+        match binop p with
+        | Some (prec, op) when prec >= min ->
+            advance st;
+            let rhs = parse_binary st (prec + 1) in
+            go { ek = Ebin (op, lhs, rhs); eloc = l }
+        | _ -> lhs)
     | _ -> lhs
   in
-  go (next st)
-
-and parse_lor st = parse_binlevel st [ ("||", Blor) ] parse_land
-
-and parse_land st = parse_binlevel st [ ("&&", Bland) ] parse_bitor
-
-and parse_bitor st = parse_binlevel st [ ("|", Bor) ] parse_bitxor
-
-and parse_bitxor st = parse_binlevel st [ ("^", Bxor) ] parse_bitand
-
-and parse_bitand st = parse_binlevel st [ ("&", Band) ] parse_equality
-
-and parse_equality st =
-  parse_binlevel st [ ("==", Beq); ("!=", Bne) ] parse_relational
-
-and parse_relational st =
-  parse_binlevel st
-    [ ("<", Blt); ("<=", Ble); (">", Bgt); (">=", Bge) ]
-    parse_shift
-
-and parse_shift st = parse_binlevel st [ ("<<", Bshl); (">>", Bshr) ] parse_additive
-
-and parse_additive st = parse_binlevel st [ ("+", Badd); ("-", Bsub) ] parse_mul
-
-and parse_mul st =
-  parse_binlevel st [ ("*", Bmul); ("/", Bdiv); ("%", Brem) ] parse_unary
+  go (parse_unary st)
 
 and parse_unary st =
   let l = loc st in
@@ -230,9 +233,7 @@ and parse_unary st =
   | _ -> parse_postfix st
 
 and starts_type_at st off =
-  match st.toks.(st.pos + off).Clex.kind with
-  | Clex.KW w -> List.mem w type_kw || List.mem w [ "unsigned"; "signed"; "const" ]
-  | _ -> false
+  type_word ~decl:false st.toks.(st.pos + off).Clex.kind
 
 and parse_postfix st =
   let l = loc st in

@@ -10,7 +10,7 @@ let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
 let lex_number r loc =
   match (Reader.peek r, Reader.peek2 r) with
-  | Some '0', Some ('x' | 'X') ->
+  | '0', ('x' | 'X') ->
       Reader.advance r;
       Reader.advance r;
       let digits = Reader.take_while r is_hex in
@@ -18,10 +18,7 @@ let lex_number r loc =
       Token.INT (int_of_string ("0x" ^ digits))
   | _ ->
       let digits = Reader.take_while r is_digit in
-      if
-        Reader.peek r = Some '.'
-        && (match Reader.peek2 r with Some c -> is_digit c | None -> false)
-      then begin
+      if Reader.peek r = '.' && is_digit (Reader.peek2 r) then begin
         Reader.advance r;
         let frac = Reader.take_while r is_digit in
         Token.FLOAT (float_of_string (digits ^ "." ^ frac))
@@ -31,117 +28,102 @@ let lex_number r loc =
 let rec skip_ws_and_comments r =
   Reader.skip_while r (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r');
   match (Reader.peek r, Reader.peek2 r) with
-  | Some '/', Some '*' ->
+  | '/', '*' ->
       let loc = Reader.loc r in
       Reader.advance r;
       Reader.advance r;
       let rec close () =
-        match Reader.next r with
-        | None -> Loc.fail loc "unterminated comment"
-        | Some '*' when Reader.peek r = Some '/' -> Reader.advance r
-        | Some _ -> close ()
+        Reader.skip_while r (fun c -> c <> '*');
+        if Reader.eof r then Loc.fail loc "unterminated comment";
+        Reader.advance r;
+        if Reader.peek r = '/' then Reader.advance r else close ()
       in
       close ();
       skip_ws_and_comments r
-  | Some '/', Some '/' ->
+  | '/', '/' ->
       Reader.skip_while r (fun c -> c <> '\n');
       skip_ws_and_comments r
-  | (Some _ | None), _ -> ()
+  | _ -> ()
 
 let token r : Token.kind option =
   skip_ws_and_comments r;
   let loc = Reader.loc r in
-  match Reader.peek r with
-  | None -> None
-  | Some c ->
-      let adv k =
-        Reader.advance r;
-        Some k
-      in
-      let adv2 k =
-        Reader.advance r;
-        Reader.advance r;
-        Some k
-      in
-      Some
-        (match c with
-        | '0' .. '9' -> (
-            match lex_number r loc with k -> k)
-        | c when is_ident_start c ->
-            Token.IDENT (Reader.take_while r is_ident_char)
-        | '%' -> (
-            Reader.advance r;
-            match Reader.peek r with
-            | Some c when is_ident_start c ->
-                Token.DIRECTIVE (Reader.take_while r is_ident_char)
-            | Some _ | None -> Token.PERCENT)
-        | '$' ->
-            Reader.advance r;
-            let digits = Reader.take_while r is_digit in
-            if digits = "" then Loc.fail loc "expected digits after '$'";
-            Token.DOLLAR (int_of_string digits)
-        | '+' -> (
-            Reader.advance r;
-            match Reader.peek r with
-            | Some c when is_ident_start c ->
-                Token.PLUSFLAG (Reader.take_while r is_ident_char)
-            | Some _ | None -> Token.PLUS)
-        | '{' -> Option.get (adv Token.LBRACE)
-        | '}' -> Option.get (adv Token.RBRACE)
-        | '[' -> Option.get (adv Token.LBRACK)
-        | ']' -> Option.get (adv Token.RBRACK)
-        | '(' -> Option.get (adv Token.LPAREN)
-        | ')' -> Option.get (adv Token.RPAREN)
-        | ';' -> Option.get (adv Token.SEMI)
-        | ',' -> Option.get (adv Token.COMMA)
-        | '.' -> Option.get (adv Token.DOT)
-        | '#' -> Option.get (adv Token.HASH)
-        | '*' -> Option.get (adv Token.STAR)
-        | '-' -> Option.get (adv Token.MINUS)
-        | '/' -> Option.get (adv Token.SLASH)
-        | '&' -> Option.get (adv Token.AMP)
-        | '|' -> Option.get (adv Token.BAR)
-        | '^' -> Option.get (adv Token.CARET)
-        | '~' -> Option.get (adv Token.TILDE)
-        | ':' ->
-            if Reader.peek2 r = Some ':' then Option.get (adv2 Token.COLONCOLON)
-            else Option.get (adv Token.COLON)
-        | '=' -> (
-            Reader.advance r;
-            match Reader.peek r with
-            | Some '=' -> (
-                Reader.advance r;
-                match Reader.peek r with
-                | Some '>' ->
-                    Reader.advance r;
-                    Token.ARROW
-                | Some '=' ->
-                    (* the paper prints '===' for '=='; accept it *)
-                    Reader.advance r;
-                    Token.EQEQ
-                | Some _ | None -> Token.EQEQ)
-            | Some _ | None -> Token.ASSIGN)
-        | '!' ->
-            if Reader.peek2 r = Some '=' then Option.get (adv2 Token.NE)
-            else Option.get (adv Token.BANG)
-        | '<' -> (
-            match Reader.peek2 r with
-            | Some '=' -> Option.get (adv2 Token.LE)
-            | Some '<' -> Option.get (adv2 Token.SHL)
-            | Some _ | None -> Option.get (adv Token.LT))
-        | '>' -> (
-            match Reader.peek2 r with
-            | Some '=' -> Option.get (adv2 Token.GE)
-            | Some '>' ->
-                Reader.advance r;
-                Reader.advance r;
-                if Reader.peek r = Some '>' then begin
-                  Reader.advance r;
-                  Token.SHRU
-                end
-                else Token.SHR
-            | Some _ | None -> Option.get (adv Token.GT))
-        | c -> Loc.fail loc "unexpected character %C" c)
+  if Reader.eof r then None
+  else
+    let adv n k =
+      for _ = 1 to n do
+        Reader.advance r
+      done;
+      k
+    in
+    Some
+      (match Reader.peek r with
+      | '0' .. '9' -> lex_number r loc
+      | c when is_ident_start c ->
+          Token.IDENT (Reader.take_while r is_ident_char)
+      | '%' ->
+          Reader.advance r;
+          if is_ident_start (Reader.peek r) then
+            Token.DIRECTIVE (Reader.take_while r is_ident_char)
+          else Token.PERCENT
+      | '$' ->
+          Reader.advance r;
+          let digits = Reader.take_while r is_digit in
+          if digits = "" then Loc.fail loc "expected digits after '$'";
+          Token.DOLLAR (int_of_string digits)
+      | '+' ->
+          Reader.advance r;
+          if is_ident_start (Reader.peek r) then
+            Token.PLUSFLAG (Reader.take_while r is_ident_char)
+          else Token.PLUS
+      | '{' -> adv 1 Token.LBRACE
+      | '}' -> adv 1 Token.RBRACE
+      | '[' -> adv 1 Token.LBRACK
+      | ']' -> adv 1 Token.RBRACK
+      | '(' -> adv 1 Token.LPAREN
+      | ')' -> adv 1 Token.RPAREN
+      | ';' -> adv 1 Token.SEMI
+      | ',' -> adv 1 Token.COMMA
+      | '.' -> adv 1 Token.DOT
+      | '#' -> adv 1 Token.HASH
+      | '*' -> adv 1 Token.STAR
+      | '-' -> adv 1 Token.MINUS
+      | '/' -> adv 1 Token.SLASH
+      | '&' -> adv 1 Token.AMP
+      | '|' -> adv 1 Token.BAR
+      | '^' -> adv 1 Token.CARET
+      | '~' -> adv 1 Token.TILDE
+      | ':' ->
+          if Reader.peek2 r = ':' then adv 2 Token.COLONCOLON
+          else adv 1 Token.COLON
+      | '=' -> (
+          match Reader.peek2 r with
+          | '=' -> (
+              Reader.advance r;
+              Reader.advance r;
+              match Reader.peek r with
+              | '>' -> adv 1 Token.ARROW
+              | '=' ->
+                  (* the paper prints '===' for '=='; accept it *)
+                  adv 1 Token.EQEQ
+              | _ -> Token.EQEQ)
+          | _ -> adv 1 Token.ASSIGN)
+      | '!' ->
+          if Reader.peek2 r = '=' then adv 2 Token.NE else adv 1 Token.BANG
+      | '<' -> (
+          match Reader.peek2 r with
+          | '=' -> adv 2 Token.LE
+          | '<' -> adv 2 Token.SHL
+          | _ -> adv 1 Token.LT)
+      | '>' -> (
+          match Reader.peek2 r with
+          | '=' -> adv 2 Token.GE
+          | '>' ->
+              Reader.advance r;
+              Reader.advance r;
+              if Reader.peek r = '>' then adv 1 Token.SHRU else Token.SHR
+          | _ -> adv 1 Token.GT)
+      | c -> Loc.fail loc "unexpected character %C" c)
 
 let tokenize ~file src =
   let r = Reader.make ~file src in

@@ -3,51 +3,39 @@ type t = {
   src : string;
   mutable pos : int;
   mutable line : int;
-  mutable col : int;
+  mutable bol : int;  (* offset of the first character of [line] *)
 }
 
-let make ~file src = { file; src; pos = 0; line = 1; col = 1 }
+let make ~file src = { file; src; pos = 0; line = 1; bol = 0 }
 
-let loc t = Loc.make ~file:t.file ~line:t.line ~col:t.col
+let loc t = Loc.make ~file:t.file ~line:t.line ~col:(t.pos - t.bol + 1)
 
 let eof t = t.pos >= String.length t.src
 
-let peek t = if eof t then None else Some t.src.[t.pos]
+let char_at t i =
+  if i < String.length t.src then String.unsafe_get t.src i else '\000'
 
-let peek2 t =
-  if t.pos + 1 >= String.length t.src then None else Some t.src.[t.pos + 1]
+let peek t = char_at t t.pos
 
-let advance t =
-  if not (eof t) then begin
-    (if t.src.[t.pos] = '\n' then begin
-       t.line <- t.line + 1;
-       t.col <- 1
-     end
-     else t.col <- t.col + 1);
-    t.pos <- t.pos + 1
-  end
+let peek2 t = char_at t (t.pos + 1)
 
-let next t =
-  let c = peek t in
-  advance t;
-  c
+(* [t.pos] is in bounds *)
+let step t =
+  if String.unsafe_get t.src t.pos = '\n' then begin
+    t.line <- t.line + 1;
+    t.bol <- t.pos + 1
+  end;
+  t.pos <- t.pos + 1
+
+let advance t = if not (eof t) then step t
 
 let skip_while t p =
-  let continue = ref true in
-  while !continue do
-    match peek t with
-    | Some c when p c -> advance t
-    | Some _ | None -> continue := false
+  let n = String.length t.src in
+  while t.pos < n && p (String.unsafe_get t.src t.pos) do
+    step t
   done
 
 let take_while t p =
-  let buf = Buffer.create 16 in
-  let continue = ref true in
-  while !continue do
-    match peek t with
-    | Some c when p c ->
-        Buffer.add_char buf c;
-        advance t
-    | Some _ | None -> continue := false
-  done;
-  Buffer.contents buf
+  let start = t.pos in
+  skip_while t p;
+  String.sub t.src start (t.pos - start)

@@ -267,7 +267,245 @@ let test_parse_errors () =
   in
   expect_err "int main(void) { return 0 }";
   expect_err "int main(void { return 0; }";
-  expect_err "int 3x;"
+  expect_err "int 3x;";
+  (* literals past the 63-bit native int are located errors, not a bare
+     [Failure "int_of_string"] *)
+  List.iter
+    (fun (lit, col) ->
+      match
+        Cparse.parse ~file:"<t>"
+          ("int main(void){ return " ^ lit ^ "; }")
+      with
+      | _ -> Alcotest.failf "%s: expected a parse error" lit
+      | exception Loc.Error (loc, msg) ->
+          check Alcotest.string lit
+            (Printf.sprintf "<t>:1:%d: integer literal out of range" col)
+            (Loc.error_to_string loc msg))
+    [
+      ("99999999999999999999", 24);
+      ("0x1FFFFFFFFFFFFFFFF", 24);
+      ("4611686018427387904", 24);
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Front-end contracts: token streams and IL, pinned as digests       *)
+(* ------------------------------------------------------------------ *)
+
+(* every Livermore kernel, every suite program and the e2e edge cases *)
+let corpus =
+  Livermore.sources ()
+  @ List.map (fun (n, s) -> ("suite:" ^ n, s)) Suite.programs
+  @ List.map (fun (n, s) -> ("edge:" ^ n, s)) Test_e2e.edge_cases
+
+let show_token { Clex.kind; loc } =
+  let k =
+    match kind with
+    | Clex.ID s -> "ID " ^ s
+    | Clex.KW s -> "KW " ^ s
+    | Clex.INT n -> "INT " ^ string_of_int n
+    | Clex.FLOAT f -> Printf.sprintf "FLOAT %h" f
+    | Clex.CHAR c -> Printf.sprintf "CHAR %C" c
+    | Clex.STRING s -> Printf.sprintf "STRING %S" s
+    | Clex.PUNCT p -> "PUNCT " ^ p
+    | Clex.EOF -> "EOF"
+  in
+  Format.asprintf "%a %s" Loc.pp loc k
+
+(* the token stream, or the located error it stops at *)
+let lex ~file src =
+  match Clex.tokenize ~file src with
+  | toks -> String.concat "\n" (Array.to_list (Array.map show_token toks))
+  | exception Loc.Error (loc, msg) -> "error " ^ Loc.error_to_string loc msg
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* generated from the lexer before it dispatched on characters, one
+   [(file, md5 (lex ~file src))] per [corpus] entry; regenerate only for
+   an intended change to the tokens or their locations *)
+let token_goldens =
+  [
+    ("lfk1", "36c33a9c69748eca5567beb01dd04fcc");
+    ("lfk2", "04bf519f45ef6d935115f66f1927c73b");
+    ("lfk3", "ec9e3baa5a6381f8ef68f6566b57721b");
+    ("lfk4", "0aaba9f3875eb4ef27dc02d78bcb7d1d");
+    ("lfk5", "a4d7bf04e70be825f45394670e7310e0");
+    ("lfk6", "7ea4ad763e6b4bc83c012e01d9720529");
+    ("lfk7", "b48153b0a9c125b23cbfc8b55d615d29");
+    ("lfk8", "7951b857745e7d92a802e1a1049254c7");
+    ("lfk9", "086ab0f8e9cd8fedcfe4641ef483b1d1");
+    ("lfk10", "9f5255d8dba890f92b0d47c056fc4732");
+    ("lfk11", "4c3944e28d4f2ce04852d0b8cb99fe3a");
+    ("lfk12", "fe7aebb23d65c9f3ee4fe5f7fd58775b");
+    ("lfk13", "43c2ce7e254f6fd776fad803a140802a");
+    ("lfk14", "90e5a54b9e230d9d1f783b1f9fec9729");
+    ("suite:matmul", "dda276228ded1f42e21fca6716c44c3d");
+    ("suite:sieve", "f6e91cc2b8534ffd36b3728619bef8ac");
+    ("suite:sort", "29cc5b36da22121dc576b1fc4e910fe1");
+    ("suite:strings", "8c8816703ad9dc135f76520d67d43faf");
+    ("suite:recursion", "b488e0a64815a7f6bbd372039cb17d8d");
+    ("suite:poly", "d1c537bf5e7268a2252670d9b5ff0cf9");
+    ("suite:lfk1", "02e74cd8f8e4add3ddfdb44c5b41c4e5");
+    ("suite:lfk5", "c1816aa314ad4d29f190c922cbd5d7c7");
+    ("suite:lfk7", "1cec92f153715ed2f46af9bae71cef6d");
+    ("edge:empty-main", "f31db5bb7e557c12130e4740313a5ff0");
+    ("edge:negative-consts", "d267c67193aca19957da2c3199e9e91a");
+    ("edge:big-consts", "15ff03286bd41db107fdb414f41f7417");
+    ("edge:char-arith", "789d4fb59ffbf715dade8e637c5bd858");
+    ("edge:short-arith", "6d905bb13ceaf34a3a7360466e84a449");
+    ("edge:shift-edge", "dc04cd2bde5cf5f85c50a8d0138f6156");
+    ("edge:float-to-int", "0f50c91e1f52f2124a39a426d26680a9");
+    ("edge:mixed-types", "171afea51ae001ae7edb69eb30b902f2");
+    ("edge:global-init-chain", "5556016e109a8a9c3c86a39c36cea4e2");
+    ("edge:while-loops", "ea96e4f2f8848764cecb490dcb6cb7c9");
+    ("edge:pointer-walk", "7c756ab155143d5a54a46b2b27bb7c99");
+    ("edge:double-spill-pressure", "7a14bf539957ec54e7b0114f950dddd1");
+    ("edge:args-and-doubles", "f1840bc85a788c4a34bee3fd95abcc74");
+    ("edge:conditional-expressions", "8353bd367fed7459fc2425c955de4fb5");
+    ("edge:logical-ops", "8dc35809b74b84283e422e145239b071");
+  ]
+
+let test_lexer_contract () =
+  check
+    Alcotest.(list (pair string string))
+    "token-stream digests" token_goldens
+    (List.map (fun (file, src) -> (file, md5 (lex ~file src))) corpus);
+  List.iter
+    (fun (src, expected) ->
+      check Alcotest.string src expected (lex ~file:"<t>" src))
+    [
+      ("a;\n  @", "error <t>:2:3: unexpected character '@'");
+      ("x $y", "error <t>:1:3: unexpected character '$'");
+      ("c = '\\q';", "error <t>:1:5: unknown escape '\\q'");
+      ("s = \"abc", "error <t>:1:5: unterminated string literal");
+      ("c = 'a", "error <t>:1:5: unterminated character literal");
+      ("c = 'ab'", "error <t>:1:5: unterminated character literal");
+      ("c = '", "error <t>:1:5: unterminated character literal");
+      ("x /* abc\n *", "error <t>:1:3: unterminated comment");
+      ("n = 0x;", "error <t>:1:5: malformed hex literal");
+      ("d = 1e;", "error <t>:1:5: malformed exponent");
+      ("d = 1e+;", "error <t>:1:5: malformed exponent");
+      ( "a <<= b >>= c",
+        "<t>:1:1 ID a\n<t>:1:3 PUNCT <<=\n<t>:1:7 ID b\n<t>:1:9 PUNCT >>=\n\
+         <t>:1:13 ID c\n<t>:1:14 EOF" );
+      ( "p->q ... r..s",
+        "<t>:1:1 ID p\n<t>:1:2 PUNCT ->\n<t>:1:4 ID q\n<t>:1:6 PUNCT .\n\
+         <t>:1:7 PUNCT .\n<t>:1:8 PUNCT .\n<t>:1:10 ID r\n<t>:1:11 PUNCT .\n\
+         <t>:1:12 PUNCT .\n<t>:1:13 ID s\n<t>:1:14 EOF" );
+    ]
+
+(* generated from the front end before the lexer dispatched on characters:
+   (program, function, digest of Ir.pp_func, Ckey.of_ir_func). A mismatch
+   means the IL changed (say, renumbered temps or reordered forced CSE
+   temps), which also strands every cache entry the old front end
+   wrote. *)
+let il_goldens =
+  [
+    ( "lfk1", "main",
+      "6063bdb4781caef0071126e9be4dc76b", "e5e20c7bb55434602ca6e38b6ebe5502" );
+    ( "lfk2", "main",
+      "a3f7d783e7d326e5c8852a14a19031b2", "365ecd2c139988d6917d3c4bf3d33121" );
+    ( "lfk3", "main",
+      "ea23f0eecf39522d540925203f3bdd3f", "38b8b1ab32b1db9ae336e38a39cd707f" );
+    ( "lfk4", "main",
+      "7e145a18be1f8607cc3937072704216e", "86e3767594553beeff0ebd3f11717b3a" );
+    ( "lfk5", "main",
+      "2fcf4e82e002069923aa858de3008d15", "97cf6f15eae203b4ae04294cfb84e09b" );
+    ( "lfk6", "main",
+      "1b867042922fa794f1664e062892c296", "e446f148d225d9e1d758c2be701e441b" );
+    ( "lfk7", "main",
+      "4a2b447499982dabe14ff7a99b4f285f", "dfdd187e65375fba919ed01a36e3c77d" );
+    ( "lfk8", "main",
+      "8576e446aa1ee6d6d7fa97347978238d", "e4b733ef42eeb63cf7a59a0a758fc731" );
+    ( "lfk9", "main",
+      "1bcc5db4665c3f91317296f4f5a6ef89", "e809c061609f2b51a9bac83d6cfd1aa9" );
+    ( "lfk10", "main",
+      "486b454f672816906c2c14df7c5042b3", "cdd13a6801f32d7cc62b679e8069a1c0" );
+    ( "lfk11", "main",
+      "0a2e473caeec13cc101e79d7c355efa8", "e1ba759282801c0f6aa7b17b37ba7120" );
+    ( "lfk12", "main",
+      "606642b9cc1d645f06e1155dba6423d7", "b7a62f2a0d1e52b7a182708b4c6e28d8" );
+    ( "lfk13", "main",
+      "473f7f9751d604c59db9dcada7c8b921", "19d849d70d76246d06535b43e9ee4703" );
+    ( "lfk14", "main",
+      "01e6d866a49b829de53c997a238755f2", "850288dc70ab84d7ccf2271dcc1890c1" );
+    ( "suite:matmul", "main",
+      "a64381bb120c59ecf51dac56cac9b2c0", "1b1ab1fbeed66b7bb791f65fc6c917db" );
+    ( "suite:sieve", "main",
+      "710c50661108be59041a04143b086db6", "2100bfb4dcbf04d5d26d2933b0e1a273" );
+    ( "suite:sort", "main",
+      "3941644bdf712b5ec4b43ae5d84ba03a", "171e590907e84424946695c8916b970e" );
+    ( "suite:strings", "main",
+      "1cf43d7eb085b58b2e92a7603ec583da", "5e0bad7cb9a3ff1bb4199da42031a03c" );
+    ( "suite:recursion", "fib",
+      "b6ed6a978bca639e35957ef802ddec0f", "da873f9706d91e0cd3e192343fd0f606" );
+    ( "suite:recursion", "gcd",
+      "1317ebb07163c0a7152077bc0a985b3c", "a3549f1db47b807b99cb802bb01f8004" );
+    ( "suite:recursion", "main",
+      "b4e98d5cf4d7438be3f469f2663ce6d8", "6a922f26551989e8b0d0144e67a2242f" );
+    ( "suite:poly", "horner",
+      "a55ffa8c4e9d5b1beb347c6d4af52a31", "c265af75030100409268b5f4f08551aa" );
+    ( "suite:poly", "main",
+      "111b904e8ecc4550e3cf61308947e388", "d6da50bae0f0b7c6121bbc850ba8e174" );
+    ( "suite:lfk1", "main",
+      "6063bdb4781caef0071126e9be4dc76b", "e5e20c7bb55434602ca6e38b6ebe5502" );
+    ( "suite:lfk5", "main",
+      "2fcf4e82e002069923aa858de3008d15", "97cf6f15eae203b4ae04294cfb84e09b" );
+    ( "suite:lfk7", "main",
+      "4a2b447499982dabe14ff7a99b4f285f", "dfdd187e65375fba919ed01a36e3c77d" );
+    ( "edge:empty-main", "main",
+      "e9045d4b3d3ec11233cd5761d42a7b89", "6af6c5578ce7a3948f829f4e1d149994" );
+    ( "edge:negative-consts", "main",
+      "34145bfab3d43d9a4c990d5ec142e468", "b07cf74ec49635309a9061fc23ae9707" );
+    ( "edge:big-consts", "main",
+      "785e2660272ae81b148ad368b6c117ec", "c6b26b14085501c8710324ec81172c31" );
+    ( "edge:char-arith", "main",
+      "ad8e8b4970a0a4c09d50a1c9458a572f", "6388ebfd41621fbc91a34ea5b724298b" );
+    ( "edge:short-arith", "main",
+      "69a3adf513389d511115546501637f99", "8acd82c4b7e72e7b527ac47af4702df8" );
+    ( "edge:shift-edge", "main",
+      "73fcb8b3690e77da7f7852d1482cfcbc", "2fda9633f8166ba13e7cdabe77766416" );
+    ( "edge:float-to-int", "main",
+      "55701e4b4ce9cd982f89126b271287ac", "1504d64d157f6615b9c1cd1482096202" );
+    ( "edge:mixed-types", "main",
+      "42e240d0a4d744e63bea1781a543025a", "6dfd43b464ec7f5c3892c2fdad380e9c" );
+    ( "edge:global-init-chain", "main",
+      "1c56324b1b6317f98a6575d8a14daa75", "b4d3bfbd5064d8744ee45a533c5b52f6" );
+    ( "edge:while-loops", "main",
+      "90be2dc73781edacf53bea43b8f5519e", "1342af4f7a3a50f2ab89535d682a3810" );
+    ( "edge:pointer-walk", "main",
+      "34bcf57fc104bee6b1a2fe465e04e852", "185687ee630f0583cd1c3804cea374ee" );
+    ( "edge:double-spill-pressure", "main",
+      "4124a6dd7ed8bb0278c4fb233eef5b05", "72969b6f2044faf60d6a9fc98d4452e7" );
+    ( "edge:args-and-doubles", "mix",
+      "8bbf822152ac6373ed21c18d470f2567", "6b46458ca75801e92da2a80e137d258a" );
+    ( "edge:args-and-doubles", "imix",
+      "e050db6c601a35ba2463131a03ffb346", "5b169cb8fc991703ee9d05cef16d3c32" );
+    ( "edge:args-and-doubles", "main",
+      "60509567b6d9defea4a3ce3f96b4ef97", "cf5d68b68c20318e336d616df725ee50" );
+    ( "edge:conditional-expressions", "main",
+      "e31b6c2893c01bee7984423504d5e189", "62e47785386bf406ae9d47db6b244243" );
+    ( "edge:logical-ops", "main",
+      "6a3961a6b7ae92949a5836a01a27a5f7", "ef17f59e6d9e698c80d209165e4b071d" );
+  ]
+
+let test_il_contract () =
+  let got =
+    List.concat_map
+      (fun (file, src) ->
+        List.map
+          (fun (fn : Ir.func) ->
+            ( file,
+              fn.Ir.fn_name,
+              md5 (Format.asprintf "%a" Ir.pp_func fn),
+              Ckey.to_hex (Ckey.of_ir_func fn) ))
+          (Cgen.compile ~file src).Ir.funcs)
+      corpus
+  in
+  check
+    Alcotest.(list (pair (pair string string) (pair string string)))
+    "per-function IL digests"
+    (List.map (fun (p, f, d, k) -> ((p, f), (d, k))) il_goldens)
+    (List.map (fun (p, f, d, k) -> ((p, f), (d, k))) got)
 
 let suite =
   [
@@ -296,4 +534,6 @@ let suite =
     Alcotest.test_case "cgen float pool" `Quick test_cgen_float_pool;
     Alcotest.test_case "cgen type errors" `Quick test_cgen_type_errors;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "lexer contract" `Quick test_lexer_contract;
+    Alcotest.test_case "IL contract" `Quick test_il_contract;
   ]
