@@ -8,6 +8,11 @@ let is_ident_char c = is_ident_start c || is_digit c || c = '.'
 
 let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
+let int_lit loc s =
+  match int_of_string_opt s with
+  | Some n -> n
+  | None -> Loc.fail loc "integer literal out of range"
+
 let lex_number r loc =
   match (Reader.peek r, Reader.peek2 r) with
   | '0', ('x' | 'X') ->
@@ -15,7 +20,7 @@ let lex_number r loc =
       Reader.advance r;
       let digits = Reader.take_while r is_hex in
       if digits = "" then Loc.fail loc "malformed hex literal";
-      Token.INT (int_of_string ("0x" ^ digits))
+      Token.INT (int_lit loc ("0x" ^ digits))
   | _ ->
       let digits = Reader.take_while r is_digit in
       if Reader.peek r = '.' && is_digit (Reader.peek2 r) then begin
@@ -23,7 +28,7 @@ let lex_number r loc =
         let frac = Reader.take_while r is_digit in
         Token.FLOAT (float_of_string (digits ^ "." ^ frac))
       end
-      else Token.INT (int_of_string digits)
+      else Token.INT (int_lit loc digits)
 
 let rec skip_ws_and_comments r =
   Reader.skip_while r (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r');
@@ -70,7 +75,7 @@ let token r : Token.kind option =
           Reader.advance r;
           let digits = Reader.take_while r is_digit in
           if digits = "" then Loc.fail loc "expected digits after '$'";
-          Token.DOLLAR (int_of_string digits)
+          Token.DOLLAR (int_lit loc digits)
       | '+' ->
           Reader.advance r;
           if is_ident_start (Reader.peek r) then

@@ -14,12 +14,17 @@ let default_options =
   { anti = true; aux = true; reg_limit = Unlimited; fill_delay = true;
     priority = Max_dist }
 
-let class_cap model limit cls =
-  let avail () = List.length (Model.allocable_of_class model cls) in
+(* allocable registers per class, counted once per model *)
+let allocable_counts =
+  Model.memo (fun model ->
+      Array.init (Array.length model.Model.classes) (fun c ->
+          List.length (Model.allocable_of_class model c)))
+
+let class_cap limit avail =
   match limit with
-  | Unlimited -> None
-  | Auto_minus k -> Some (max 1 (avail () - k))
-  | Fixed n -> Some (max 1 (min n (avail ())))
+  | Unlimited -> max_int
+  | Auto_minus k -> max 1 (avail - k)
+  | Fixed n -> max 1 (min n avail)
 
 (* a nop carries no semantics and no operands; pre-existing nops (from an
    earlier scheduling pass) are dropped and re-inserted *)
@@ -116,175 +121,222 @@ let prepare ~options ?oracle (fn : Mir.func) (insts : Mir.inst list) =
 (* The cycle loop over a prepared block, on [busy] cleared first. Also
    returns whether the register limit ever bound: whether the unrelaxed
    pressure test rejected a candidate that passed every other test (see
+   [sweep]).
+
+   The loop is event driven. A node joins the ready list when its last
+   predecessor issues, with [earliest] the first cycle its operands are
+   ready, so a step tests only ready nodes; and a step that issues
+   nothing jumps to the next cycle at which some node can (see
    [sweep]). *)
 let run ~options ~busy (fn : Mir.func) (p : prepared) =
   let model = fn.Mir.f_model in
   let dag = p.dag in
   let n = Array.length dag.Dag.insts in
   let prio = p.prio in
-  let cycle_of = Array.make n (-1) in
-  let scheduled = Array.make n false in
   Scoreboard.reset busy;
+  (* the ready list, unordered: unscheduled nodes whose predecessors have
+     all issued; [earliest.(i)] is the latest [cycle + label] over i's
+     issued predecessors *)
+  let preds_left = Array.map List.length dag.Dag.preds in
+  let earliest = Array.make n 0 in
+  let ready = Array.make n 0 and nready = ref 0 in
+  let push i =
+    ready.(!nready) <- i;
+    incr nready
+  in
+  Array.iteri (fun i k -> if k = 0 then push i) preds_left;
+  let rec release cycle = function
+    | [] -> ()
+    | (d, label, _) :: tl ->
+        earliest.(d) <- max earliest.(d) (cycle + label);
+        preds_left.(d) <- preds_left.(d) - 1;
+        if preds_left.(d) = 0 then push d;
+        release cycle tl
+  in
   let order = ref [] in
   let remaining = ref n in
-  let cycle = ref 0 in
+  let cycle = ref 0 and last_issue = ref 0 in
   (* class-packing state for the current cycle *)
   let cur_class : Bitset.t option ref = ref None in
   (* IPS pressure state: remaining reads per preg, live count per class *)
+  let limited = options.reg_limit <> Unlimited in
   let reads_left = Array.copy p.uses in
   let live = Array.make (Array.length p.uses) false in
   let nclasses = Array.length model.Model.classes in
   let live_count = Array.make nclasses 0 in
-  let cap =
-    Array.init nclasses (fun c ->
-        Option.value ~default:max_int (class_cap model options.reg_limit c))
-  in
+  let cap = Array.map (class_cap options.reg_limit) (allocable_counts model) in
   (* scratch per-class change in live values if a candidate issues now;
      left all-zero between probes *)
   let delta = Array.make nclasses 0 in
-  let bump l d =
-    let c = p.cls.(l) in
-    delta.(c) <- delta.(c) + d
-  in
-  let fits l =
-    let c = p.cls.(l) in
-    delta.(c) <= 0 || live_count.(c) + delta.(c) <= cap.(c)
+  let rec fit (ls : int array) k =
+    k = Array.length ls
+    ||
+    let c = p.cls.(ls.(k)) in
+    (delta.(c) <= 0 || live_count.(c) + delta.(c) <= cap.(c))
+    && fit ls (k + 1)
   in
   let pressure_fits i =
     let reads = p.reads.(i) and writes = p.writes.(i) in
-    Array.iter (fun l -> if reads_left.(l) = 1 && live.(l) then bump l (-1)) reads;
-    Array.iter (fun l -> if not live.(l) then bump l 1) writes;
-    let ok = Array.for_all fits reads && Array.for_all fits writes in
-    Array.iter (fun l -> delta.(p.cls.(l)) <- 0) reads;
-    Array.iter (fun l -> delta.(p.cls.(l)) <- 0) writes;
+    for k = 0 to Array.length reads - 1 do
+      let l = reads.(k) in
+      if reads_left.(l) = 1 && live.(l) then
+        delta.(p.cls.(l)) <- delta.(p.cls.(l)) - 1
+    done;
+    for k = 0 to Array.length writes - 1 do
+      let l = writes.(k) in
+      if not live.(l) then delta.(p.cls.(l)) <- delta.(p.cls.(l)) + 1
+    done;
+    let ok = fit reads 0 && fit writes 0 in
+    for k = 0 to Array.length reads - 1 do
+      delta.(p.cls.(reads.(k))) <- 0
+    done;
+    for k = 0 to Array.length writes - 1 do
+      delta.(p.cls.(writes.(k))) <- 0
+    done;
     ok
   in
   let apply_pressure i =
-    Array.iter
-      (fun l ->
-        let k = reads_left.(l) - 1 in
-        reads_left.(l) <- k;
-        if k = 0 && live.(l) then begin
-          live.(l) <- false;
-          live_count.(p.cls.(l)) <- live_count.(p.cls.(l)) - 1
-        end)
-      p.reads.(i);
-    Array.iter
-      (fun l ->
-        if reads_left.(l) > 0 && not live.(l) then begin
-          live.(l) <- true;
-          live_count.(p.cls.(l)) <- live_count.(p.cls.(l)) + 1
-        end)
-      p.writes.(i)
+    let reads = p.reads.(i) and writes = p.writes.(i) in
+    for k = 0 to Array.length reads - 1 do
+      let l = reads.(k) in
+      let left = reads_left.(l) - 1 in
+      reads_left.(l) <- left;
+      if left = 0 && live.(l) then begin
+        live.(l) <- false;
+        live_count.(p.cls.(l)) <- live_count.(p.cls.(l)) - 1
+      end
+    done;
+    for k = 0 to Array.length writes - 1 do
+      let l = writes.(k) in
+      if reads_left.(l) > 0 && not live.(l) then begin
+        live.(l) <- true;
+        live_count.(p.cls.(l)) <- live_count.(p.cls.(l)) + 1
+      end
+    done
   in
   (* Rule 1 (paper 4.6): while a temporal edge on clock k is open
      (source scheduled, destination not), other instructions affecting
-     k may not issue before the pending destinations *)
-  let pending_clocks () =
-    List.filter_map
-      (fun (k, src, dst) ->
-        if scheduled.(src) && not scheduled.(dst) then Some (k, dst) else None)
-      p.temporal
+     k may not issue before the pending destinations. The open edges,
+     as (clock, destination), change only when a node issues. *)
+  let pending = ref [] in
+  let update_pending i =
+    if p.temporal <> [] then
+      pending :=
+        List.filter_map
+          (fun (k, src, dst) -> if src = i then Some (k, dst) else None)
+          p.temporal
+        @ List.filter (fun (_, dst) -> dst <> i) !pending
   in
   let nonbranch_left =
     ref (Array.fold_left (fun acc t -> if t then acc else acc + 1) 0 p.term)
   in
-  let data_ready i =
-    List.for_all
-      (fun (q, label, _) -> scheduled.(q) && cycle_of.(q) + label <= !cycle)
-      dag.Dag.preds.(i)
+  let temporal_ok i =
+    match dag.Dag.insts.(i).Mir.n_op.Model.i_affects with
+    | None -> true
+    | Some _ as affects ->
+        !pending = [] || Temporal.rule1_ok ~affects ~pending:!pending ~self:i
   in
-  let resources_free i =
-    not (Scoreboard.conflict busy ~cycle:!cycle dag.Dag.insts.(i).Mir.n_op)
-  in
+  let branch_ok i = (not p.term.(i)) || !nonbranch_left = 0 in
   let class_ok i =
     match (dag.Dag.insts.(i).Mir.n_op.Model.i_class, !cur_class) with
     | None, _ -> true
     | Some _, None -> true
     | Some k, Some cur -> not (Bitset.inter_empty cur k)
   in
-  let temporal_ok i =
-    match dag.Dag.insts.(i).Mir.n_op.Model.i_affects with
-    | None -> true
-    | Some _ as affects ->
-        Temporal.rule1_ok ~affects ~pending:(pending_clocks ()) ~self:i
+  (* every test but the pressure test, the costly scoreboard probe last *)
+  let issuable i =
+    earliest.(i) <= !cycle
+    && branch_ok i
+    && temporal_ok i
+    && class_ok i
+    && not (Scoreboard.conflict busy ~cycle:!cycle dag.Dag.insts.(i).Mir.n_op)
   in
   let bound = ref false in
-  let pressure_ok relaxed i =
-    match options.reg_limit with
-    | Unlimited -> true
-    | Auto_minus _ | Fixed _ ->
-        relaxed
-        || pressure_fits i
-        || begin
-             bound := true;
-             false
-           end
+  (* does ready position [k] beat ready position [b]: the higher
+     priority, then the lower node index, so that the choice does not
+     depend on the order of the ready list *)
+  let better k b =
+    b < 0
+    ||
+    let i = ready.(k) and j = ready.(b) in
+    prio.(i) > prio.(j) || (prio.(i) = prio.(j) && i < j)
   in
-  let branch_ok i = (not p.term.(i)) || !nonbranch_left = 0 in
-  let candidate relaxed i =
-    (not scheduled.(i))
-    && data_ready i
-    && resources_free i
-    && class_ok i
-    && temporal_ok i
-    && branch_ok i
-    && pressure_ok relaxed i
-  in
-  let pick relaxed =
-    let best = ref (-1) in
-    for i = 0 to n - 1 do
-      if candidate relaxed i then
-        if !best < 0 || prio.(i) > prio.(!best) then best := i
+  (* One scan of the ready list: the ready position of the best node that
+     passes every test, else of the best that fails only the pressure
+     test (the limit never deadlocks the scheduler: when nothing fits
+     under it but something could issue, relax, as Goodman and Hsu do),
+     else -1. A node failing only the pressure test means the limit
+     bound. *)
+  let pick () =
+    let best = ref (-1) and relaxed = ref (-1) in
+    for k = 0 to !nready - 1 do
+      let i = ready.(k) in
+      if issuable i then
+        if (not limited) || pressure_fits i then begin
+          if better k !best then best := k
+        end
+        else begin
+          bound := true;
+          if better k !relaxed then relaxed := k
+        end
     done;
-    if !best >= 0 then Some !best else None
+    if !best >= 0 then !best else !relaxed
+  in
+  (* the first cycle after this one at which some ready node passes every
+     test but the pressure test, or just the next cycle if none can *)
+  let next_cycle () =
+    let next = ref max_int in
+    for k = 0 to !nready - 1 do
+      let i = ready.(k) in
+      if branch_ok i && temporal_ok i then
+        next :=
+          min !next
+            (Scoreboard.first_free busy
+               ~cycle:(max (!cycle + 1) earliest.(i))
+               dag.Dag.insts.(i).Mir.n_op)
+    done;
+    if !next = max_int then !cycle + 1 else !next
   in
   let guard = ref 0 in
   while !remaining > 0 do
     incr guard;
     if !guard > (n * 400) + 4000 then
       Loc.fail Loc.dummy "list scheduler is stuck (block of %d instructions)" n;
-    let choice =
-      match pick false with
-      | Some i -> Some i
-      | None ->
-          (* the register-pressure limit never deadlocks the scheduler:
-             if nothing fits under the limit but something is ready,
-             relax (Goodman-Hsu) *)
-          if options.reg_limit <> Unlimited then pick true else None
-    in
-    match choice with
-    | Some i ->
-        scheduled.(i) <- true;
-        cycle_of.(i) <- !cycle;
-        decr remaining;
-        if not p.term.(i) then decr nonbranch_left;
-        order := i :: !order;
-        let inst = dag.Dag.insts.(i) in
-        Scoreboard.reserve busy ~cycle:!cycle inst.Mir.n_op;
-        (match inst.Mir.n_op.Model.i_class with
-        | Some k -> (
-            match !cur_class with
-            | None -> cur_class := Some (Bitset.copy k)
-            | Some cur -> Bitset.inter_into ~dst:cur k)
-        | None -> ());
-        apply_pressure i
-    | None ->
-        incr cycle;
-        cur_class := None
+    let k = pick () in
+    if k >= 0 then begin
+      let i = ready.(k) in
+      decr nready;
+      ready.(k) <- ready.(!nready);
+      last_issue := !cycle;
+      decr remaining;
+      if not p.term.(i) then decr nonbranch_left;
+      order := i :: !order;
+      let op = dag.Dag.insts.(i).Mir.n_op in
+      Scoreboard.reserve busy ~cycle:!cycle op;
+      (match op.Model.i_class with
+      | Some k -> (
+          match !cur_class with
+          | None -> cur_class := Some (Bitset.copy k)
+          | Some cur -> Bitset.inter_into ~dst:cur k)
+      | None -> ());
+      if limited then apply_pressure i;
+      update_pending i;
+      release !cycle dag.Dag.succs.(i)
+    end
+    else begin
+      cycle := next_cycle ();
+      cur_class := None
+    end
   done;
   let issue_order = List.rev !order in
-  let max_cycle =
-    List.fold_left (fun acc i -> max acc cycle_of.(i)) 0 issue_order
-  in
   (* delay slots are filled with nops (paper 4.4) *)
   let final_insts = List.map (fun i -> dag.Dag.insts.(i)) issue_order in
   let r =
     if options.fill_delay then begin
       let filled, added = Delay.fill fn final_insts in
-      { order = filled; length = max_cycle + 1 + added }
+      { order = filled; length = !last_issue + 1 + added }
     end
-    else { order = final_insts; length = max_cycle + 1 }
+    else { order = final_insts; length = !last_issue + 1 }
   in
   (r, !bound)
 
@@ -299,15 +351,27 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
 (* The RASE budget sweep: one prepared block, then the cycle loop once
    per budget n = 1, 2, ... until the limit stops binding.
 
-   Saturation is exact. If the unrelaxed pressure test never rejected a
-   candidate at budget n, every [pick false] chose what it would have
-   chosen with no limit, and [pick true] ran only when nothing passed
-   the other tests, so it chose nothing: the run is the [Unlimited] run.
+   Saturation is exact. If the pressure test never rejected a candidate
+   at budget n, every [pick] chose the best node that passed the other
+   tests, as with no limit, and never fell back to a relaxed choice: the
+   run is the [Unlimited] run.
    A class's cap is monotone in n, so at every budget m > n each
    candidate the test accepted at n is accepted again in the same state:
    by induction the m-run makes the same choices and has the same
    length. The sweep fills m > n with that length without running the
-   scheduler. *)
+   scheduler.
+
+   The cycle jump in [run] is exact too, and leaves [bound] as stepping
+   one cycle at a time would. A step issues nothing only when no ready
+   node passed the tests other than the pressure test. Until a
+   node issues, the ready list, [earliest], Rule 1's open edges and the
+   count of unissued non-branches stay as they are, so [temporal_ok]
+   and [branch_ok] keep their answers, and [class_ok] holds at every
+   fresh cycle. A ready node first passes the rest at the first cycle
+   from [max (cycle + 1) earliest] where [Scoreboard.first_free] finds
+   its resources free; the loop jumps to the least such cycle. The
+   cycles it skips would have issued nothing, and since no node reached
+   the pressure test in them they would not have set [bound]. *)
 let sweep ?sb_stats ~budgets (fn : Mir.func) (insts : Mir.inst list) =
   let options = { default_options with fill_delay = false } in
   let lengths = Array.make budgets 0 in

@@ -2,13 +2,15 @@
 
     Keeps a ready list over the code DAG and repeatedly issues the ready
     instruction with the highest priority — maximum label-weighted distance
-    to a leaf. Structural hazards are detected by intersecting each
-    candidate's resource vector with the composite vector of everything in
-    flight (4.3); several instructions issue in the same cycle when their
-    resources and packing classes allow it (multiple instruction issue,
-    4.3/4.5); branch delay slots are filled with nops (4.4); Rule 1
-    enforces temporal-register liveness for explicitly advanced pipelines
-    (4.6).
+    to a leaf, the lowest node index among equals. Each step tests only
+    the ready instructions, and when none can issue the loop jumps
+    straight to the next cycle at which one can. Structural hazards are
+    detected by intersecting each candidate's resource vector with the
+    composite vector of everything in flight (4.3); several instructions
+    issue in the same cycle when their resources and packing classes
+    allow it (multiple instruction issue, 4.3/4.5); branch delay slots are
+    filled with nops (4.4); Rule 1 enforces temporal-register liveness
+    for explicitly advanced pipelines (4.6).
 
     An optional register-use limit supports Integrated Prepass Scheduling:
     when the estimated number of live values of a class reaches the limit,

@@ -48,6 +48,23 @@ let test_lex_error () =
   | _ -> Alcotest.fail "expected a lex error"
   | exception Loc.Error (_, _) -> ()
 
+(* numbers too large for an int fail at the literal (the '$' of an
+   operand), not as a bare int_of_string failure *)
+let test_lex_out_of_range () =
+  List.iter
+    (fun (src, col) ->
+      match Lexer.tokenize ~file:"<t>" src with
+      | _ -> Alcotest.failf "%s: expected a lex error" src
+      | exception Loc.Error (loc, msg) ->
+          check Alcotest.string src
+            (Printf.sprintf "<t>:1:%d: integer literal out of range" col)
+            (Loc.error_to_string loc msg))
+    [
+      ("%reg r[0:99999999999999999999] (int);", 10);
+      ("%reg r[0:0x1FFFFFFFFFFFFFFFF] (int);", 10);
+      ("{$1 = $99999999999999999999;}", 7);
+    ]
+
 let test_parse_expr () =
   let e = Parser.parse_expr ~file:"<t>" "$1 + $2 * 3" in
   match e with
@@ -227,6 +244,7 @@ let suite =
     Alcotest.test_case "lex comments" `Quick test_lex_comments;
     Alcotest.test_case "lex dollar" `Quick test_lex_dollar;
     Alcotest.test_case "lex error" `Quick test_lex_error;
+    Alcotest.test_case "out-of-range numbers" `Quick test_lex_out_of_range;
     Alcotest.test_case "parse expr precedence" `Quick test_parse_expr;
     Alcotest.test_case "parse generic compare" `Quick test_parse_expr_cmp;
     Alcotest.test_case "parse toyp sections" `Quick test_parse_toyp_sections;

@@ -362,6 +362,31 @@ let test_priority_ablation_sound () =
           (fun (i : Mir.inst) -> i.Mir.n_op.Model.i_name <> "nop")
           r.Listsched.order))
 
+let targets =
+  [
+    ("toyp", Toyp.load);
+    ("r2000", R2000.load);
+    ("m88000", M88000.load);
+    ("i860", I860.load);
+  ]
+
+(* Livermore 1-14 and the program suite, the suite's entries prefixed so
+   its lfk1/5/7 copies keep names of their own *)
+let corpus () =
+  Livermore.sources ()
+  @ List.map (fun (name, src) -> ("suite:" ^ name, src)) Suite.programs
+
+(* every selected function of a source, unallocated; [None] where the
+   front end or selection rejects it *)
+let selected model (file, src) =
+  match
+    let ir = Cgen.compile ~file src in
+    List.iter (Glue.transform_func model) ir.Ir.funcs;
+    List.map (Select.select_func model) ir.Ir.funcs
+  with
+  | exception (Select.No_pattern _ | Loc.Error _) -> None
+  | fns -> Some fns
+
 (* The RASE sweep against the per-budget scheduler it replaces, on every
    block of every selected function of Livermore 1-14 and the program
    suite on all four targets: exhaustive, not sampled. *)
@@ -375,14 +400,10 @@ let test_sweep_matches_per_budget () =
       let model = load () in
       let budgets = Strategy.max_budget model in
       List.iter
-        (fun (file, src) ->
-          match
-            let ir = Cgen.compile ~file src in
-            List.iter (Glue.transform_func model) ir.Ir.funcs;
-            List.map (Select.select_func model) ir.Ir.funcs
-          with
-          | exception (Select.No_pattern _ | Loc.Error _) -> ()
-          | fns ->
+        (fun source ->
+          match selected model source with
+          | None -> ()
+          | Some fns ->
               List.iter
                 (fun (fn : Mir.func) ->
                   List.iter
@@ -429,17 +450,179 @@ let test_sweep_matches_per_budget () =
                         got)
                     fn.Mir.f_blocks)
                 fns)
-        (Livermore.sources () @ Suite.programs))
-    [
-      ("toyp", Toyp.load);
-      ("r2000", R2000.load);
-      ("m88000", M88000.load);
-      ("i860", I860.load);
-    ];
+        (corpus ()))
+    targets;
   check Alcotest.bool "some r2000 block saturates below its last budget" true
     !saturated_early;
   check Alcotest.bool "some block is still bound at a budget >= 2" true
     !bound_late
+
+(* Scheduler contract: one digest per (target, source) over Livermore
+   1-14 and the program suite. Each covers, for every selected block,
+   the issue order (instruction ids and opcode names) and length of
+   [schedule_block] under every register limit the strategies use
+   (unlimited, the IPS [Auto_minus 1] and each RASE budget), with delay
+   filling on and off, under the priority, anti-edge and %aux
+   ablations, plus the block's [sweep] lengths. The digests were
+   captured from the scheduler that scanned every node on every cycle,
+   before the cycle loop became event driven, and must never be
+   regenerated to absorb a difference. *)
+let contract_blob model source =
+  let buf = Buffer.create (1 lsl 16) in
+  let add fmt = Printf.bprintf buf fmt in
+  (match selected model source with
+  | None -> add "no-select\n"
+  | Some fns ->
+      let budgets = Strategy.max_budget model in
+      let d = Listsched.default_options in
+      let settings =
+        List.concat_map
+          (fun reg_limit ->
+            List.map
+              (fun fill_delay -> { d with Listsched.reg_limit; fill_delay })
+              [ true; false ])
+          (Listsched.Unlimited :: Listsched.Auto_minus 1
+          :: List.init budgets (fun k -> Listsched.Fixed (k + 1)))
+        @ [
+            { d with Listsched.priority = Listsched.Source_order };
+            { d with Listsched.anti = false };
+            { d with Listsched.aux = false };
+          ]
+      in
+      List.iter
+        (fun (fn : Mir.func) ->
+          List.iter
+            (fun (b : Mir.block) ->
+              add "== %s %s\n" fn.Mir.f_name b.Mir.b_label;
+              List.iter
+                (fun options ->
+                  let r = Listsched.schedule_block ~options fn b.Mir.b_insts in
+                  add "%d:" r.Listsched.length;
+                  List.iter
+                    (fun (i : Mir.inst) ->
+                      add " %d.%s" i.Mir.n_id i.Mir.n_op.Model.i_name)
+                    r.Listsched.order;
+                  add "\n")
+                settings;
+              add "sweep:";
+              Array.iter (add " %d")
+                (Listsched.sweep ~budgets fn b.Mir.b_insts);
+              add "\n")
+            fn.Mir.f_blocks)
+        fns);
+  Buffer.contents buf
+
+let contract_goldens =
+  [
+    (("toyp", "lfk1"), "16107fa329186472fcd247ccc28889c3");
+    (("toyp", "lfk2"), "8dd1a1b1d9651219d8638e0b61a685a5");
+    (("toyp", "lfk3"), "8b11e56c67c03d643195daa0fc518e43");
+    (("toyp", "lfk4"), "639606b6dfcc10630de0d3ace9bbaee4");
+    (("toyp", "lfk5"), "b54cdfc4b0c53fd7b635c31b0219f213");
+    (("toyp", "lfk6"), "c960ec18d12c382c0fcc8e06581d747d");
+    (("toyp", "lfk7"), "a3f488871f9922bfbfcffb7bb61871c3");
+    (("toyp", "lfk8"), "851dd96872521ba30b43821d1570e3e0");
+    (("toyp", "lfk9"), "d71e77bcab6370248ddb973a985f1057");
+    (("toyp", "lfk10"), "f89621a17f25d2979c226f2abb572d59");
+    (("toyp", "lfk11"), "d2937c24850cbaa7a48eb1f56c21c531");
+    (("toyp", "lfk12"), "3e61b95e5108542fa8faa8473a60ae89");
+    (("toyp", "lfk13"), "0d0d0bf42ea88fc39cb091a827fb63d8");
+    (("toyp", "lfk14"), "54ce715ac2e599910125026f1a11d901");
+    (("toyp", "suite:matmul"), "ff5e3f964f697ca4737c4f8d60eac4e7");
+    (("toyp", "suite:sieve"), "e5a18a069fdd3d1bb3c61f115076e9a8");
+    (("toyp", "suite:sort"), "e44db3a8a92d96cd185468cd5d9ca770");
+    (("toyp", "suite:strings"), "c262d205f1def8e5e7dd540aa5be1e27");
+    (("toyp", "suite:recursion"), "f1bb56f7c66b6c92d9c56f68cc4476b2");
+    (("toyp", "suite:poly"), "171f6213d96f911d5af2796954333881");
+    (("toyp", "suite:lfk1"), "16107fa329186472fcd247ccc28889c3");
+    (("toyp", "suite:lfk5"), "b54cdfc4b0c53fd7b635c31b0219f213");
+    (("toyp", "suite:lfk7"), "a3f488871f9922bfbfcffb7bb61871c3");
+    (("r2000", "lfk1"), "304a1711479d4a78d05276859a9611aa");
+    (("r2000", "lfk2"), "d2d1d82ef618681fe43d314a3ccb0372");
+    (("r2000", "lfk3"), "33a02e5de78dbf9655e1238f8b5e6ec0");
+    (("r2000", "lfk4"), "652e4d72d4161a041d8310253cad1c50");
+    (("r2000", "lfk5"), "5af9d9d5088de718f9ce8673ed8ad22e");
+    (("r2000", "lfk6"), "299a4a364b60415b02becc33ba70ad6c");
+    (("r2000", "lfk7"), "a768b560f96bc45e397cda0ca2b541ef");
+    (("r2000", "lfk8"), "970b78e466becdfb2e7c168da4f6465b");
+    (("r2000", "lfk9"), "a7855af2d7224f519980f5e583d5ef5d");
+    (("r2000", "lfk10"), "ee1b6481a62826cbe3a2e3fcadb4fc8d");
+    (("r2000", "lfk11"), "46aad789af71b3bba60f1f360d77aa08");
+    (("r2000", "lfk12"), "c1d5a5ff47ed906f2739265f56779e8a");
+    (("r2000", "lfk13"), "448bc8e35d3179cf5160562dcbce70d8");
+    (("r2000", "lfk14"), "f56d571e2099e1df3d97b6677bf53813");
+    (("r2000", "suite:matmul"), "79ae55d994507072c70ffadbd400869a");
+    (("r2000", "suite:sieve"), "1d5e0f9276fa47338a8231ed10a8bac5");
+    (("r2000", "suite:sort"), "305217564e3235c23b5d13c9280dca5d");
+    (("r2000", "suite:strings"), "788fb14bac01ea1b645364f92bf49080");
+    (("r2000", "suite:recursion"), "0e02654531964972d734ecb6e869154a");
+    (("r2000", "suite:poly"), "dd680ac26262d83845cac880e75810a1");
+    (("r2000", "suite:lfk1"), "304a1711479d4a78d05276859a9611aa");
+    (("r2000", "suite:lfk5"), "5af9d9d5088de718f9ce8673ed8ad22e");
+    (("r2000", "suite:lfk7"), "a768b560f96bc45e397cda0ca2b541ef");
+    (("m88000", "lfk1"), "e38ee3ec3499711e68ff37ad9c8ce918");
+    (("m88000", "lfk2"), "9885bea501acb6c44846b7ced5008c6c");
+    (("m88000", "lfk3"), "d620b05147a45a4cf91a30cf793fd903");
+    (("m88000", "lfk4"), "27ede30aadb16204540b4c35d25691c6");
+    (("m88000", "lfk5"), "4bc4cc5242230f5c466caf625dadc9f3");
+    (("m88000", "lfk6"), "b6bf7d763a117b08c7fb8fbb0f304641");
+    (("m88000", "lfk7"), "b4a0d0ea4fe3cf18cb45b811cd2747f6");
+    (("m88000", "lfk8"), "183b8ec57d646b6656ab942cde6ad0ea");
+    (("m88000", "lfk9"), "3e1abb5885779c131b161bae841dfa58");
+    (("m88000", "lfk10"), "9f9c8276509bc880892b7490f972a875");
+    (("m88000", "lfk11"), "bf731cab7bd1101678423e6e6d8762c8");
+    (("m88000", "lfk12"), "59e94a48d3916bb66b64d6a7eb122f31");
+    (("m88000", "lfk13"), "8f8851738ecaa8306910e03f952d5b87");
+    (("m88000", "lfk14"), "158d04ab6b1dc47878ffb8504dc8ac87");
+    (("m88000", "suite:matmul"), "f7f54ecb57e9d33e00884741699f8e47");
+    (("m88000", "suite:sieve"), "1f39dcc6a773a42c4e28bbc21bc7b06f");
+    (("m88000", "suite:sort"), "66f6eb9a30516b5c873ebdc5d24cc64c");
+    (("m88000", "suite:strings"), "5efa4fcb962565e835a500462088668c");
+    (("m88000", "suite:recursion"), "ea50a367615b7c65c19cc1aea289197a");
+    (("m88000", "suite:poly"), "942a5f2ca651a507c5002a08e8b30716");
+    (("m88000", "suite:lfk1"), "e38ee3ec3499711e68ff37ad9c8ce918");
+    (("m88000", "suite:lfk5"), "4bc4cc5242230f5c466caf625dadc9f3");
+    (("m88000", "suite:lfk7"), "b4a0d0ea4fe3cf18cb45b811cd2747f6");
+    (("i860", "lfk1"), "acda4019654e939d50e46f115dbaac2c");
+    (("i860", "lfk2"), "51cef6f10a3fd8358e95d19ce3ab876e");
+    (("i860", "lfk3"), "0b67baac5a8a6efaf37987397d5810b6");
+    (("i860", "lfk4"), "666e7cf75b43e50ecea19d12ec8b0465");
+    (("i860", "lfk5"), "edb06640039b64ce60640de6cb262291");
+    (("i860", "lfk6"), "ef895e52077f314f1304aa272f258a31");
+    (("i860", "lfk7"), "90093619f7351fe7080f97ba6f557f38");
+    (("i860", "lfk8"), "0fb7d6a7370b370b46a496ebe39cdd40");
+    (("i860", "lfk9"), "1713e58d628dff4e2528159876aacf56");
+    (("i860", "lfk10"), "c15c0b2aa20b60ee3bc9eff090c0cf71");
+    (("i860", "lfk11"), "fbc708f3562ad74c09dbb99e30ee8beb");
+    (("i860", "lfk12"), "f60819a6af426a26adeb243718d7117d");
+    (("i860", "lfk13"), "090af9be14566aa6226e9487a4220341");
+    (("i860", "lfk14"), "399d691ea5f98491034b4fffdb1c07b1");
+    (("i860", "suite:matmul"), "227c1154b169a30c3fbe0c94972a86e9");
+    (("i860", "suite:sieve"), "1d99636cbb606dca70759dcdfc2dc21f");
+    (("i860", "suite:sort"), "52d065b17f2ba0d96594f19cafb04617");
+    (("i860", "suite:strings"), "63c64d81a7e2b7b8299c7f4b9e479009");
+    (("i860", "suite:recursion"), "eae5207b65e3ce55b303b912fea0b563");
+    (("i860", "suite:poly"), "d00670d611746fdaec045cad654cee55");
+    (("i860", "suite:lfk1"), "acda4019654e939d50e46f115dbaac2c");
+    (("i860", "suite:lfk5"), "edb06640039b64ce60640de6cb262291");
+    (("i860", "suite:lfk7"), "90093619f7351fe7080f97ba6f557f38");
+  ]
+
+let test_sched_contract () =
+  List.iter
+    (fun (tname, load) ->
+      let model = load () in
+      List.iter
+        (fun ((file, _) as source) ->
+          let got =
+            Digest.to_hex (Digest.string (contract_blob model source))
+          in
+          check Alcotest.string
+            (Printf.sprintf "%s %s contract digest" tname file)
+            (List.assoc (tname, file) contract_goldens)
+            got)
+        (corpus ()))
+    targets
 
 let suite =
   [
@@ -464,4 +647,6 @@ let suite =
       test_priority_ablation_sound;
     Alcotest.test_case "sweep == per-budget reference" `Quick
       test_sweep_matches_per_budget;
+    Alcotest.test_case "contract digests vs the all-node scan" `Slow
+      test_sched_contract;
   ]
