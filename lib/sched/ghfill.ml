@@ -1,8 +1,3 @@
-let is_nop (i : Mir.inst) =
-  match i.Mir.n_op.Model.i_sem with
-  | [] | [ Ast.Snop ] -> Array.length i.Mir.n_ops = 0
-  | _ -> false
-
 (* Split a block's instruction list into (body, branch, nops) when it ends
    with a control transfer followed by its delay-slot nops. *)
 let split_tail insts =
@@ -11,7 +6,7 @@ let split_tail insts =
     | (b : Mir.inst) :: nops
       when b.Mir.n_op.Model.i_branch
            && (not b.Mir.n_op.Model.i_call)
-           && List.for_all is_nop nops
+           && List.for_all Listsched.is_nop nops
            && List.length nops = abs b.Mir.n_op.Model.i_slots
            && nops <> [] ->
         Some (List.rev acc, b, nops)
@@ -39,7 +34,7 @@ let fill_block (fn : Mir.func) (b : Mir.block) =
             k < n - 1 (* not the branch *)
             && dag.Dag.succs.(k) = []
             && (not i.Mir.n_op.Model.i_branch)
-            && not (is_nop i))
+            && not (Listsched.is_nop i))
         dag.Dag.insts;
       (* fill as many slots as movable instructions allow, hoisting from
          the bottom of the block so earlier code keeps its schedule *)

@@ -156,8 +156,6 @@ let run ~options ~busy (fn : Mir.func) (p : prepared) =
   let order = ref [] in
   let remaining = ref n in
   let cycle = ref 0 and last_issue = ref 0 in
-  (* class-packing state for the current cycle *)
-  let cur_class : Bitset.t option ref = ref None in
   (* IPS pressure state: remaining reads per preg, live count per class *)
   let limited = options.reg_limit <> Unlimited in
   let reads_left = Array.copy p.uses in
@@ -237,18 +235,12 @@ let run ~options ~busy (fn : Mir.func) (p : prepared) =
         !pending = [] || Temporal.rule1_ok ~affects ~pending:!pending ~self:i
   in
   let branch_ok i = (not p.term.(i)) || !nonbranch_left = 0 in
-  let class_ok i =
-    match (dag.Dag.insts.(i).Mir.n_op.Model.i_class, !cur_class) with
-    | None, _ -> true
-    | Some _, None -> true
-    | Some k, Some cur -> not (Bitset.inter_empty cur k)
-  in
-  (* every test but the pressure test, the costly scoreboard probe last *)
+  (* every test but the pressure test, the scoreboard (packing class,
+     then the costly resource probe) last *)
   let issuable i =
     earliest.(i) <= !cycle
     && branch_ok i
     && temporal_ok i
-    && class_ok i
     && not (Scoreboard.conflict busy ~cycle:!cycle dag.Dag.insts.(i).Mir.n_op)
   in
   let bound = ref false in
@@ -311,22 +303,12 @@ let run ~options ~busy (fn : Mir.func) (p : prepared) =
       decr remaining;
       if not p.term.(i) then decr nonbranch_left;
       order := i :: !order;
-      let op = dag.Dag.insts.(i).Mir.n_op in
-      Scoreboard.reserve busy ~cycle:!cycle op;
-      (match op.Model.i_class with
-      | Some k -> (
-          match !cur_class with
-          | None -> cur_class := Some (Bitset.copy k)
-          | Some cur -> Bitset.inter_into ~dst:cur k)
-      | None -> ());
+      Scoreboard.reserve busy ~cycle:!cycle dag.Dag.insts.(i).Mir.n_op;
       if limited then apply_pressure i;
       update_pending i;
       release !cycle dag.Dag.succs.(i)
     end
-    else begin
-      cycle := next_cycle ();
-      cur_class := None
-    end
+    else cycle := next_cycle ()
   done;
   let issue_order = List.rev !order in
   (* delay slots are filled with nops (paper 4.4) *)
@@ -340,13 +322,16 @@ let run ~options ~busy (fn : Mir.func) (p : prepared) =
   in
   (r, !bound)
 
-let schedule_block ?(options = default_options) ?oracle ?sb_stats
-    (fn : Mir.func) (insts : Mir.inst list) : result =
+let schedule_on ~options ?oracle ~busy fn insts =
   match prepare ~options ?oracle fn insts with
   | None -> { order = []; length = 0 }
-  | Some p ->
-      let busy = Scoreboard.create ?stats:sb_stats fn.Mir.f_model in
-      fst (run ~options ~busy fn p)
+  | Some p -> fst (run ~options ~busy fn p)
+
+let schedule_block ?(options = default_options) ?oracle ?sb_stats
+    (fn : Mir.func) (insts : Mir.inst list) : result =
+  schedule_on ~options ?oracle
+    ~busy:(Scoreboard.create ?stats:sb_stats fn.Mir.f_model)
+    fn insts
 
 (* The RASE budget sweep: one prepared block, then the cycle loop once
    per budget n = 1, 2, ... until the limit stops binding.
@@ -366,10 +351,10 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
    node passed the tests other than the pressure test. Until a
    node issues, the ready list, [earliest], Rule 1's open edges and the
    count of unissued non-branches stay as they are, so [temporal_ok]
-   and [branch_ok] keep their answers, and [class_ok] holds at every
-   fresh cycle. A ready node first passes the rest at the first cycle
-   from [max (cycle + 1) earliest] where [Scoreboard.first_free] finds
-   its resources free; the loop jumps to the least such cycle. The
+   and [branch_ok] keep their answers, and every packing class is open
+   at a fresh cycle. A ready node first passes the rest at the first
+   cycle from [max (cycle + 1) earliest] where [Scoreboard.first_free]
+   finds its resources free; the loop jumps to the least such cycle. The
    cycles it skips would have issued nothing, and since no node reached
    the pressure test in them they would not have set [bound]. *)
 let sweep ?sb_stats ~budgets (fn : Mir.func) (insts : Mir.inst list) =
@@ -394,17 +379,17 @@ let sweep ?sb_stats ~budgets (fn : Mir.func) (insts : Mir.inst list) =
       go 1);
   lengths
 
-let schedule_func ?options ?oracle ?sb_stats (fn : Mir.func) =
+(* one scoreboard per function: [run] resets it for every block *)
+let each_block ~write ?(options = default_options) ?oracle ?sb_stats
+    (fn : Mir.func) =
+  let busy = Scoreboard.create ?stats:sb_stats fn.Mir.f_model in
   List.map
     (fun (b : Mir.block) ->
-      let r = schedule_block ?options ?oracle ?sb_stats fn b.Mir.b_insts in
-      b.Mir.b_insts <- r.order;
+      let r = schedule_on ~options ?oracle ~busy fn b.Mir.b_insts in
+      if write then b.Mir.b_insts <- r.order;
       (b.Mir.b_label, r.length))
     fn.Mir.f_blocks
 
-let estimate_func ?options ?oracle ?sb_stats (fn : Mir.func) =
-  List.map
-    (fun (b : Mir.block) ->
-      let r = schedule_block ?options ?oracle ?sb_stats fn b.Mir.b_insts in
-      (b.Mir.b_label, r.length))
-    fn.Mir.f_blocks
+let schedule_func = each_block ~write:true
+
+let estimate_func = each_block ~write:false

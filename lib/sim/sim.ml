@@ -270,13 +270,10 @@ type state = {
   freq : int array;
   seen : int array;
   mutable nseen : int;
-  (* busy resources over a ring-buffer window of cycles *)
+  (* busy resources over a ring-buffer window of cycles, and the
+     packing classes still open *)
   busy : Scoreboard.t;
   lat : Latency.t;
-  (* the packing classes still open in the current cycle, meaningful
-     only while [class_open] *)
-  cur_class : Bitset.t;
-  mutable class_open : bool;
   cache_tags : int array;  (* -1 = invalid *)
   halt_index : int;
   builtin_base : int;
@@ -787,11 +784,6 @@ let required st (ci : cinst) =
   done;
   !req
 
-let class_ok st (ci : cinst) =
-  match ci.c_op.Model.i_class with
-  | None -> true
-  | Some k -> (not st.class_open) || not (Bitset.inter_empty st.cur_class k)
-
 let render st (ci : cinst) =
   let b = Buffer.create 32 in
   Buffer.add_string b ci.c_op.Model.i_name;
@@ -819,15 +811,6 @@ let issue st (ci : cinst) =
       st.freq.(st.pc) <- n + 1
   | None -> ());
   Scoreboard.reserve st.busy ~cycle:st.cycle ci.c_op;
-  (match ci.c_op.Model.i_class with
-  | Some k ->
-      if st.class_open then Bitset.inter_into ~dst:st.cur_class k
-      else begin
-        Bitset.clear st.cur_class;
-        Bitset.union_into ~dst:st.cur_class k;
-        st.class_open <- true
-      end
-  | None -> ());
   ci.c_exec ();
   st.icount <- st.icount + 1;
   (* advance pc honouring any pending redirect and its delay slots *)
@@ -897,8 +880,6 @@ let run ?(config = default_config) (prog : Mir.prog) : result =
       nseen = 0;
       busy = Scoreboard.create model;
       lat = Latency.for_model model;
-      cur_class = Bitset.create (Array.length model.Model.elements);
-      class_open = false;
       cache_tags =
         (match config.cache with
         | Some c -> Array.make c.lines (-1)
@@ -915,33 +896,22 @@ let run ?(config = default_config) (prog : Mir.prog) : result =
   set model.Model.cwvm.Model.v_retaddr st.halt_index;
   let builtins = compile_builtins st in
   st.code <- Array.mapi (compile_inst st builtins) loaded.code;
-  (* When an instruction's operands are not ready, nothing issues and
-     the readiness test fails before the resource and packing tests, so
-     no state changes until the cycle at which its last operand byte is
-     ready: that cycle is constant while stalled, and the clock jumps
-     straight to it, closing the packing classes once. The scoreboard
-     window advances over a jump exactly as over single steps. From then
-     on the operands stay ready while nothing issues. A structural stall
-     (a closed packing class or a resource conflict) closes the classes
-     on the next cycle, so from there only resources can block, and the
-     clock jumps to the first cycle at which the resource vector fits.
-     The fuel check is skipped while stalled, where the instruction count
-     cannot change. *)
+  (* An instruction issues at the first cycle, from the current one, at
+     which its operands are ready, its packing class is open and its
+     resources are free. While it stalls nothing issues, so the cycle at
+     which its last operand byte is ready stays constant, and so does
+     the scoreboard: the clock jumps straight to the issue cycle, which
+     [Scoreboard.first_free] finds from the readiness cycle on. The
+     scoreboard window advances over a jump exactly as over single
+     steps, and every class is open at a cycle past the current one.
+     So each step issues one instruction, and at most [fuel] issue. *)
   while not st.halted do
-    if st.icount > config.fuel then fail "out of fuel after %d instructions" st.icount;
+    if st.icount >= config.fuel then
+      fail "out of fuel after %d instructions" st.icount;
     let ci = st.code.(st.pc) in
-    let req = required st ci in
-    if req > st.cycle then begin
-      st.cycle <- req;
-      st.class_open <- false
-    end;
-    if
-      (not (class_ok st ci))
-      || Scoreboard.conflict st.busy ~cycle:st.cycle ci.c_op
-    then begin
-      st.cycle <- Scoreboard.first_free st.busy ~cycle:(st.cycle + 1) ci.c_op;
-      st.class_open <- false
-    end;
+    st.cycle <-
+      Scoreboard.first_free st.busy ~cycle:(max st.cycle (required st ci))
+        ci.c_op;
     issue st ci
   done;
   let result_reg =

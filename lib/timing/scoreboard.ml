@@ -51,12 +51,18 @@ let packed_for = Model.memo pack
 (* The ring has a power-of-two number of slots, at least [span], so a
    cycle's row starts at [(c land mask) * words]. Only cycles
    [base .. base+span-1] can hold reservations: a reservation is made at
-   the base and lasts at most [span] cycles. *)
+   the base and lasts at most [span] cycles.
+
+   The packing classes still open are tracked for one cycle only,
+   [class_cycle], the cycle of the last classed reservation; every other
+   cycle has all classes open. *)
 type t = {
   ring : int array;
   mask : int;
   p : packed;
   mutable base : int;
+  mutable class_cycle : int;
+  open_classes : Bitset.t;
   stats : stats option;
 }
 
@@ -71,6 +77,8 @@ let create ?stats (model : Model.t) =
     mask = !slots - 1;
     p;
     base = 0;
+    class_cycle = -1;
+    open_classes = Bitset.create (Array.length model.Model.elements);
     stats;
   }
 
@@ -80,7 +88,16 @@ let clear t = Array.fill t.ring 0 (Array.length t.ring) 0
 
 let reset t =
   clear t;
-  t.base <- 0
+  t.base <- 0;
+  t.class_cycle <- -1
+
+(* whether [i]'s packing class meets none still open on [cycle] *)
+let class_closed t cycle (i : Model.instr) =
+  cycle = t.class_cycle
+  &&
+  match i.Model.i_class with
+  | Some k -> Bitset.inter_empty t.open_classes k
+  | None -> false
 
 (* Every consumer probes at monotonically non-decreasing cycles (the list
    scheduler's and simulator's clocks only advance), so moving the window
@@ -115,6 +132,8 @@ let collides t cycle (rvec : int array) =
 
 let conflict t ~cycle (i : Model.instr) =
   advance t cycle;
+  class_closed t cycle i
+  ||
   let hit = collides t cycle t.p.rvecs.(i.Model.i_id) in
   (match t.stats with
   | Some s ->
@@ -132,14 +151,23 @@ let reserve t ~cycle (i : Model.instr) =
     t.ring.(at) <- t.ring.(at) lor rvec.(!k + 2);
     k := !k + 3
   done;
+  (match i.Model.i_class with
+  | Some k when cycle = t.class_cycle ->
+      Bitset.inter_into ~dst:t.open_classes k
+  | Some k ->
+      Bitset.clear t.open_classes;
+      Bitset.union_into ~dst:t.open_classes k;
+      t.class_cycle <- cycle
+  | None -> ());
   match t.stats with Some s -> s.reserves <- s.reserves + 1 | None -> ()
 
-(* terminates by [base + span], where every row is free *)
+(* terminates by [base + span], where every row is free and, past
+   [class_cycle], every class open *)
 let first_free t ~cycle (i : Model.instr) =
   if cycle < t.base then
     invalid_arg "Scoreboard: probe behind the window base";
   let rvec = t.p.rvecs.(i.Model.i_id) in
-  let c = ref cycle in
+  let c = ref (if class_closed t cycle i then cycle + 1 else cycle) in
   while collides t !c rvec do
     incr c
   done;

@@ -14,6 +14,12 @@
     (cycle offset, word, mask) triples, so a probe tests one ring word
     per non-empty word of the vector.
 
+    The scoreboard also keeps the packing classes (paper 4.5) still open
+    on the cycle of its last classed {!reserve}: an instruction with a
+    packing class joins that cycle only if its class meets every class
+    already issued there. Every other cycle has all classes open, so the
+    state needs no closing when a clock moves on.
+
     One scoreboard serves the list scheduler and the simulator. *)
 
 type stats = {
@@ -35,19 +41,26 @@ val window : t -> int
     least 1). *)
 
 val reset : t -> unit
-(** Clear all occupancy and rewind the window base to cycle 0. *)
+(** Clear all occupancy, open every packing class and rewind the window
+    base to cycle 0. *)
 
 val conflict : t -> cycle:int -> Model.instr -> bool
-(** [conflict t ~cycle i]: would issuing [i] (an instruction of the
-    scoreboard's model) on [cycle] collide with a prior reservation?
-    Advances the window to [cycle]. Raises [Invalid_argument] if [cycle]
-    is behind the window base — probes must be monotone. *)
+(** [conflict t ~cycle i]: can [i] (an instruction of the scoreboard's
+    model) not issue on [cycle]? True when its packing class meets none
+    still open there, or when it would collide with a prior reservation.
+    A closed class is refused first, without a counted probe: [stats]
+    counts only the resource probes. Advances the window to [cycle].
+    Raises [Invalid_argument] if [cycle] is behind the window base —
+    probes must be monotone. *)
 
 val reserve : t -> cycle:int -> Model.instr -> unit
-(** Occupy [i]'s resource vector starting at [cycle]. Advances the window;
-    the same monotonicity contract as {!conflict} applies. *)
+(** Occupy [i]'s resource vector starting at [cycle] and, if [i] has a
+    packing class, narrow what is open on [cycle] to that class.
+    Advances the window; the same monotonicity contract as {!conflict}
+    applies. *)
 
 val first_free : t -> cycle:int -> Model.instr -> int
-(** The earliest cycle [>= cycle] at which [i] would not {!conflict}.
-    Does not move the window and is not counted in [stats]; [cycle]
-    must not be behind the window base. *)
+(** The earliest cycle [>= cycle] at which [i] would not {!conflict}:
+    one where its class is open and its resources are free. Does not
+    move the window and is not counted in [stats]; [cycle] must not be
+    behind the window base. *)

@@ -165,6 +165,26 @@ let test_sim_error_on_bad_memory () =
   | _ -> Alcotest.fail "expected a simulation error"
   | exception Sim.Sim_error _ -> ()
 
+(* [fuel] is the most instructions a run may issue *)
+let test_fuel_limit () =
+  let prog =
+    compile (R2000.load ()) Strategy.Postpass "int main(void) { return 3; }"
+  in
+  let with_fuel fuel =
+    Marion.run ~config:{ Sim.default_config with Sim.fuel } prog
+  in
+  let k = (Marion.run prog).Sim.instructions in
+  let r = with_fuel k in
+  check Alcotest.int "completes on exactly its instructions" k
+    r.Sim.instructions;
+  check Alcotest.int "returns 3" 3 r.Sim.return_value;
+  match with_fuel (k - 1) with
+  | _ -> Alcotest.failf "completed with fuel %d" (k - 1)
+  | exception Sim.Sim_error m ->
+      check Alcotest.string "out of fuel"
+        (Printf.sprintf "out of fuel after %d instructions" (k - 1))
+        m
+
 let test_estimated_cycles_close () =
   (* without a cache, the scheduler's estimate and the simulator agree
      closely: they implement the same hazard model *)
@@ -255,6 +275,8 @@ let suite =
     Alcotest.test_case "nested calls" `Quick test_nested_calls;
     Alcotest.test_case "deep recursion" `Quick test_recursion_deep;
     Alcotest.test_case "bad memory traps" `Quick test_sim_error_on_bad_memory;
+    Alcotest.test_case "fuel bounds issued instructions" `Quick
+      test_fuel_limit;
     Alcotest.test_case "estimate matches simulation" `Quick
       test_estimated_cycles_close;
     Alcotest.test_case "contract digests vs the unstaged simulator" `Slow

@@ -100,9 +100,10 @@ let test_latency_oracle () =
     targets
 
 (* ------------------------------------------------------------------ *)
-(* Scoreboard: ring buffer == an unbounded reference busy table on
-   random monotone probe/reserve sequences, and memory stays bounded
-   over millions of cycles. *)
+(* Scoreboard: ring buffer and open packing classes == an unbounded
+   reference busy table and per-cycle class lists on random monotone
+   probe/reserve sequences, and memory stays bounded over millions of
+   cycles. *)
 
 let instr_exn model name =
   match
@@ -137,8 +138,10 @@ instr {
 let test_scoreboard_vs_reference () =
   let check_model (model : Model.t) =
     let nres = Array.length model.Model.resources in
-    (* reference: one bitset per absolute cycle, never recycled *)
+    (* reference: one bitset per absolute cycle and the packing classes
+       issued on each cycle, never recycled *)
     let ref_busy : (int, Bitset.t) Hashtbl.t = Hashtbl.create 64 in
+    let ref_classes : (int, Bitset.t list) Hashtbl.t = Hashtbl.create 64 in
     let ref_at c =
       match Hashtbl.find_opt ref_busy c with
       | Some b -> b
@@ -147,51 +150,89 @@ let test_scoreboard_vs_reference () =
           Hashtbl.replace ref_busy c b;
           b
     in
-    let ref_conflict cycle (rvec : Bitset.t array) =
+    (* a class is closed on a cycle when no element is in it and in
+       every class already issued there *)
+    let ref_closed cycle (op : Model.instr) =
+      match op.Model.i_class with
+      | None -> false
+      | Some k ->
+          let meet = Bitset.copy k in
+          List.iter
+            (fun issued -> Bitset.inter_into ~dst:meet issued)
+            (Option.value ~default:[] (Hashtbl.find_opt ref_classes cycle));
+          Bitset.is_empty meet
+    in
+    let ref_busy_at cycle (op : Model.instr) =
       let hit = ref false in
       Array.iteri
         (fun c req ->
           if (not !hit) && not (Bitset.inter_empty (ref_at (cycle + c)) req)
           then hit := true)
-        rvec;
+        op.Model.i_rvec;
       !hit
     in
-    let ref_reserve cycle (rvec : Bitset.t array) =
+    let ref_conflict cycle op = ref_closed cycle op || ref_busy_at cycle op in
+    let ref_reserve cycle (op : Model.instr) =
       Array.iteri
         (fun c req -> Bitset.union_into ~dst:(ref_at (cycle + c)) req)
-        rvec
+        op.Model.i_rvec;
+      Option.iter
+        (fun k ->
+          let issued = Hashtbl.find_opt ref_classes cycle in
+          Hashtbl.replace ref_classes cycle
+            (k :: Option.value ~default:[] issued))
+        op.Model.i_class
     in
-    let rec ref_first_free cycle rvec =
-      if ref_conflict cycle rvec then ref_first_free (cycle + 1) rvec else cycle
+    let rec ref_first_free cycle op =
+      if ref_conflict cycle op then ref_first_free (cycle + 1) op else cycle
     in
     let sb = Scoreboard.create model in
     let rng = Random.State.make [| 0x5eed; 42 |] in
     let ops = model.Model.instrs in
+    let classed =
+      List.filter
+        (fun (op : Model.instr) -> op.Model.i_class <> None)
+        (Array.to_list ops)
+      |> Array.of_list
+    in
     let cycle = ref 0 in
+    (* probes refused only by a closed class: resources free *)
+    let closed_probes = ref 0 in
     for _ = 1 to 20_000 do
-      (* monotone, sometimes jumping past the whole window *)
-      cycle := !cycle + Random.State.int rng 40;
-      let op = ops.(Random.State.int rng (Array.length ops)) in
-      let rvec = op.Model.i_rvec in
+      (* monotone, often on the same cycle again, sometimes jumping past
+         the whole window *)
+      if Random.State.int rng 4 > 0 then
+        cycle := !cycle + Random.State.int rng 40;
+      (* half the draws classed, where the model has packing classes *)
+      let op =
+        if classed <> [||] && Random.State.bool rng then
+          classed.(Random.State.int rng (Array.length classed))
+        else ops.(Random.State.int rng (Array.length ops))
+      in
       let tag what =
         Printf.sprintf "%s: %s %s at %d" model.Model.name what op.Model.i_name
           !cycle
       in
+      if ref_closed !cycle op && not (ref_busy_at !cycle op) then
+        incr closed_probes;
       (* before the probe, so the window may still lag [cycle] *)
       check Alcotest.int (tag "first_free")
-        (ref_first_free !cycle rvec)
+        (ref_first_free !cycle op)
         (Scoreboard.first_free sb ~cycle:!cycle op);
       check Alcotest.bool (tag "conflict")
-        (ref_conflict !cycle rvec)
+        (ref_conflict !cycle op)
         (Scoreboard.conflict sb ~cycle:!cycle op);
       check Alcotest.int (tag "first_free after the probe")
-        (ref_first_free (!cycle + 1) rvec)
+        (ref_first_free (!cycle + 1) op)
         (Scoreboard.first_free sb ~cycle:(!cycle + 1) op);
       if Random.State.bool rng then begin
-        ref_reserve !cycle rvec;
+        ref_reserve !cycle op;
         Scoreboard.reserve sb ~cycle:!cycle op
       end
     done;
+    if model.Model.name = "i860" then
+      check Alcotest.bool "i860 reaches closed classes with free resources"
+        true (!closed_probes > 0);
     (* probing behind the window base is a contract violation, not a
        silent wrong answer *)
     check Alcotest.bool "backward probe raises" true
@@ -201,7 +242,34 @@ let test_scoreboard_vs_reference () =
     check Alcotest.bool "backward first_free raises" true
       (match Scoreboard.first_free sb ~cycle:0 ops.(0) with
       | (_ : int) -> false
-      | exception Invalid_argument _ -> true)
+      | exception Invalid_argument _ -> true);
+    (* issue every classed op on one cycle, which closes every class of
+       i860; [reset] reopens them and frees the resources *)
+    let c = !cycle + 1 in
+    Array.iter
+      (fun op ->
+        ref_reserve c op;
+        Scoreboard.reserve sb ~cycle:c op)
+      classed;
+    Array.iter
+      (fun (op : Model.instr) ->
+        check Alcotest.bool
+          (Printf.sprintf "%s: %s closed" model.Model.name op.Model.i_name)
+          true
+          (ref_closed c op && Scoreboard.conflict sb ~cycle:c op))
+      classed;
+    Scoreboard.reset sb;
+    Array.iter
+      (fun (op : Model.instr) ->
+        let tag what =
+          Printf.sprintf "%s: %s %s after reset" model.Model.name what
+            op.Model.i_name
+        in
+        check Alcotest.bool (tag "conflict") false
+          (Scoreboard.conflict sb ~cycle:c op);
+        check Alcotest.int (tag "first_free") c
+          (Scoreboard.first_free sb ~cycle:c op))
+      ops
   in
   let wide = Lazy.force wide_model in
   check Alcotest.bool "wide model spans two words" true
@@ -252,7 +320,17 @@ let test_scoreboard_no_alloc () =
   words "Scoreboard.reserve" (fun c ->
       Scoreboard.reserve sb ~cycle:(c + 10_000) mult);
   words "Scoreboard.first_free" (fun c ->
-      ignore (Scoreboard.first_free sb ~cycle:(c + 20_000) mult : int))
+      ignore (Scoreboard.first_free sb ~cycle:(c + 20_000) mult : int));
+  (* classed ops narrow and test the open packing classes in place *)
+  let i860 = Lazy.force (List.assoc "i860" targets) in
+  let sb = Scoreboard.create i860 in
+  let ma1 = instr_exn i860 "MA1" and aa1 = instr_exn i860 "AA1" in
+  words "classed probes" (fun c ->
+      ignore (Scoreboard.conflict sb ~cycle:c ma1 : bool);
+      Scoreboard.reserve sb ~cycle:c ma1;
+      ignore (Scoreboard.conflict sb ~cycle:c aa1 : bool);
+      Scoreboard.reserve sb ~cycle:c aa1;
+      ignore (Scoreboard.first_free sb ~cycle:c aa1 : int))
 
 (* the end-to-end shape of the same regression: a long Livermore run
    (hundreds of thousands of simulated cycles) completes with resource
