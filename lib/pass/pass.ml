@@ -2,7 +2,7 @@ type stats = {
   mutable spilled : int;
   mutable sched_passes : int;
   mutable estimates : (string * int) list;
-  mutable reg_budget : int option;
+  mutable orders : Mir.inst list list;
   mutable sb_probes : int;
   mutable sb_conflicts : int;
   mutable sb_reserves : int;
@@ -25,7 +25,7 @@ let v ?post name run = { name; post; run }
 let record_estimate st label cost = st.estimates <- (label, cost) :: st.estimates
 
 let fresh_stats () =
-  { spilled = 0; sched_passes = 0; estimates = []; reg_budget = None;
+  { spilled = 0; sched_passes = 0; estimates = []; orders = [];
     sb_probes = 0; sb_conflicts = 0; sb_reserves = 0;
     an_time = 0.0; an_solves = 0; an_iters = 0; an_facts = 0;
     an_queries = 0; an_pruned = 0 }

@@ -14,10 +14,11 @@
 
     A pass communicates with its successors only through the function it
     rewrites and through {!stats} — the per-function accumulator for
-    spills, schedule-pass counts, block cost estimates and the RASE
-    register budget. Keeping all inter-pass state in [stats] (rather than
-    closures over mutable refs) is what makes whole pipelines safe to run
-    on one function per domain: a pipeline touches nothing shared. *)
+    spills, schedule-pass counts, block cost estimates and the issue
+    orders RASE's sweep hands its prepass. Keeping all inter-pass state
+    in [stats] (rather than closures over mutable refs) is what makes
+    whole pipelines safe to run on one function per domain: a pipeline
+    touches nothing shared. *)
 
 type stats = {
   mutable spilled : int;  (** pseudo-registers sent to memory *)
@@ -26,15 +27,18 @@ type stats = {
           scheduling pass (two for the final schedule, consumed as code
           and as estimate), and one per block per RASE sweep budget, the
           budgets [Listsched.sweep] proves equal without rescheduling
-          included *)
+          included. RASE's prepass counts one per block too, though it
+          schedules nothing: it consumes the sweep's schedules at the
+          chosen budget ({!orders}) *)
   mutable estimates : (string * int) list;
       (** block-label/cost pairs, accumulated {e reversed} (newest first);
           {!run_pipeline} returns them oldest-first. Use
           {!record_estimate}. *)
-  mutable reg_budget : int option;
-      (** the register budget one pass chooses for a later one (RASE's
-          sweep communicating the schedule's register appetite to the
-          prepass scheduler and thence the allocator) *)
+  mutable orders : Mir.inst list list;
+      (** block issue orders, in block order, that one pass schedules for
+          a later one to write back: RASE's sweep hands the prepass each
+          block's schedule at the register budget it chose, which carries
+          the schedule's register appetite to the allocator *)
   mutable sb_probes : int;
       (** scoreboard resource probes issued by this function's
           scheduling passes ({!Scoreboard.stats}) *)

@@ -17,6 +17,112 @@ type oracle = {
 
 let oracle f = { o_alias = f; o_queries = 0; o_pruned = 0 }
 
+(* A model's hard registers numbered densely ("flat" indices), each with
+   the flats it overlaps ([Locs.overlap]) and covers ([Locs.covers]), so
+   %equiv halves behave exactly as the location vocabulary says. Both
+   relations need the two registers' bytes to meet in one bank, so each
+   register is tested only against its neighbours in (bank, offset)
+   order, once per model. *)
+type hard_regs = {
+  h_base : int array;  (* class -> flat index of its [c_lo] *)
+  h_ovl : int array array;  (* flat -> the flats it overlaps *)
+  h_cov : int array array;  (* flat -> the flats it covers *)
+  h_kind : edge_kind array;  (* flat -> kind of a true dependence on it *)
+}
+
+let hard_regs =
+  Model.memo (fun model ->
+      let classes = model.Model.classes in
+      let h_base = Array.make (Array.length classes) 0 in
+      let regs = ref [] and nflat = ref 0 in
+      Array.iteri
+        (fun cls (c : Model.rclass) ->
+          h_base.(cls) <- !nflat;
+          for idx = c.Model.c_lo to c.Model.c_hi do
+            regs := { Model.cls; idx } :: !regs;
+            incr nflat
+          done)
+        classes;
+      let regs = Array.of_list (List.rev !regs) in
+      let bytes = Array.map (Model.reg_bytes model) regs in
+      let widest = Array.fold_left (fun m (_, _, sz) -> max m sz) 0 bytes in
+      let order = Array.init (Array.length regs) Fun.id in
+      Array.stable_sort
+        (fun f g ->
+          let bf, of_, _ = bytes.(f) and bg, og, _ = bytes.(g) in
+          if bf <> bg then compare bf bg else compare of_ og)
+        order;
+      (* for each flat, the flats [rel] holds for; only those whose bytes
+         may meet its own are tested: the same bank, at an offset within
+         reach, found by walking [order] both ways from its position *)
+      let related rel =
+        let sets = Array.make (Array.length regs) [||] in
+        Array.iteri
+          (fun k f ->
+            let bank, off, size = bytes.(f) in
+            let near j lo hi =
+              j >= 0
+              && j < Array.length order
+              &&
+              let b, o, _ = bytes.(order.(j)) in
+              b = bank && o >= lo && o <= hi
+            in
+            let found = ref [] in
+            let test j =
+              let g = order.(j) in
+              if rel model (Locs.Lh regs.(f)) (Locs.Lh regs.(g)) then
+                found := g :: !found
+            in
+            let j = ref (k - 1) in
+            while near !j (off - widest) max_int do
+              test !j;
+              decr j
+            done;
+            let j = ref k in
+            while near !j min_int (off + size) do
+              test !j;
+              incr j
+            done;
+            sets.(f) <- Array.of_list !found)
+          order;
+        sets
+      in
+      {
+        h_base;
+        h_ovl = related Locs.overlap;
+        h_cov = related Locs.covers;
+        h_kind =
+          Array.map
+            (fun r ->
+              match Locs.temporal_clock model r with
+              | Some k -> Temporal k
+              | None -> True)
+            regs;
+      })
+
+(* the flat index of a hard register, or -1 when it is not a register of
+   the model (such a location overlaps and covers nothing) *)
+let flat model hr (r : Model.reg) =
+  if not (Locs.reg_valid model r) then -1
+  else
+    hr.h_base.(r.Model.cls)
+    + r.Model.idx - model.Model.classes.(r.Model.cls).Model.c_lo
+
+(* One scan over the block, in near-linear time. Locations are interned
+   to dense ids (pseudos by [p_id], hard registers by flat index, with
+   their overlap and cover sets narrowed to the ids the block touches).
+   Each id keeps its live writers and its readers since their last
+   covering write as linked lists threaded through one entry pool, in
+   block order; a read or write visits only the lists of the ids its
+   location overlaps, merged by entry so that the events come in the
+   order of the former single reader and writer lists.
+
+   Every edge the scan adds ends at the node being scanned, so dedupe and
+   strengthening use per-source stamps ([seen], [lab], [knd]); [last]
+   records each source's latest effective event (creation or a stricter
+   label), and the node's edges are emitted most recent event first,
+   which keeps [succs], [preds] and [edges] in the order of the builder
+   that prepended every new or strengthened edge. *)
 let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
     t =
   let dep_latency =
@@ -27,35 +133,155 @@ let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
   in
   let arr = Array.of_list insts in
   let n = Array.length arr in
+  (* ---------------- locations to dense ids ---------------- *)
+  let hr = hard_regs model in
+  let ids : (int, int) Hashtbl.t = Hashtbl.create 32 in
+  let flats = ref [] and nlocs = ref 0 in
+  let intern key f =
+    match Hashtbl.find ids key with
+    | id -> id
+    | exception Not_found ->
+        let id = !nlocs in
+        Hashtbl.add ids key id;
+        flats := f :: !flats;
+        incr nlocs;
+        id
+  in
+  (* pseudos get even keys, hard registers odd ones; -1 is inert *)
+  let id_of = function
+    | Locs.Lp p -> intern (2 * p) (-1)
+    | Locs.Lh r ->
+        let f = flat model hr r in
+        if f < 0 then -1 else intern ((2 * f) + 1) f
+  in
+  let ids_of locs = Array.of_list (List.map id_of locs) in
+  let rd = Array.map (fun inst -> ids_of (Locs.reads model inst)) arr in
+  let wr = Array.map (fun inst -> ids_of (Locs.writes model inst)) arr in
+  let flat_of = Array.of_list (List.rev !flats) in
+  let nl = Array.length flat_of in
+  (* a pseudo overlaps and covers only itself; a hard register's sets
+     are narrowed to the registers the block touches *)
+  let ovl = Array.make nl [||] and cov = Array.make nl [||] in
+  let local_ids set =
+    Array.of_list
+      (List.filter_map
+         (fun f -> Hashtbl.find_opt ids ((2 * f) + 1))
+         (Array.to_list set))
+  in
+  Array.iteri
+    (fun id f ->
+      if f < 0 then begin
+        let self = [| id |] in
+        ovl.(id) <- self;
+        cov.(id) <- self
+      end
+      else begin
+        ovl.(id) <- local_ids hr.h_ovl.(f);
+        cov.(id) <- local_ids hr.h_cov.(f)
+      end)
+    flat_of;
+  (* ---------------- reader and writer lists ---------------- *)
+  let total = Array.fold_left (fun a r -> a + Array.length r) 0 rd in
+  let total = Array.fold_left (fun a w -> a + Array.length w) total wr in
+  let e_node = Array.make total 0 and e_loc = Array.make total 0 in
+  let e_next = Array.make total (-1) and ne = ref 0 in
+  let r_head = Array.make nl (-1) and r_tail = Array.make nl (-1) in
+  let w_head = Array.make nl (-1) and w_tail = Array.make nl (-1) in
+  let append head tail l node =
+    let e = !ne in
+    incr ne;
+    e_node.(e) <- node;
+    e_loc.(e) <- l;
+    if tail.(l) < 0 then head.(l) <- e else e_next.(tail.(l)) <- e;
+    tail.(l) <- e
+  in
+  let clear l =
+    r_head.(l) <- -1;
+    r_tail.(l) <- -1;
+    w_head.(l) <- -1;
+    w_tail.(l) <- -1
+  in
+  (* visit, in entry order, the entries of [head]'s lists over the ids in
+     [set] *)
+  let cursor =
+    Array.make (Array.fold_left (fun m s -> max m (Array.length s)) 0 ovl) 0
+  in
+  let iter_live head set visit =
+    let k = Array.length set in
+    if k = 1 then begin
+      let e = ref head.(set.(0)) in
+      while !e >= 0 do
+        visit !e;
+        e := e_next.(!e)
+      done
+    end
+    else begin
+      for j = 0 to k - 1 do
+        cursor.(j) <- head.(set.(j))
+      done;
+      let more = ref true in
+      while !more do
+        let best = ref (-1) in
+        for j = 0 to k - 1 do
+          let e = cursor.(j) in
+          if e >= 0 && (!best < 0 || e < cursor.(!best)) then best := j
+        done;
+        if !best < 0 then more := false
+        else begin
+          let e = cursor.(!best) in
+          cursor.(!best) <- e_next.(e);
+          visit e
+        end
+      done
+    end
+  in
+  (* ---------------- edges into the node being scanned ---------------- *)
   let succs = Array.make n [] and preds = Array.make n [] in
   let edges = ref [] in
-  let add_edge src dst label kind =
-    if src <> dst then
-      match List.find_opt (fun (d, _, _) -> d = dst) succs.(src) with
-      | Some (_, l, _) when l >= label -> ()
-      | Some _ ->
-          (* keep the strictest label for this pair *)
-          succs.(src) <-
-            (dst, label, kind)
-            :: List.filter (fun (d, _, _) -> d <> dst) succs.(src);
-          preds.(dst) <-
-            (src, label, kind)
-            :: List.filter (fun (s, _, _) -> s <> src) preds.(dst);
-          edges :=
-            { e_src = src; e_dst = dst; e_label = label; e_kind = kind }
-            :: List.filter
-                 (fun e -> not (e.e_src = src && e.e_dst = dst))
-                 !edges
-      | None ->
-          succs.(src) <- (dst, label, kind) :: succs.(src);
-          preds.(dst) <- (src, label, kind) :: preds.(dst);
-          edges :=
-            { e_src = src; e_dst = dst; e_label = label; e_kind = kind }
-            :: !edges
+  let dst = ref 0 in
+  let seen = Array.make n (-1) and lab = Array.make n 0 in
+  let knd = Array.make n True and last = Array.make n 0 in
+  let events = ref (Array.make (max 8 n) 0) and nev = ref 0 in
+  let add_edge src label kind =
+    let i = !dst in
+    if src <> i && (seen.(src) <> i || label > lab.(src)) then begin
+      (* a new edge, or a stricter label for this pair: keep it *)
+      seen.(src) <- i;
+      lab.(src) <- label;
+      knd.(src) <- kind;
+      if !nev = Array.length !events then begin
+        let bigger = Array.make (2 * !nev) 0 in
+        Array.blit !events 0 bigger 0 !nev;
+        events := bigger
+      end;
+      !events.(!nev) <- src;
+      last.(src) <- !nev;
+      incr nev
+    end
   in
-  (* current writers (loc, node) and readers since their last write *)
-  let writers : (Locs.t * int) list ref = ref [] in
-  let readers : (Locs.t * int) list ref = ref [] in
+  let emit () =
+    let i = !dst in
+    for k = 0 to !nev - 1 do
+      let s = !events.(k) in
+      if last.(s) = k then begin
+        let label = lab.(s) and kind = knd.(s) in
+        preds.(i) <- (s, label, kind) :: preds.(i);
+        succs.(s) <- (i, label, kind) :: succs.(s);
+        edges :=
+          { e_src = s; e_dst = i; e_label = label; e_kind = kind } :: !edges
+      end
+    done;
+    nev := 0
+  in
+  (* the kind follows the location written: a temporal register's clock *)
+  let true_dep e =
+    let wi = e_node.(e) and f = flat_of.(e_loc.(e)) in
+    add_edge wi
+      (dep_latency arr.(wi) arr.(!dst))
+      (if f < 0 then True else hr.h_kind.(f))
+  in
+  let anti_read e = add_edge e_node.(e) 0 Anti in
+  let anti_write e = add_edge e_node.(e) 1 Anti in
   let last_store = ref None in
   let mem_readers = ref [] in
   let last_call = ref None in
@@ -66,7 +292,9 @@ let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
      (transitive reduction) without losing the constraint *)
   let mem_stores = ref [] in
   let mem_loads = ref [] in
-  let mem_before : Bitset.t option array = Array.make n None in
+  let mem_before : Bitset.t option array =
+    if Option.is_none oracle then [||] else Array.make n None
+  in
   let before_of x =
     match mem_before.(x) with
     | Some b -> b
@@ -80,55 +308,42 @@ let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
   let mem_order j i =
     let bi = before_of i in
     if not (Bitset.mem bi j) then begin
-      add_edge j i 1 Mem;
+      add_edge j 1 Mem;
       Bitset.union_into ~dst:bi (before_of j);
       Bitset.set bi j
     end
   in
   for i = 0 to n - 1 do
+    dst := i;
     let inst = arr.(i) in
-    let reads = Locs.reads model inst in
-    let writes = Locs.writes model inst in
+    let reads = rd.(i) and writes = wr.(i) in
     (* calls are scheduling barriers: everything before stays before,
        everything after stays after *)
     if inst.Mir.n_op.Model.i_call then begin
       for j = 0 to i - 1 do
-        add_edge j i 1 Mem
+        add_edge j 1 Mem
       done;
       last_call := Some i
     end
     else begin
       match !last_call with
-      | Some c -> add_edge c i 1 Mem
+      | Some c -> add_edge c 1 Mem
       | None -> ()
     end;
     (* type 1 / temporal: true dependences *)
-    List.iter
-      (fun l ->
-        List.iter
-          (fun (wl, wi) ->
-            if Locs.overlap model l wl then
-              let kind =
-                match Locs.clock model wl with
-                | Some k -> Temporal k
-                | None -> True
-              in
-              add_edge wi i (dep_latency arr.(wi) inst) kind)
-          !writers)
-      reads;
+    for k = 0 to Array.length reads - 1 do
+      let l = reads.(k) in
+      if l >= 0 then iter_live w_head ovl.(l) true_dep
+    done;
     (* type 3: anti (read then write) and output (write then write) *)
     if anti then
-      List.iter
-        (fun l ->
-          List.iter
-            (fun (rl, ri) ->
-              if Locs.overlap model l rl then add_edge ri i 0 Anti)
-            !readers;
-          List.iter
-            (fun (wl, wi) ->
-              if Locs.overlap model l wl then add_edge wi i 1 Anti)
-            !writers)
-        writes;
+      for k = 0 to Array.length writes - 1 do
+        let l = writes.(k) in
+        if l >= 0 then begin
+          iter_live r_head ovl.(l) anti_read;
+          iter_live w_head ovl.(l) anti_write
+        end
+      done;
     (* type 2: memory ordering; calls are memory barriers *)
     let acts_on_memory_r = inst.Mir.n_op.Model.i_loads || inst.Mir.n_op.Model.i_call in
     let acts_on_memory_w = inst.Mir.n_op.Model.i_stores || inst.Mir.n_op.Model.i_call in
@@ -140,14 +355,14 @@ let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
            before each of them, so the direct store-to-store edge would be
            redundant — skip it instead of double-counting the pair *)
         if acts_on_memory_r then begin
-          (match !last_store with Some s -> add_edge s i 1 Mem | None -> ());
+          (match !last_store with Some s -> add_edge s 1 Mem | None -> ());
           mem_readers := i :: !mem_readers
         end;
         if acts_on_memory_w then begin
           (match !last_store with
-          | Some s when !mem_readers = [] -> add_edge s i 1 Mem
+          | Some s when !mem_readers = [] -> add_edge s 1 Mem
           | Some _ | None -> ());
-          List.iter (fun r -> add_edge r i 1 Mem) !mem_readers;
+          List.iter (fun r -> add_edge r 1 Mem) !mem_readers;
           last_store := Some i;
           mem_readers := []
         end
@@ -187,20 +402,48 @@ let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
           if acts_on_memory_r then mem_loads := i :: !mem_loads;
           if acts_on_memory_w then mem_stores := i :: !mem_stores
         end);
+    emit ();
     (* update reader/writer tracking; an entry dies only when a new write
        covers it completely *)
-    readers :=
-      List.filter
-        (fun (rl, _) -> not (List.exists (fun w -> Locs.covers model w rl) writes))
-        !readers
-      @ List.map (fun l -> (l, i)) reads;
-    writers :=
-      List.filter
-        (fun (wl, _) -> not (List.exists (fun w -> Locs.covers model w wl) writes))
-        !writers
-      @ List.map (fun l -> (l, i)) writes
+    for k = 0 to Array.length writes - 1 do
+      let l = writes.(k) in
+      if l >= 0 then Array.iter clear cov.(l)
+    done;
+    for k = 0 to Array.length reads - 1 do
+      let l = reads.(k) in
+      if l >= 0 then append r_head r_tail l i
+    done;
+    for k = 0 to Array.length writes - 1 do
+      let l = writes.(k) in
+      if l >= 0 then append w_head w_tail l i
+    done
   done;
   (* ---------------- temporal sequence protection (paper 4.6) -------- *)
+  (* the only edges added after the scan; rare, so plain list updates *)
+  let add_edge src dst label kind =
+    if src <> dst then
+      match List.find_opt (fun (d, _, _) -> d = dst) succs.(src) with
+      | Some (_, l, _) when l >= label -> ()
+      | Some _ ->
+          (* keep the strictest label for this pair *)
+          succs.(src) <-
+            (dst, label, kind)
+            :: List.filter (fun (d, _, _) -> d <> dst) succs.(src);
+          preds.(dst) <-
+            (src, label, kind)
+            :: List.filter (fun (s, _, _) -> s <> src) preds.(dst);
+          edges :=
+            { e_src = src; e_dst = dst; e_label = label; e_kind = kind }
+            :: List.filter
+                 (fun e -> not (e.e_src = src && e.e_dst = dst))
+                 !edges
+      | None ->
+          succs.(src) <- (dst, label, kind) :: succs.(src);
+          preds.(dst) <- (src, label, kind) :: preds.(dst);
+          edges :=
+            { e_src = src; e_dst = dst; e_label = label; e_kind = kind }
+            :: !edges
+  in
   (* temporal sequences: chains of temporal edges on the same clock *)
   let temporal_succ i =
     List.filter_map
@@ -259,14 +502,6 @@ let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
   in
   protect ();
   { insts = arr; succs; preds; edges = !edges }
-
-let roots t =
-  let n = Array.length t.insts in
-  let r = ref [] in
-  for i = n - 1 downto 0 do
-    if t.preds.(i) = [] then r := i :: !r
-  done;
-  !r
 
 let max_dist_to_leaf t =
   let n = Array.length t.insts in

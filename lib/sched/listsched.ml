@@ -342,9 +342,10 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
    run is the [Unlimited] run.
    A class's cap is monotone in n, so at every budget m > n each
    candidate the test accepted at n is accepted again in the same state:
-   by induction the m-run makes the same choices and has the same
-   length. The sweep fills m > n with that length without running the
-   scheduler.
+   by induction the m-run makes the same choices, so it has the same
+   issue order and length. The sweep fills m > n with that schedule
+   without running the scheduler, and RASE's prepass writes back the
+   order of the budget it chose instead of scheduling again.
 
    The cycle jump in [run] is exact too, and leaves [bound] as stepping
    one cycle at a time would. A step issues nothing only when no ready
@@ -359,7 +360,7 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
    the pressure test in them they would not have set [bound]. *)
 let sweep ?sb_stats ~budgets (fn : Mir.func) (insts : Mir.inst list) =
   let options = { default_options with fill_delay = false } in
-  let lengths = Array.make budgets 0 in
+  let results = Array.make budgets { order = []; length = 0 } in
   (match prepare ~options fn insts with
   | None -> ()
   | Some p ->
@@ -370,14 +371,14 @@ let sweep ?sb_stats ~budgets (fn : Mir.func) (insts : Mir.inst list) =
             run ~options:{ options with reg_limit = Fixed n } ~busy fn p
           in
           if bound then begin
-            lengths.(n - 1) <- r.length;
+            results.(n - 1) <- r;
             go (n + 1)
           end
-          else Array.fill lengths (n - 1) (budgets - n + 1) r.length
+          else Array.fill results (n - 1) (budgets - n + 1) r
         end
       in
       go 1);
-  lengths
+  results
 
 (* one scoreboard per function: [run] resets it for every block *)
 let each_block ~write ?(options = default_options) ?oracle ?sb_stats

@@ -60,15 +60,16 @@ val schedule_block :
 
 val sweep :
   ?sb_stats:Scoreboard.stats -> budgets:int -> Mir.func -> Mir.inst list ->
-  int array
+  result array
 (** [sweep ~budgets fn insts] is the RASE cost sweep of one block: the
-    array's element [n - 1] is the length of
+    array's element [n - 1] is
     [schedule_block ~options:{default_options with fill_delay = false;
-    reg_limit = Fixed n}] for [n = 1 .. budgets]. The DAG is built once,
-    and once the register limit stops binding at some budget the larger
-    budgets are filled with that length without rescheduling — exactly,
-    since a limit that never rejected a candidate leaves the schedule
-    equal to the unlimited one (see the implementation comment). *)
+    reg_limit = Fixed n}] for [n = 1 .. budgets], issue order and length.
+    The DAG is built once, and once the register limit stops binding at
+    some budget the larger budgets share that budget's schedule without
+    rescheduling — exactly, since a limit that never rejected a candidate
+    leaves the schedule equal to the unlimited one (see the
+    implementation comment). *)
 
 val schedule_func :
   ?options:options -> ?oracle:Dag.oracle -> ?sb_stats:Scoreboard.stats ->

@@ -191,41 +191,45 @@ let max_budget (model : Model.t) =
 
 (* RASE's expensive half: gather schedule cost estimates under every
    register budget 1 .. [max_budget] ([Listsched.sweep], one DAG per
-   block) and keep the smallest budget with the minimum total estimated
-   cost *)
-(* oracle-free like [p_ips_prepass]: the sweep's estimates must model
-   the schedules the (pre-allocation, hence conservative) rase-prepass
-   will actually produce, or the chosen budget is tuned for a different
-   scheduler than the one that runs *)
+   block), keep the smallest budget with the minimum total estimated
+   cost, and hand the prepass each block's schedule at that budget *)
+(* oracle-free like [p_ips_prepass]: the sweep's schedules are the ones
+   the (pre-allocation, hence conservative) rase-prepass writes back *)
 let p_rase_sweep =
   Pass.v "rase-sweep" (fun st fn ->
       let budgets = max_budget fn.Mir.f_model in
       let cost_at = Array.make budgets 0 in
-      with_sb_stats st (fun sb ->
-          List.iter
-            (fun (b : Mir.block) ->
-              Array.iteri
-                (fun k len -> cost_at.(k) <- cost_at.(k) + len)
-                (Listsched.sweep ~sb_stats:sb ~budgets fn b.Mir.b_insts))
-            fn.Mir.f_blocks);
+      let swept =
+        with_sb_stats st (fun sb ->
+            List.map
+              (fun (b : Mir.block) ->
+                let rs =
+                  Listsched.sweep ~sb_stats:sb ~budgets fn b.Mir.b_insts
+                in
+                Array.iteri
+                  (fun k (r : Listsched.result) ->
+                    cost_at.(k) <- cost_at.(k) + r.Listsched.length)
+                  rs;
+                rs)
+              fn.Mir.f_blocks)
+      in
       (* one block estimate per budget, whether scheduled or proven equal *)
       st.Pass.sched_passes <- st.Pass.sched_passes + (budgets * count_blocks fn);
       let best = ref 0 in
       Array.iteri (fun k c -> if c < cost_at.(!best) then best := k) cost_at;
-      st.Pass.reg_budget <- Some (!best + 1))
+      st.Pass.orders <-
+        List.map (fun rs -> rs.(!best).Listsched.order) swept)
 
-(* prepass under the chosen budget communicates the schedule's register
-   appetite to the allocator; pre-allocation, so oracle-free — see
-   [p_ips_prepass] *)
+(* the prepass under the chosen budget carries the schedule's register
+   appetite to the allocator: it writes back the sweep's schedules, the
+   ones [Listsched.schedule_func] would compute at that budget. It has no
+   fallback: a fault in the sweep aborts the pipeline before it runs *)
 let p_rase_prepass =
   Pass.v "rase-prepass" (fun st fn ->
-      let budget = Option.value ~default:1 st.Pass.reg_budget in
-      let options =
-        { no_delay with Listsched.reg_limit = Listsched.Fixed budget }
-      in
-      ignore
-        (with_sb_stats st (fun sb ->
-             Listsched.schedule_func ~options ~sb_stats:sb fn));
+      List.iter2
+        (fun (b : Mir.block) order -> b.Mir.b_insts <- order)
+        fn.Mir.f_blocks st.Pass.orders;
+      st.Pass.orders <- [];
       st.Pass.sched_passes <- st.Pass.sched_passes + count_blocks fn)
 
 let p_frame =

@@ -389,7 +389,12 @@ let selected model (file, src) =
 
 (* The RASE sweep against the per-budget scheduler it replaces, on every
    block of every selected function of Livermore 1-14 and the program
-   suite on all four targets: exhaustive, not sampled. *)
+   suite on all four targets: exhaustive, not sampled. Each budget's
+   issue order must match as well as its length, since RASE's prepass
+   writes back the sweep's order at the budget it chose. *)
+let ids (r : Listsched.result) =
+  List.map (fun (i : Mir.inst) -> i.Mir.n_id) r.Listsched.order
+
 let test_sweep_matches_per_budget () =
   let no_delay =
     { Listsched.default_options with Listsched.fill_delay = false }
@@ -422,15 +427,22 @@ let test_sweep_matches_per_budget () =
                                 Listsched.reg_limit = Listsched.Fixed (k + 1);
                               }
                             in
-                            (Listsched.schedule_block ~options ~sb_stats:ref_sb
-                               fn insts)
-                              .Listsched.length)
+                            Listsched.schedule_block ~options ~sb_stats:ref_sb
+                              fn insts)
                       in
+                      let where =
+                        Printf.sprintf "%s %s %s" tname fn.Mir.f_name
+                          b.Mir.b_label
+                      in
+                      let length (r : Listsched.result) = r.Listsched.length in
                       check
                         Alcotest.(array int)
-                        (Printf.sprintf "%s %s %s" tname fn.Mir.f_name
-                           b.Mir.b_label)
-                        want got;
+                        (where ^ " lengths") (Array.map length want)
+                        (Array.map length got);
+                      check
+                        Alcotest.(array (list int))
+                        (where ^ " issue orders") (Array.map ids want)
+                        (Array.map ids got);
                       (* fewer probes than the reference: some budget was
                          proven equal instead of scheduled *)
                       if
@@ -445,8 +457,9 @@ let test_sweep_matches_per_budget () =
                           .Listsched.length
                       in
                       Array.iteri
-                        (fun k len ->
-                          if k + 1 >= 2 && len <> free then bound_late := true)
+                        (fun k (r : Listsched.result) ->
+                          if k + 1 >= 2 && r.Listsched.length <> free then
+                            bound_late := true)
                         got)
                     fn.Mir.f_blocks)
                 fns)
@@ -456,6 +469,147 @@ let test_sweep_matches_per_budget () =
     !saturated_early;
   check Alcotest.bool "some block is still bound at a budget >= 2" true
     !bound_late
+
+(* Dag.build allocates in proportion to its block, not to the block's
+   square: a straight-line block of N statements [x_k = a[k] + b] and
+   one of 2N. Every statement reads the same base pseudos, whose reader
+   lists grow with the block; a builder that rescans or copies them per
+   instruction allocates nearly four times as much for 2N. Counted in
+   minor words, which are deterministic for a given build, after a first
+   build has filled the per-model tables. *)
+let test_dag_build_linear () =
+  let m = R2000.load () in
+  let block n =
+    let stmts =
+      String.concat "\n"
+        (List.init n (fun k -> Printf.sprintf "x%d = a[%d] + b;" k k))
+    in
+    let decls =
+      String.concat " " (List.init n (fun k -> Printf.sprintf "int x%d;" k))
+    in
+    let src =
+      Printf.sprintf "int a[%d]; int b;\nint main(void) { %s\n%s\nreturn 0; }"
+        n decls stmts
+    in
+    let prog = Select.select_prog m (Cgen.compile ~file:"<lin.c>" src) in
+    let fn = List.hd prog.Mir.p_funcs in
+    List.fold_left
+      (fun acc (b : Mir.block) ->
+        if List.length b.Mir.b_insts > List.length acc then b.Mir.b_insts
+        else acc)
+      [] fn.Mir.f_blocks
+  in
+  let words insts =
+    ignore (Dag.build m insts);
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Dag.build m insts));
+    Gc.minor_words () -. w0
+  in
+  let small = block 60 and large = block 120 in
+  check Alcotest.bool "the larger block is about twice as long" true
+    (10 * List.length large >= 19 * List.length small);
+  let ws = words small and wl = words large in
+  if wl > 2.5 *. ws then
+    Alcotest.failf
+      "Dag.build: %.0f minor words for %d instructions, %.0f for %d" ws
+      (List.length small) wl (List.length large)
+
+(* The per-model register tables behind Dag.build grow with the register
+   file, not with its square: the first build on an R2000 variant with
+   2N double registers (over 4N singles, %equiv pairs throughout)
+   allocates at most 2.5 times as much as on one with N. *)
+let test_dag_tables_linear () =
+  let replace ~sub ~by s =
+    let n = String.length sub in
+    let rec at i = if String.sub s i n = sub then i else at (i + 1) in
+    let i = at 0 in
+    String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+  in
+  let words n =
+    let desc =
+      R2000.description
+      |> replace ~sub:"%reg f[0:31] (float);"
+           ~by:(Printf.sprintf "%%reg f[0:%d] (float);" ((2 * n) - 1))
+      |> replace ~sub:"%reg d[0:15] (double);"
+           ~by:(Printf.sprintf "%%reg d[0:%d] (double);" (n - 1))
+    in
+    let m = Builder.load ~name:"r2000" ~file:"<wide r2000>" desc in
+    let fn = Mir.new_func m "t" in
+    let add =
+      Mir.mk_inst fn (instr m "add.d")
+        [| reg m "d" 1; reg m "d" 2; reg m "d" 3 |]
+    in
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Dag.build m [ add ]));
+    Gc.minor_words () -. w0
+  in
+  let ws = words 512 and wl = words 1024 in
+  if wl > 2.5 *. ws then
+    Alcotest.failf
+      "first Dag.build: %.0f minor words for 512 doubles, %.0f for 1024" ws wl
+
+(* RASE's prepass writes back the sweep's schedules instead of
+   scheduling again: after [rase-sweep] and [rase-prepass], every block
+   must hold [Listsched.schedule_func]'s order at the budget RASE
+   chooses, the smallest with the least total cost of the per-budget
+   reference schedules. Livermore 1-14 on all four targets. *)
+let test_prepass_writes_sweep_schedules () =
+  let passes =
+    List.filter
+      (fun (p : Pass.t) ->
+        p.Pass.name = "rase-sweep" || p.Pass.name = "rase-prepass")
+      (Strategy.pipeline Strategy.Rase)
+  in
+  check Alcotest.int "sweep and prepass" 2 (List.length passes);
+  let no_delay =
+    { Listsched.default_options with Listsched.fill_delay = false }
+  in
+  let block_ids (fn : Mir.func) =
+    List.map
+      (fun (b : Mir.block) ->
+        List.map (fun (i : Mir.inst) -> i.Mir.n_id) b.Mir.b_insts)
+      fn.Mir.f_blocks
+  in
+  List.iter
+    (fun (tname, load) ->
+      let model = load () in
+      let budgets = Strategy.max_budget model in
+      List.iter
+        (fun ((file, _) as source) ->
+          match selected model source with
+          | None -> ()
+          | Some fns ->
+              List.iter
+                (fun (fn : Mir.func) ->
+                  let reference = Transval.capture fn in
+                  let options k =
+                    { no_delay with Listsched.reg_limit = Listsched.Fixed k }
+                  in
+                  let cost k =
+                    List.fold_left
+                      (fun acc (b : Mir.block) ->
+                        acc
+                        + (Listsched.schedule_block ~options:(options k)
+                             reference b.Mir.b_insts)
+                            .Listsched.length)
+                      0 reference.Mir.f_blocks
+                  in
+                  let best = ref 1 in
+                  for k = 2 to budgets do
+                    if cost k < cost !best then best := k
+                  done;
+                  ignore
+                    (Listsched.schedule_func ~options:(options !best)
+                       reference);
+                  ignore (Pass.run_pipeline passes fn);
+                  check
+                    Alcotest.(list (list int))
+                    (Printf.sprintf "%s %s %s at budget %d" tname file
+                       fn.Mir.f_name !best)
+                    (block_ids reference) (block_ids fn))
+                fns)
+        (Livermore.sources ()))
+    targets
 
 (* Scheduler contract: one digest per (target, source) over Livermore
    1-14 and the program suite. Each covers, for every selected block,
@@ -505,7 +659,8 @@ let contract_blob model source =
                   add "\n")
                 settings;
               add "sweep:";
-              Array.iter (add " %d")
+              Array.iter
+                (fun (r : Listsched.result) -> add " %d" r.Listsched.length)
                 (Listsched.sweep ~budgets fn b.Mir.b_insts);
               add "\n")
             fn.Mir.f_blocks)
@@ -624,6 +779,237 @@ let test_sched_contract () =
         (corpus ()))
     targets
 
+(* DAG contract: one digest per (target, source) over Livermore 1-14 and
+   the program suite, plus the i860 Figure 6 block below. Each covers,
+   for every block of every selected function, the sorted
+   (src, dst, label, kind) edge set of [Dag.build] with the block's nops
+   dropped (as the scheduler builds it): conservative, with the
+   [Disambig] oracle (and the oracle's query and prune counts), without
+   anti edges and without %aux; then the same four builds of every block
+   after [Regalloc.allocate], where hard registers and their %equiv
+   pairs meet. The digests were captured from the builder that rescanned
+   association lists of every live reader and writer for each
+   instruction, and must never be regenerated to absorb a difference. *)
+let dag_kind = function
+  | Dag.True -> "T"
+  | Dag.Mem -> "M"
+  | Dag.Anti -> "A"
+  | Dag.Temporal k -> Printf.sprintf "C%d" k
+
+(* [succs.(s)] and [preds.(d)] hold the edges out of [s] and into [d] in
+   their order in [edges] (the order [Dag.t] documents) *)
+let check_dag_lists (dag : Dag.t) =
+  let along keep =
+    List.filter_map
+      (fun (e : Dag.edge) ->
+        Option.map (fun x -> (x, e.Dag.e_label, e.Dag.e_kind)) (keep e))
+      dag.Dag.edges
+  in
+  Array.iteri
+    (fun i succs ->
+      let out (e : Dag.edge) =
+        if e.Dag.e_src = i then Some e.Dag.e_dst else None
+      in
+      let into (e : Dag.edge) =
+        if e.Dag.e_dst = i then Some e.Dag.e_src else None
+      in
+      if succs <> along out || dag.Dag.preds.(i) <> along into then
+        Alcotest.failf "node %d: succs/preds disagree with edges" i)
+    dag.Dag.succs
+
+let add_dag_builds buf model o insts =
+  let insts = List.filter (fun i -> not (Listsched.is_nop i)) insts in
+  List.iter
+    (fun (tag, dag) ->
+      check_dag_lists dag;
+      Printf.bprintf buf "%s:" tag;
+      List.iter
+        (fun (e : Dag.edge) ->
+          Printf.bprintf buf " %d-%d/%d%s" e.Dag.e_src e.Dag.e_dst
+            e.Dag.e_label (dag_kind e.Dag.e_kind))
+        (List.sort compare dag.Dag.edges);
+      Buffer.add_char buf '\n')
+    [
+      ("cons", Dag.build model insts);
+      ("oracle", Dag.build ~oracle:o model insts);
+      ("noanti", Dag.build ~anti:false model insts);
+      ("noaux", Dag.build ~aux:false model insts);
+    ];
+  Printf.bprintf buf "queries %d pruned %d\n" o.Dag.o_queries o.Dag.o_pruned
+
+let dag_blob model source =
+  let buf = Buffer.create (1 lsl 16) in
+  let blocks (fn : Mir.func) =
+    let d = Disambig.compute fn in
+    List.iter
+      (fun (b : Mir.block) ->
+        Printf.bprintf buf "== %s %s\n" fn.Mir.f_name b.Mir.b_label;
+        add_dag_builds buf model (Dag.oracle (Disambig.may_alias d))
+          b.Mir.b_insts)
+      fn.Mir.f_blocks
+  in
+  (match selected model source with
+  | None -> Buffer.add_string buf "no-select\n"
+  | Some fns ->
+      List.iter
+        (fun (fn : Mir.func) ->
+          blocks fn;
+          match Regalloc.allocate fn with
+          | exception Loc.Error _ ->
+              Printf.bprintf buf "no-alloc %s\n" fn.Mir.f_name
+          | _ ->
+              Buffer.add_string buf "allocated\n";
+              blocks fn)
+        fns);
+  Buffer.contents buf
+
+(* The corpus never needs temporal protection (paper 4.6), so the
+   contract adds a block of Figure 6's shape on the i860. MWB catches a
+   latch launched in an earlier block, so it sits in no sequence of this
+   one, yet it advances the multiplier clock and feeds CHA, a non-head
+   member of the sequence MA1 -> MA2 -> MA3 -> CHA: protection must
+   order MWB before the head MA1. *)
+let figure6_block m fn =
+  let d i = reg m "d" i in
+  [
+    Mir.mk_inst fn (instr m "MA1") [| d 2; d 3 |];
+    Mir.mk_inst fn (instr m "MWB") [| d 8 |];
+    Mir.mk_inst fn (instr m "MA2") [||];
+    Mir.mk_inst fn (instr m "MA3") [||];
+    Mir.mk_inst fn (instr m "CHA") [| d 8 |];
+  ]
+
+let test_figure6_protection () =
+  let m = I860.load () in
+  let dag = Dag.build m (figure6_block m (Mir.new_func m "t")) in
+  check Alcotest.bool "MWB -> MA1 protection edge" true
+    (List.exists
+       (fun (e : Dag.edge) ->
+         e.Dag.e_src = 1 && e.Dag.e_dst = 0 && e.Dag.e_kind = Dag.Anti)
+       dag.Dag.edges)
+
+let figure6_blob () =
+  let m = I860.load () in
+  let buf = Buffer.create 1024 in
+  add_dag_builds buf m
+    (Dag.oracle (fun _ _ -> true))
+    (figure6_block m (Mir.new_func m "t"));
+  Buffer.contents buf
+
+let dag_goldens =
+  [
+    (("toyp", "lfk1"), "78a6401914c94a02e2a2d2088f5b4ad5");
+    (("toyp", "lfk2"), "391f80d6ce1665b612e19415862f0030");
+    (("toyp", "lfk3"), "21b07e3fcea2f24934934bfac259ae32");
+    (("toyp", "lfk4"), "38cafcd87482f7531ee9bddf1a2c24dc");
+    (("toyp", "lfk5"), "4ca05c30f96df9d5efab795c73873773");
+    (("toyp", "lfk6"), "9686e79751d698cface52564524f0970");
+    (("toyp", "lfk7"), "6f16b397222f58b49cc214c4f3b6542f");
+    (("toyp", "lfk8"), "abed96d5ffbe1185ee378b81f48c0237");
+    (("toyp", "lfk9"), "d32a006b4f758a8440c65a9ee37bbbb2");
+    (("toyp", "lfk10"), "c888c9026393cfdee55fc39ddf5f473d");
+    (("toyp", "lfk11"), "200940ca27c141d4a54a92c227920f23");
+    (("toyp", "lfk12"), "9bf4e68abc98aad1ee63fb366755ede8");
+    (("toyp", "lfk13"), "804515b90643ff5c82183ee93084042f");
+    (("toyp", "lfk14"), "87e2d1c2f259bdbbc68f37e33c6ef53c");
+    (("toyp", "suite:matmul"), "7fb3d22dcdbc1b2798a86f2ab306451c");
+    (("toyp", "suite:sieve"), "f54f77b55aec720ceff0c2948ba189a9");
+    (("toyp", "suite:sort"), "114ed78343a30b3ed62ab83461f1b654");
+    (("toyp", "suite:strings"), "212a57f07521f5e9c883b5edb8bf3eaf");
+    (("toyp", "suite:recursion"), "a525b187eb5f332a56f4a68ce858ddf6");
+    (("toyp", "suite:poly"), "d5629461b2c729b6b61b21849b0529b0");
+    (("toyp", "suite:lfk1"), "78a6401914c94a02e2a2d2088f5b4ad5");
+    (("toyp", "suite:lfk5"), "4ca05c30f96df9d5efab795c73873773");
+    (("toyp", "suite:lfk7"), "6f16b397222f58b49cc214c4f3b6542f");
+    (("r2000", "lfk1"), "9d945a6ed40e58d568529e2ce14979d6");
+    (("r2000", "lfk2"), "6b3f7309e7ffabefa550096212c8978b");
+    (("r2000", "lfk3"), "8ec9b659c37ebce847caf0c6a50a3819");
+    (("r2000", "lfk4"), "28b3377725ab013921bf101916098c45");
+    (("r2000", "lfk5"), "c228ff982f445e545247994e81e76ca2");
+    (("r2000", "lfk6"), "b39b94e283c4e6e5b40ef663f91357cf");
+    (("r2000", "lfk7"), "7708b217ee845497a20e0abc45fdb0d2");
+    (("r2000", "lfk8"), "c4079d5d695b4f7af61289e28e6733ba");
+    (("r2000", "lfk9"), "de513dceab438546875269bf521b8946");
+    (("r2000", "lfk10"), "4fbf0f6acfd798fb05259f3183ac4c51");
+    (("r2000", "lfk11"), "c3151b312811719c2a85e2cdb4622a08");
+    (("r2000", "lfk12"), "7d0fe19f0ab936fbdfee4136af13a428");
+    (("r2000", "lfk13"), "e0e14c3a814a1004df8e4a7322c4af7b");
+    (("r2000", "lfk14"), "a2b5c439b47d62041115664cb0c0a4bb");
+    (("r2000", "suite:matmul"), "064b3377d6af0d36b036a742701ba3da");
+    (("r2000", "suite:sieve"), "4b90e1e2e1bc151722338539204cfa48");
+    (("r2000", "suite:sort"), "51eb9e3e6cf0a372738703494df312fc");
+    (("r2000", "suite:strings"), "a44e898d8d46881f661c91e61cf25a2c");
+    (("r2000", "suite:recursion"), "984fa9961556d80d300dec23a0cd7304");
+    (("r2000", "suite:poly"), "3b740eb3129331c7da2d7b508c13313e");
+    (("r2000", "suite:lfk1"), "9d945a6ed40e58d568529e2ce14979d6");
+    (("r2000", "suite:lfk5"), "c228ff982f445e545247994e81e76ca2");
+    (("r2000", "suite:lfk7"), "7708b217ee845497a20e0abc45fdb0d2");
+    (("m88000", "lfk1"), "d8f8eca62709912efcf6d89a49693663");
+    (("m88000", "lfk2"), "9247c3513d9a1e18b954a93fdc29fe10");
+    (("m88000", "lfk3"), "a1f9c2851e50a19201735e51637a64df");
+    (("m88000", "lfk4"), "c3c2acb02004b4f2524b6ede39fcbe7c");
+    (("m88000", "lfk5"), "1c0355c1e7f4aaad660bfcfc6cc9ae25");
+    (("m88000", "lfk6"), "a1372f0ec688817d134f97b7ec733595");
+    (("m88000", "lfk7"), "4f93ac49f52b6120222af4c4bb28dfcd");
+    (("m88000", "lfk8"), "96072daa10b68a99d1b43686675fb77a");
+    (("m88000", "lfk9"), "904a163137c527086e800d999a66a119");
+    (("m88000", "lfk10"), "62c61391b5a48e5b6efbdd7467592795");
+    (("m88000", "lfk11"), "c735ad501ce50ef9dbb14458162badb6");
+    (("m88000", "lfk12"), "3227de61fe094c006b376a86eae828fd");
+    (("m88000", "lfk13"), "6cbae5b757889edd1d0843ced4188c02");
+    (("m88000", "lfk14"), "158d04ab6b1dc47878ffb8504dc8ac87");
+    (("m88000", "suite:matmul"), "8b344a5f249e8d2c978ee7204ce7b91e");
+    (("m88000", "suite:sieve"), "eaff76b19c6160de50a585f77a07db63");
+    (("m88000", "suite:sort"), "ee299ad3ee486c581b37f961577321a9");
+    (("m88000", "suite:strings"), "c0c39933da2dc7c36438c5bf3c4c4cc1");
+    (("m88000", "suite:recursion"), "334718c714875c1e14ab4d1763aaf39d");
+    (("m88000", "suite:poly"), "0bb4d198467288bac534768565b00f41");
+    (("m88000", "suite:lfk1"), "d8f8eca62709912efcf6d89a49693663");
+    (("m88000", "suite:lfk5"), "1c0355c1e7f4aaad660bfcfc6cc9ae25");
+    (("m88000", "suite:lfk7"), "4f93ac49f52b6120222af4c4bb28dfcd");
+    (("i860", "lfk1"), "72baa63f4f02170478f529d87c813ead");
+    (("i860", "lfk2"), "ac9adf04f8fcd98ccb6b67f614ca199d");
+    (("i860", "lfk3"), "c3d4d210eabc4ee8c0d7cede4fddddda");
+    (("i860", "lfk4"), "f3f0153bc5e4f472615e067c60ef8355");
+    (("i860", "lfk5"), "9f5ed32e96bf50ce56dce8f7b03e0c32");
+    (("i860", "lfk6"), "bbb8856245d8d09dcecd12f8edd7458f");
+    (("i860", "lfk7"), "85001b0abe8abaaa87690cf296b293c4");
+    (("i860", "lfk8"), "958f9881d233bf83f7167b6824fd312c");
+    (("i860", "lfk9"), "b1392209edbea91723891054e4849a7a");
+    (("i860", "lfk10"), "4dab0d974ac6e703bfde24ef465dcc04");
+    (("i860", "lfk11"), "464b771231ab17b5905d9c5022f36af6");
+    (("i860", "lfk12"), "0da039d034cad98459259e7ec46903a8");
+    (("i860", "lfk13"), "c2545b695c7ec28fa9435360b64d9b33");
+    (("i860", "lfk14"), "2fa8213aa36caddbf70d8913e2ef460f");
+    (("i860", "suite:matmul"), "cb7ab919cecadef6a392d67423826d2c");
+    (("i860", "suite:sieve"), "eba56631eca43e07adb9419f8d024936");
+    (("i860", "suite:sort"), "77a86d399e0372d0df82bc1b0dd13c07");
+    (("i860", "suite:strings"), "61fbbcaaeac91657d1be504ba6cf1061");
+    (("i860", "suite:recursion"), "9b6eb97118cc131fd5c3d16611e2d10d");
+    (("i860", "suite:poly"), "fb37601a4d368385acb5849268c2da12");
+    (("i860", "suite:lfk1"), "72baa63f4f02170478f529d87c813ead");
+    (("i860", "suite:lfk5"), "9f5ed32e96bf50ce56dce8f7b03e0c32");
+    (("i860", "suite:lfk7"), "85001b0abe8abaaa87690cf296b293c4");
+    (("i860", "figure6"), "2e9ca9544f67243481c585def8e17a58");
+  ]
+
+let test_dag_contract () =
+  let digest blob = Digest.to_hex (Digest.string blob) in
+  List.iter
+    (fun (tname, load) ->
+      let model = load () in
+      List.iter
+        (fun ((file, _) as source) ->
+          check Alcotest.string
+            (Printf.sprintf "%s %s DAG digest" tname file)
+            (List.assoc (tname, file) dag_goldens)
+            (digest (dag_blob model source)))
+        (corpus ()))
+    targets;
+  check Alcotest.string "i860 figure6 DAG digest"
+    (List.assoc ("i860", "figure6") dag_goldens)
+    (digest (figure6_blob ()))
+
 let suite =
   [
     Alcotest.test_case "true edges carry latency" `Quick test_true_edges_carry_latency;
@@ -639,6 +1025,12 @@ let suite =
     Alcotest.test_case "IPS register limit" `Quick test_ips_register_limit;
     Alcotest.test_case "i860 class packing" `Quick test_i860_packing;
     Alcotest.test_case "Rule 1 ordering" `Quick test_rule1_blocks_relaunch;
+    Alcotest.test_case "DAG build allocates linearly" `Quick
+      test_dag_build_linear;
+    Alcotest.test_case "DAG register tables are linear" `Quick
+      test_dag_tables_linear;
+    Alcotest.test_case "Figure 6 protection edge" `Quick
+      test_figure6_protection;
     Alcotest.test_case "Gross-Hennessy filling preserves behaviour" `Quick
       test_ghfill_fills_and_stays_correct;
     Alcotest.test_case "Gross-Hennessy filling helps" `Quick
@@ -647,6 +1039,10 @@ let suite =
       test_priority_ablation_sound;
     Alcotest.test_case "sweep == per-budget reference" `Quick
       test_sweep_matches_per_budget;
+    Alcotest.test_case "prepass writes back the sweep's schedules" `Quick
+      test_prepass_writes_sweep_schedules;
     Alcotest.test_case "contract digests vs the all-node scan" `Slow
       test_sched_contract;
+    Alcotest.test_case "DAG contract digests vs the list builder" `Slow
+      test_dag_contract;
   ]
