@@ -985,98 +985,6 @@ let cache_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Timing-engine throughput: the scheduler and the RASE estimate loop  *)
-(* ------------------------------------------------------------------ *)
-
-let timing () =
-  header "Timing engine: scheduler + RASE-estimate throughput (4 targets x Livermore)";
-  print_endline
-    "Each cell selects the Livermore kernels once, then times repeated";
-  print_endline
-    "estimate passes over the selected code: `schedule' is one list-";
-  print_endline
-    "scheduling pass per block (no delay filling), `rase-sweep' is";
-  print_endline
-    "Listsched.sweep over every block — the code the RASE strategy runs";
-  print_endline
-    "on every compile, one estimate per register budget per block, counted";
-  print_endline
-    "in b/s as blocks x budgets whether scheduled or proven equal. Neither";
-  print_endline
-    "mutates the MIR, so the same selected functions serve every repetition.";
-  print_newline ();
-  let targets =
-    [
-      ("toyp", Toyp.load ());
-      ("r2000", R2000.load ());
-      ("m88000", M88000.load ());
-      ("i860", I860.load ());
-    ]
-  in
-  let srcs = Livermore.sources () in
-  let no_delay =
-    { Listsched.default_options with Listsched.fill_delay = false }
-  in
-  Printf.printf "%-8s %7s %8s %14s %14s %8s\n" "target" "blocks" "budgets"
-    "schedule b/s" "sweep b/s" "cells";
-  List.iter
-    (fun (tname, model) ->
-      let fns =
-        List.concat_map
-          (fun (file, src) ->
-            match
-              let ir = Cgen.compile ~file src in
-              List.iter (Glue.transform_func model) ir.Ir.funcs;
-              List.map (Select.select_func model) ir.Ir.funcs
-            with
-            | fns -> fns
-            | exception (Select.No_pattern _ | Loc.Error _) -> [])
-          srcs
-      in
-      let blocks =
-        List.fold_left
-          (fun acc (fn : Mir.func) -> acc + List.length fn.Mir.f_blocks)
-          0 fns
-      in
-      let budgets = Strategy.max_budget model in
-      let sched_reps = 20 in
-      let _, t_sched =
-        time_it (fun () ->
-            for _ = 1 to sched_reps do
-              List.iter
-                (fun fn -> ignore (Listsched.estimate_func ~options:no_delay fn))
-                fns
-            done)
-      in
-      let sweep_reps = 2 in
-      let _, t_sweep =
-        time_it (fun () ->
-            for _ = 1 to sweep_reps do
-              List.iter
-                (fun (fn : Mir.func) ->
-                  List.iter
-                    (fun (b : Mir.block) ->
-                      ignore (Listsched.sweep ~budgets fn b.Mir.b_insts))
-                    fn.Mir.f_blocks)
-                fns
-            done)
-      in
-      let per_sec reps passes t =
-        if t <= 0.0 then 0.0 else float_of_int (reps * passes) /. t
-      in
-      Printf.printf "%-8s %7d %8d %14.0f %14.0f %8d\n" tname blocks budgets
-        (per_sec sched_reps blocks t_sched)
-        (per_sec sweep_reps (blocks * budgets) t_sweep)
-        (List.length fns))
-    targets;
-  print_newline ();
-  print_endline
-    "Shape check: `sweep b/s' is the number RASE compiles are bound by;";
-  print_endline
-    "EXPERIMENTS.md records it before and after the unified timing engine";
-  print_endline "(the refactor must not make it worse)."
-
-(* ------------------------------------------------------------------ *)
 (* Memory disambiguation: pruned edges, cycles, compile overhead       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1260,7 +1168,6 @@ let () =
   | "transval" -> transval ()
   | "parallel" -> parallel ()
   | "cache" -> cache_bench ()
-  | "timing" -> timing ()
   | "disambig" -> disambig ()
   | "all" ->
       table1 ();
@@ -1274,6 +1181,6 @@ let () =
       claims ()
   | other ->
       Printf.eprintf
-        "unknown experiment %S (table1|table2|table3|table4|claims|fig1_3|fig4_5|fig6|fig7|micro|ablation|checker|transval|parallel|cache|timing|disambig|all)\n"
+        "unknown experiment %S (table1|table2|table3|table4|claims|fig1_3|fig4_5|fig6|fig7|micro|ablation|checker|transval|parallel|cache|disambig|all)\n"
         other;
       exit 1

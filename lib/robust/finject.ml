@@ -8,8 +8,6 @@ type plan = rule list
 
 let empty : plan = []
 
-let is_empty p = p = []
-
 let kind_of_string = function
   | "exn" -> Some `Exn
   | "timeout" -> Some `Timeout
@@ -89,9 +87,10 @@ let arm p ~pass ~fn =
       else None)
     p
 
-let may_target p ~fn =
-  List.exists
-    (function
-      | Site r -> r.fn = "*" || r.fn = fn
-      | Seeded _ -> true)
-    p
+(* a recursive walk, not a [List.exists] closure over [fn]: the driver
+   asks this for every function it compiles, so it allocates nothing *)
+let rec may_target p ~fn =
+  match p with
+  | [] -> false
+  | Site r :: rest -> r.fn = "*" || r.fn = fn || may_target rest ~fn
+  | Seeded _ :: _ -> true

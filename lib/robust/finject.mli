@@ -35,8 +35,6 @@ type plan = rule list
 
 val empty : plan
 
-val is_empty : plan -> bool
-
 val parse : string -> (plan, string) result
 (** Parse the concrete syntax above. [Error msg] names the offending
     rule; the empty string parses to {!empty}. *)

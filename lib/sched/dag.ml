@@ -112,17 +112,12 @@ let flat model hr (r : Model.reg) =
    to dense ids (pseudos by [p_id], hard registers by flat index, with
    their overlap and cover sets narrowed to the ids the block touches).
    Each id keeps its live writers and its readers since their last
-   covering write as linked lists threaded through one entry pool, in
-   block order; a read or write visits only the lists of the ids its
-   location overlaps, merged by entry so that the events come in the
-   order of the former single reader and writer lists.
+   covering write, newest first; a read or write walks only the lists of
+   the ids its location overlaps.
 
    Every edge the scan adds ends at the node being scanned, so dedupe and
-   strengthening use per-source stamps ([seen], [lab], [knd]); [last]
-   records each source's latest effective event (creation or a stricter
-   label), and the node's edges are emitted most recent event first,
-   which keeps [succs], [preds] and [edges] in the order of the builder
-   that prepended every new or strengthened edge. *)
+   strengthening use per-source stamps ([seen], [lab], [knd]), and each
+   new source is recorded once in [srcs] for [emit]. *)
 let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
     t =
   let dep_latency =
@@ -180,108 +175,52 @@ let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
         cov.(id) <- local_ids hr.h_cov.(f)
       end)
     flat_of;
-  (* ---------------- reader and writer lists ---------------- *)
-  let total = Array.fold_left (fun a r -> a + Array.length r) 0 rd in
-  let total = Array.fold_left (fun a w -> a + Array.length w) total wr in
-  let e_node = Array.make total 0 and e_loc = Array.make total 0 in
-  let e_next = Array.make total (-1) and ne = ref 0 in
-  let r_head = Array.make nl (-1) and r_tail = Array.make nl (-1) in
-  let w_head = Array.make nl (-1) and w_tail = Array.make nl (-1) in
-  let append head tail l node =
-    let e = !ne in
-    incr ne;
-    e_node.(e) <- node;
-    e_loc.(e) <- l;
-    if tail.(l) < 0 then head.(l) <- e else e_next.(tail.(l)) <- e;
-    tail.(l) <- e
-  in
-  let clear l =
-    r_head.(l) <- -1;
-    r_tail.(l) <- -1;
-    w_head.(l) <- -1;
-    w_tail.(l) <- -1
-  in
-  (* visit, in entry order, the entries of [head]'s lists over the ids in
-     [set] *)
-  let cursor =
-    Array.make (Array.fold_left (fun m s -> max m (Array.length s)) 0 ovl) 0
-  in
-  let iter_live head set visit =
-    let k = Array.length set in
-    if k = 1 then begin
-      let e = ref head.(set.(0)) in
-      while !e >= 0 do
-        visit !e;
-        e := e_next.(!e)
-      done
-    end
-    else begin
-      for j = 0 to k - 1 do
-        cursor.(j) <- head.(set.(j))
-      done;
-      let more = ref true in
-      while !more do
-        let best = ref (-1) in
-        for j = 0 to k - 1 do
-          let e = cursor.(j) in
-          if e >= 0 && (!best < 0 || e < cursor.(!best)) then best := j
-        done;
-        if !best < 0 then more := false
-        else begin
-          let e = cursor.(!best) in
-          cursor.(!best) <- e_next.(e);
-          visit e
-        end
-      done
-    end
-  in
+  let readers = Array.make nl [] and writers = Array.make nl [] in
   (* ---------------- edges into the node being scanned ---------------- *)
   let succs = Array.make n [] and preds = Array.make n [] in
-  let edges = ref [] in
   let dst = ref 0 in
   let seen = Array.make n (-1) and lab = Array.make n 0 in
-  let knd = Array.make n True and last = Array.make n 0 in
-  let events = ref (Array.make (max 8 n) 0) and nev = ref 0 in
+  let knd = Array.make n True in
+  let srcs = Array.make n 0 and nsrc = ref 0 in
   let add_edge src label kind =
     let i = !dst in
-    if src <> i && (seen.(src) <> i || label > lab.(src)) then begin
-      (* a new edge, or a stricter label for this pair: keep it *)
-      seen.(src) <- i;
-      lab.(src) <- label;
-      knd.(src) <- kind;
-      if !nev = Array.length !events then begin
-        let bigger = Array.make (2 * !nev) 0 in
-        Array.blit !events 0 bigger 0 !nev;
-        events := bigger
-      end;
-      !events.(!nev) <- src;
-      last.(src) <- !nev;
-      incr nev
-    end
+    if src <> i then
+      if seen.(src) <> i then begin
+        seen.(src) <- i;
+        lab.(src) <- label;
+        knd.(src) <- kind;
+        srcs.(!nsrc) <- src;
+        incr nsrc
+      end
+      else if label > lab.(src) then begin
+        (* a stricter label for this pair: keep it *)
+        lab.(src) <- label;
+        knd.(src) <- kind
+      end
   in
   let emit () =
     let i = !dst in
-    for k = 0 to !nev - 1 do
-      let s = !events.(k) in
-      if last.(s) = k then begin
-        let label = lab.(s) and kind = knd.(s) in
-        preds.(i) <- (s, label, kind) :: preds.(i);
-        succs.(s) <- (i, label, kind) :: succs.(s);
-        edges :=
-          { e_src = s; e_dst = i; e_label = label; e_kind = kind } :: !edges
-      end
+    for k = 0 to !nsrc - 1 do
+      let s = srcs.(k) in
+      let label = lab.(s) and kind = knd.(s) in
+      preds.(i) <- (s, label, kind) :: preds.(i);
+      succs.(s) <- (i, label, kind) :: succs.(s)
     done;
-    nev := 0
+    nsrc := 0
   in
   (* the kind follows the location written: a temporal register's clock *)
-  let true_dep e =
-    let wi = e_node.(e) and f = flat_of.(e_loc.(e)) in
-    add_edge wi
-      (dep_latency arr.(wi) arr.(!dst))
-      (if f < 0 then True else hr.h_kind.(f))
+  let rec true_deps kind = function
+    | [] -> ()
+    | w :: rest ->
+        add_edge w (dep_latency arr.(w) arr.(!dst)) kind;
+        true_deps kind rest
   in
-  let anti_read e = add_edge e_node.(e) 0 Anti in
-  let anti_write e = add_edge e_node.(e) 1 Anti in
+  let rec anti_deps label = function
+    | [] -> ()
+    | s :: rest ->
+        add_edge s label Anti;
+        anti_deps label rest
+  in
   let last_store = ref None in
   let mem_readers = ref [] in
   let last_call = ref None in
@@ -333,15 +272,25 @@ let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
     (* type 1 / temporal: true dependences *)
     for k = 0 to Array.length reads - 1 do
       let l = reads.(k) in
-      if l >= 0 then iter_live w_head ovl.(l) true_dep
+      if l >= 0 then begin
+        let set = ovl.(l) in
+        for j = 0 to Array.length set - 1 do
+          let o = set.(j) in
+          let f = flat_of.(o) in
+          true_deps (if f < 0 then True else hr.h_kind.(f)) writers.(o)
+        done
+      end
     done;
     (* type 3: anti (read then write) and output (write then write) *)
     if anti then
       for k = 0 to Array.length writes - 1 do
         let l = writes.(k) in
         if l >= 0 then begin
-          iter_live r_head ovl.(l) anti_read;
-          iter_live w_head ovl.(l) anti_write
+          let set = ovl.(l) in
+          for j = 0 to Array.length set - 1 do
+            anti_deps 0 readers.(set.(j));
+            anti_deps 1 writers.(set.(j))
+          done
         end
       done;
     (* type 2: memory ordering; calls are memory barriers *)
@@ -407,15 +356,21 @@ let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
        covers it completely *)
     for k = 0 to Array.length writes - 1 do
       let l = writes.(k) in
-      if l >= 0 then Array.iter clear cov.(l)
+      if l >= 0 then begin
+        let set = cov.(l) in
+        for j = 0 to Array.length set - 1 do
+          readers.(set.(j)) <- [];
+          writers.(set.(j)) <- []
+        done
+      end
     done;
     for k = 0 to Array.length reads - 1 do
       let l = reads.(k) in
-      if l >= 0 then append r_head r_tail l i
+      if l >= 0 then readers.(l) <- i :: readers.(l)
     done;
     for k = 0 to Array.length writes - 1 do
       let l = writes.(k) in
-      if l >= 0 then append w_head w_tail l i
+      if l >= 0 then writers.(l) <- i :: writers.(l)
     done
   done;
   (* ---------------- temporal sequence protection (paper 4.6) -------- *)
@@ -431,18 +386,10 @@ let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
             :: List.filter (fun (d, _, _) -> d <> dst) succs.(src);
           preds.(dst) <-
             (src, label, kind)
-            :: List.filter (fun (s, _, _) -> s <> src) preds.(dst);
-          edges :=
-            { e_src = src; e_dst = dst; e_label = label; e_kind = kind }
-            :: List.filter
-                 (fun e -> not (e.e_src = src && e.e_dst = dst))
-                 !edges
+            :: List.filter (fun (s, _, _) -> s <> src) preds.(dst)
       | None ->
           succs.(src) <- (dst, label, kind) :: succs.(src);
-          preds.(dst) <- (src, label, kind) :: preds.(dst);
-          edges :=
-            { e_src = src; e_dst = dst; e_label = label; e_kind = kind }
-            :: !edges
+          preds.(dst) <- (src, label, kind) :: preds.(dst)
   in
   (* temporal sequences: chains of temporal edges on the same clock *)
   let temporal_succ i =
@@ -501,6 +448,15 @@ let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
     done
   in
   protect ();
+  let rec out s acc = function
+    | [] -> acc
+    | (d, e_label, e_kind) :: rest ->
+        out s ({ e_src = s; e_dst = d; e_label; e_kind } :: acc) rest
+  in
+  let edges = ref [] in
+  for s = n - 1 downto 0 do
+    edges := out s !edges succs.(s)
+  done;
   { insts = arr; succs; preds; edges = !edges }
 
 let max_dist_to_leaf t =

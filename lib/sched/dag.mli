@@ -26,14 +26,11 @@ type t = {
   preds : (int * int * edge_kind) list array;  (* src, label, kind *)
   edges : edge list;
 }
-(** One edge per (src, dst) pair, with the strictest label any dependence
-    asked for and the kind of the first dependence that asked for that
-    label.
-    Every list is newest first: [edges] and each [preds.(d)] in the order
-    an edge was made or last given a stricter label, so the protection
-    edges come first, then the scan's edges by decreasing destination;
-    each [succs.(s)] by decreasing destination after its protection
-    edges. *)
+(** An edge set: one edge per (src, dst) pair, with the strictest label
+    any dependence asked for and the kind of the first dependence in scan
+    order that asked for that label. [succs.(s)] and [preds.(d)] hold
+    exactly the edges of [edges] out of [s] and into [d]. No list order
+    is promised. *)
 
 type oracle = {
   o_alias : Mir.inst -> Mir.inst -> bool;
@@ -62,13 +59,14 @@ val build :
     keeping the edge set transitively reduced. Calls remain full barriers.
     Without an oracle the conservative serialization is used.
 
-    Cost: one scan of the block. Each location keeps its live writers and
-    its readers since the last write covering it, so a read or write
-    visits only the entries of the locations it overlaps, and nearly
-    every visit makes or confirms an edge: the work grows with the
-    instructions, their operands and the edges made, plus the oracle's
-    Mem closures (a bitset per memory node) and the protection walk,
-    which runs only where a temporal sequence has an alternate entry.
+    Cost: one scan of the block. Each location keeps a list of its live
+    writers and one of its readers since the last write covering it, so
+    a read or write walks only the lists of the locations it overlaps,
+    and nearly every visit makes or confirms an edge: the work grows with
+    the instructions, their operands and the edges made, plus the
+    oracle's Mem closures (a bitset per memory node) and the protection
+    walk, which runs only where a temporal sequence has an alternate
+    entry. [edges] is built once from [succs] at the end.
     The register overlap and cover tables are built once per model, in
     time about linear in its register file. *)
 

@@ -47,13 +47,6 @@ let default =
     finject = Finject.empty;
   }
 
-(* the trivial policy is the seed behavior: no guard is installed at all,
-   so the default path stays bit-identical (and exception-identical) to a
-   compiler without the robust layer *)
-let robust_trivial opts =
-  opts.on_error = `Abort && opts.pass_timeout = None
-  && Finject.is_empty opts.finject
-
 (* the ladder lives in Degrade as strategy names; map it back *)
 let degrade_next rung = Option.bind (Degrade.next (to_string rung)) of_string
 
@@ -364,22 +357,15 @@ let compile_unit opts strategy (fn : Mir.func) =
     vdiags := List.rev_append ds !vdiags
   in
   verify Diag.Post_select fn;
-  (* the guard closes over this function's name and the rung being run;
-     the trivial policy installs no guard at all, so the default path is
-     the seed path *)
-  let guard =
-    if robust_trivial opts then None
-    else
-      Some
-        (fun (p : Pass.t) body ->
-          Guard.protect ~fn:fn.Mir.f_name ~strategy:(to_string strategy)
-            ~pass:p.Pass.name ?deadline_ms:opts.pass_timeout
-            ?inject:
-              (Finject.arm opts.finject ~pass:p.Pass.name ~fn:fn.Mir.f_name)
-            body)
+  (* the guard closes over this function's name and the rung being run *)
+  let guard (p : Pass.t) body =
+    Guard.protect ~fn:fn.Mir.f_name ~strategy:(to_string strategy)
+      ~pass:p.Pass.name ?deadline_ms:opts.pass_timeout
+      ?inject:(Finject.arm opts.finject ~pass:p.Pass.name ~fn:fn.Mir.f_name)
+      body
   in
   let st =
-    Pass.run_pipeline ?guard ~verify ~snapshot ~validate ~record
+    Pass.run_pipeline ~guard ~verify ~snapshot ~validate ~record
       (pipeline ~disambig:opts.disambig strategy)
       fn
   in
@@ -447,69 +433,68 @@ let skipped_unit fn events =
 (* [run_func opts strategy fn] runs the strategy's pipeline on [fn] under
    the robust policy. Returns the unit — whose [c_func] is the function
    that made it into the program, [fn] itself unless a retry won — and
-   the rung that produced it. Under the trivial policy this is exactly
-   [compile_unit].
+   the rung that produced it.
 
-   Otherwise [fn]'s pristine pre-pipeline state is snapshotted first, and
-   every retry runs on an independent copy of it, so a faulted attempt's
-   half-rewritten state can never leak into the next rung. Under [`Abort]
-   the original exception is re-raised with its original backtrace —
-   bit- and trace-identical to a compiler without the robust layer. Under
-   [`Degrade] the ladder walks Rase -> Ips -> Postpass -> Naive,
-   recompiling only this function; under [`Skip], or when the ladder is
-   exhausted, the function is given up at its pristine state and marked
-   skipped. *)
+   Under [`Abort] a fault re-raises the original exception with its
+   original backtrace (or the guard's {!Guard.Trip} for a deadline or an
+   injection). Otherwise [fn]'s pristine pre-pipeline state is
+   snapshotted first, and every retry runs on an independent copy of it,
+   so a faulted attempt's half-rewritten state can never leak into the
+   next rung. Under [`Degrade] the ladder walks Rase -> Ips -> Postpass
+   -> Naive, recompiling only this function; under [`Skip], or when the
+   ladder is exhausted, the function is given up at its pristine state
+   and marked skipped. *)
 let run_func opts strategy fn =
-  if robust_trivial opts then (compile_unit opts strategy fn, strategy)
-  else
-    let pristine = snapshot_func fn in
-    let rec attempt rung faults fn =
-      match compile_unit opts rung fn with
-      | u ->
-          let events =
-            match faults with
-            | [] -> []
-            | fs ->
-                [
-                  {
-                    Degrade.d_func = fn.Mir.f_name;
-                    d_from = to_string strategy;
-                    d_faults = List.rev fs;
-                    d_resolution = Degrade.Degraded (to_string rung);
-                  };
-                ]
-          in
-          ({ u with u_events = events }, rung)
-      | exception Guard.Trip f -> faulted rung faults f
-      | exception Diag.Check_error ds when opts.on_error <> `Abort ->
-          (* verifier/validator errors trap like pass faults; under
-             [`Abort] they propagate untouched, exactly as before *)
-          faulted rung faults
-            (Fault.of_check ~func:fn.Mir.f_name ~strategy:(to_string rung)
-               ds)
-    and faulted rung faults f =
-      match opts.on_error with
-      | `Abort -> (
-          match f.Fault.f_exn with
-          | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-          | None -> raise (Guard.Trip f))
-      | `Skip -> skip (f :: faults)
-      | `Degrade -> (
-          match degrade_next rung with
-          | Some r -> attempt r (f :: faults) (snapshot_func pristine)
-          | None -> skip (f :: faults))
-    and skip faults =
-      let event =
-        {
-          Degrade.d_func = fn.Mir.f_name;
-          d_from = to_string strategy;
-          d_faults = List.rev faults;
-          d_resolution = Degrade.Skipped;
-        }
-      in
-      (skipped_unit (snapshot_func pristine) [ event ], strategy)
+  (* only a retry or a skip reads the pristine copy; under [`Abort]
+     neither happens, so [fn] stands in for it *)
+  let pristine = if opts.on_error = `Abort then fn else snapshot_func fn in
+  let rec attempt rung faults fn =
+    match compile_unit opts rung fn with
+    | u ->
+        let events =
+          match faults with
+          | [] -> []
+          | fs ->
+              [
+                {
+                  Degrade.d_func = fn.Mir.f_name;
+                  d_from = to_string strategy;
+                  d_faults = List.rev fs;
+                  d_resolution = Degrade.Degraded (to_string rung);
+                };
+              ]
+        in
+        ({ u with u_events = events }, rung)
+    | exception Guard.Trip f -> faulted rung faults f
+    | exception Diag.Check_error ds when opts.on_error <> `Abort ->
+        (* verifier/validator errors trap like pass faults; under
+           [`Abort] they propagate untouched *)
+        faulted rung faults
+          (Fault.of_check ~func:fn.Mir.f_name ~strategy:(to_string rung)
+             ds)
+  and faulted rung faults f =
+    match opts.on_error with
+    | `Abort -> (
+        match f.Fault.f_exn with
+        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+        | None -> raise (Guard.Trip f))
+    | `Skip -> skip (f :: faults)
+    | `Degrade -> (
+        match degrade_next rung with
+        | Some r -> attempt r (f :: faults) (snapshot_func pristine)
+        | None -> skip (f :: faults))
+  and skip faults =
+    let event =
+      {
+        Degrade.d_func = fn.Mir.f_name;
+        d_from = to_string strategy;
+        d_faults = List.rev faults;
+        d_resolution = Degrade.Skipped;
+      }
     in
-    attempt strategy [] fn
+    (skipped_unit (snapshot_func pristine) [ event ], strategy)
+  in
+  attempt strategy [] fn
 
 (* deterministic merge: fold the units in program order. Estimates are
    [Hashtbl.replace]d in recording order so a label reused by a later
@@ -699,10 +684,7 @@ let compile ?(opts = default) ?cache model strategy (ir : Ir.prog) =
               u.u_out;
           u
         in
-        if
-          (not (robust_trivial opts))
-          && Finject.may_target opts.finject ~fn:irfn.Ir.fn_name
-        then
+        if Finject.may_target opts.finject ~fn:irfn.Ir.fn_name then
           (* a warm hit would replay a result without crossing the pass
              boundaries the plan plants faults at, silently neutralising
              the injection — bypass lookup for any function the plan may

@@ -58,10 +58,11 @@ type on_error = [ `Abort | `Degrade | `Skip ]
     deadline, or trips an injected fault ({!Finject}) — while compiling
     one function:
 
-    - [`Abort] (the default): the fault propagates exactly as it would
-      without the robust layer — same exception, same backtrace. With no
-      deadline and no injection plan this path installs {e no} guard at
-      all, so it is bit-identical to the pre-robust compiler.
+    - [`Abort] (the default): the guard's trap re-raises the pass's own
+      exception with the backtrace it captured, so the fault propagates
+      as it would without the robust layer — same exception, same
+      backtrace. A deadline overrun or an injected fault raises
+      {!Guard.Trip}. Verifier and validator errors are not trapped.
     - [`Degrade]: recompile {e only the faulted function} from its
       pristine post-selection state on the next rung of the fallback
       ladder — Rase -> Ips -> Postpass -> Naive (see {!Degrade}) — until
@@ -116,13 +117,14 @@ type options = {
       (** Deterministic fault-injection plan fired at pass boundaries
           ([marionc --finject], [MARION_FINJECT]). *)
 }
-(** Everything a compile can be configured with. [on_error],
-    [pass_timeout] and [finject] activate the fault-isolation layer:
-    every pass body runs under a {!Guard} that traps exceptions
-    (backtrace captured), checks the deadline and fires the injection
-    plan. With {!default}'s values — [`Abort], no deadline, empty plan —
-    no guard is installed and behaviour is bit- and exception-identical
-    to a compiler without that layer. *)
+(** Everything a compile can be configured with. Every pass body runs
+    under a {!Guard} that traps exceptions (backtrace captured), checks
+    the [pass_timeout] deadline and fires the [finject] plan; [on_error]
+    decides what a trapped fault does. With {!default}'s values —
+    [`Abort], no deadline, empty plan — no fault is injected or timed
+    out, and a pass's exception re-raises with its own backtrace, so
+    behaviour is bit- and exception-identical to a compiler without that
+    layer. *)
 
 val default : options
 (** [check], [validate] and [disambig] on; one job; [`Abort] with no

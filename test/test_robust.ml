@@ -105,7 +105,7 @@ let test_finject_parse () =
   round_trips "seed=42:3:exn";
   check Alcotest.bool "empty is empty" true
     (match Finject.parse "" with
-    | Ok p -> Finject.is_empty p
+    | Ok p -> p = Finject.empty
     | Error _ -> false);
   List.iter
     (fun bad ->
@@ -142,7 +142,7 @@ let test_finject_arm_deterministic () =
 let test_abort_identical_to_seed () =
   let m = Lazy.force r2000 in
   let seed = snapshot (compile m Strategy.Rase) in
-  (* explicit `Abort with an empty plan installs no guard at all *)
+  (* explicit `Abort with an empty plan: the guard traps nothing *)
   check Alcotest.bool "abort = seed" true
     (seed = snapshot (compile ~on_error:`Abort m Strategy.Rase));
   (* a non-trivial policy with nothing to fault is also output-identical *)
@@ -158,6 +158,27 @@ let test_abort_reraises_injection () =
   | exception Guard.Trip f ->
       check Alcotest.string "pass" "allocate" f.Fault.f_pass;
       check Alcotest.bool "injected" true f.Fault.f_injected
+
+(* the guard is always installed, so a pass's own exception must come out
+   of the default compile as itself, with the backtrace of its raise: TOYP
+   has two allocable double registers and poly keeps three live *)
+let test_abort_keeps_exception_identity () =
+  Printexc.record_backtrace true;
+  let source = List.assoc "poly" Suite.programs in
+  match
+    Strategy.compile ~opts:Strategy.default (Toyp.load ()) Strategy.Ips
+      (Cgen.compile ~file:"poly.c" source)
+  with
+  | _ -> Alcotest.fail "expected the allocator's Loc.Error"
+  | exception Guard.Trip _ -> Alcotest.fail "Guard.Trip escaped under `Abort"
+  | exception (Loc.Error (_, msg) as e) ->
+      let frames = Printexc.get_backtrace () in
+      check Alcotest.bool
+        (Printf.sprintf "allocator's message (%s)" (Printexc.to_string e))
+        true
+        (Test_e2e.contains ~sub:"cannot be colored" msg);
+      if not (Test_e2e.contains ~sub:"Regalloc" frames) then
+        Alcotest.failf "backtrace names no Regalloc frame:\n%s" frames
 
 (* --------------------------------------------------------------- *)
 (* The ladder: every pass of every strategy recovers as computed    *)
@@ -448,6 +469,8 @@ let suite =
       test_abort_identical_to_seed;
     Alcotest.test_case "abort re-raises injection" `Quick
       test_abort_reraises_injection;
+    Alcotest.test_case "abort keeps exception identity" `Quick
+      test_abort_keeps_exception_identity;
     Alcotest.test_case "every pass recovers" `Slow test_every_pass_recovers;
     Alcotest.test_case "every target recovers" `Slow
       test_every_target_recovers;

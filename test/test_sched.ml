@@ -796,14 +796,21 @@ let dag_kind = function
   | Dag.Anti -> "A"
   | Dag.Temporal k -> Printf.sprintf "C%d" k
 
-(* [succs.(s)] and [preds.(d)] hold the edges out of [s] and into [d] in
-   their order in [edges] (the order [Dag.t] documents) *)
+(* [edges] holds each (src, dst) pair once, and [succs.(s)] and
+   [preds.(d)] hold exactly the edges of [edges] out of [s] and into [d];
+   [Dag.t] promises no list order, so all three are compared as sets *)
 let check_dag_lists (dag : Dag.t) =
+  let pairs =
+    List.map (fun (e : Dag.edge) -> (e.Dag.e_src, e.Dag.e_dst)) dag.Dag.edges
+  in
+  if List.length (List.sort_uniq compare pairs) <> List.length pairs then
+    Alcotest.fail "edges: a (src, dst) pair appears twice";
   let along keep =
-    List.filter_map
-      (fun (e : Dag.edge) ->
-        Option.map (fun x -> (x, e.Dag.e_label, e.Dag.e_kind)) (keep e))
-      dag.Dag.edges
+    List.sort compare
+      (List.filter_map
+         (fun (e : Dag.edge) ->
+           Option.map (fun x -> (x, e.Dag.e_label, e.Dag.e_kind)) (keep e))
+         dag.Dag.edges)
   in
   Array.iteri
     (fun i succs ->
@@ -813,8 +820,10 @@ let check_dag_lists (dag : Dag.t) =
       let into (e : Dag.edge) =
         if e.Dag.e_dst = i then Some e.Dag.e_src else None
       in
-      if succs <> along out || dag.Dag.preds.(i) <> along into then
-        Alcotest.failf "node %d: succs/preds disagree with edges" i)
+      if
+        List.sort compare succs <> along out
+        || List.sort compare dag.Dag.preds.(i) <> along into
+      then Alcotest.failf "node %d: succs/preds disagree with edges" i)
     dag.Dag.succs
 
 let add_dag_builds buf model o insts =
