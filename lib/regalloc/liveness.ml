@@ -1,102 +1,107 @@
-(* Backward liveness for the register allocator, over pseudo and
-   physical registers. It stays outside {!Dataflow.Solve} on purpose:
-   that solver leaves a loop with no path to an exit without any fact,
-   and the allocator would miss the interference of values live around
-   it. Here every block contributes its uses, exits or not. *)
-
-type key = Kp of int | Kh of int * int
-
-module KeySet = Set.Make (struct
-  type t = key
-
-  let compare = compare
-end)
-
-let key_of_reg = function
-  | `Preg (p : Mir.preg) -> Kp p.Mir.p_id
-  | `Phys (r : Model.reg) -> Kh (r.Model.cls, r.Model.idx)
-
-let inst_uses (i : Mir.inst) =
-  List.map key_of_reg (Mir.inst_uses i)
-  @ List.map (fun r -> key_of_reg (`Phys r)) i.Mir.n_xuse
-
-let inst_defs (i : Mir.inst) =
-  List.map key_of_reg (Mir.inst_defs i)
-  @ List.map (fun r -> key_of_reg (`Phys r)) i.Mir.n_xdef
+(* Backward liveness for the register allocator, over dense keys: a
+   pseudo-register's p_id, or n_pregs plus a hard register's Regtab id.
+   Facts are bitsets over all keys. The fixpoint stays outside
+   {!Dataflow.Solve} on purpose: that solver leaves a loop with no path
+   to an exit without any fact, and the allocator would miss the
+   interference of values live around it. Here every block contributes
+   its uses, exits or not. *)
 
 type t = {
-  live_out : (string, KeySet.t) Hashtbl.t;
-  live_in : (string, KeySet.t) Hashtbl.t;
+  n_pregs : int;
+  tab : Regtab.t;
+  index : (string, int) Hashtbl.t;  (* label -> block position *)
+  live_in : Bitset.t array;  (* by block position *)
+  live_out : Bitset.t array;
 }
 
-let block_use_def (b : Mir.block) =
-  (* use: read before any write in the block; def: written *)
-  let use = ref KeySet.empty and def = ref KeySet.empty in
+let hard_key t r = t.n_pregs + Regtab.id t.tab r
+
+let reg_key t = function
+  | `Preg (p : Mir.preg) -> p.Mir.p_id
+  | `Phys r -> hard_key t r
+
+(* the key of the register at the root of an operand, or -1 *)
+let rec operand_key t (o : Mir.operand) =
+  match o with
+  | Mir.Opreg p -> p.Mir.p_id
+  | Mir.Ophys r -> hard_key t r
+  | Mir.Opart (inner, _) -> operand_key t inner
+  | Mir.Oimm _ | Mir.Oslot _ | Mir.Osym _ | Mir.Olab _ -> -1
+
+let iter_positions t f (i : Mir.inst) positions implicit =
   List.iter
-    (fun i ->
-      List.iter
-        (fun k -> if not (KeySet.mem k !def) then use := KeySet.add k !use)
-        (inst_uses i);
-      List.iter (fun k -> def := KeySet.add k !def) (inst_defs i))
-    b.Mir.b_insts;
-  (!use, !def)
+    (fun pos ->
+      let k = operand_key t i.Mir.n_ops.(pos) in
+      if k >= 0 then f k)
+    positions;
+  List.iter (fun r -> f (hard_key t r)) implicit
+
+let iter_uses t f (i : Mir.inst) =
+  iter_positions t f i i.Mir.n_op.Model.i_reads i.Mir.n_xuse
+
+let iter_defs t f (i : Mir.inst) =
+  iter_positions t f i i.Mir.n_op.Model.i_writes i.Mir.n_xdef
 
 let compute (fn : Mir.func) : t =
-  let blocks = fn.Mir.f_blocks in
-  let by_label = Hashtbl.create 16 in
-  List.iter (fun (b : Mir.block) -> Hashtbl.replace by_label b.Mir.b_label b) blocks;
-  let ud = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Mir.block) -> Hashtbl.replace ud b.Mir.b_label (block_use_def b))
+  let tab = Regtab.get fn.Mir.f_model in
+  let blocks = Array.of_list fn.Mir.f_blocks in
+  let nb = Array.length blocks in
+  let index = Hashtbl.create 16 in
+  Array.iteri (fun k (b : Mir.block) -> Hashtbl.replace index b.Mir.b_label k) blocks;
+  let cap = fn.Mir.f_next_preg + tab.Regtab.n_hard in
+  let sets () = Array.init nb (fun _ -> Bitset.create cap) in
+  let t =
+    { n_pregs = fn.Mir.f_next_preg; tab; index; live_in = sets (); live_out = sets () }
+  in
+  (* use: read before any write in the block; def: written *)
+  let use = sets () and def = sets () in
+  Array.iteri
+    (fun k (b : Mir.block) ->
+      List.iter
+        (fun i ->
+          iter_uses t
+            (fun key -> if not (Bitset.mem def.(k) key) then Bitset.set use.(k) key)
+            i;
+          iter_defs t (Bitset.set def.(k)) i)
+        b.Mir.b_insts)
     blocks;
-  let live_in = Hashtbl.create 16 and live_out = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Mir.block) ->
-      Hashtbl.replace live_in b.Mir.b_label KeySet.empty;
-      Hashtbl.replace live_out b.Mir.b_label KeySet.empty)
-    blocks;
+  let succs =
+    Array.map
+      (fun (b : Mir.block) ->
+        Array.of_list (List.filter_map (Hashtbl.find_opt index) b.Mir.b_succs))
+      blocks
+  in
   (* The prologue/epilogue do not exist yet at allocation time, so their
      register demands are seeded here: in a call-free function the return
      address register stays live until the exit block's return jump (in a
      calling function the prologue saves and the epilogue restores it). *)
-  let exit_label =
-    match List.rev blocks with
-    | (b : Mir.block) :: _ -> Some b.Mir.b_label
-    | [] -> None
-  in
-  let seeded =
-    if fn.Mir.f_has_calls then KeySet.empty
-    else
-      KeySet.singleton
-        (key_of_reg (`Phys fn.Mir.f_model.Model.cwvm.Model.v_retaddr))
-  in
+  let seed = Bitset.create cap in
+  if not fn.Mir.f_has_calls then
+    Bitset.set seed (hard_key t fn.Mir.f_model.Model.cwvm.Model.v_retaddr);
+  let fact = Bitset.create cap in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun (b : Mir.block) ->
-        let out =
-          List.fold_left
-            (fun acc l ->
-              match Hashtbl.find_opt live_in l with
-              | Some s -> KeySet.union acc s
-              | None -> acc)
-            (if Some b.Mir.b_label = exit_label then seeded else KeySet.empty)
-            b.Mir.b_succs
-        in
-        let use, def = Hashtbl.find ud b.Mir.b_label in
-        let inn = KeySet.union use (KeySet.diff out def) in
-        if not (KeySet.equal out (Hashtbl.find live_out b.Mir.b_label)) then begin
-          Hashtbl.replace live_out b.Mir.b_label out;
-          changed := true
-        end;
-        if not (KeySet.equal inn (Hashtbl.find live_in b.Mir.b_label)) then begin
-          Hashtbl.replace live_in b.Mir.b_label inn;
-          changed := true
-        end)
-      (List.rev blocks)
+    for k = nb - 1 downto 0 do
+      if k = nb - 1 then Bitset.blit ~src:seed ~dst:fact else Bitset.clear fact;
+      Array.iter (fun s -> Bitset.union_into ~dst:fact t.live_in.(s)) succs.(k);
+      if not (Bitset.equal fact t.live_out.(k)) then begin
+        Bitset.blit ~src:fact ~dst:t.live_out.(k);
+        changed := true
+      end;
+      Bitset.diff_into ~dst:fact def.(k);
+      Bitset.union_into ~dst:fact use.(k);
+      if not (Bitset.equal fact t.live_in.(k)) then begin
+        Bitset.blit ~src:fact ~dst:t.live_in.(k);
+        changed := true
+      end
+    done
   done;
-  { live_out; live_in }
+  t
+
+let live_in t label = t.live_in.(Hashtbl.find t.index label)
+
+let live_out t label = t.live_out.(Hashtbl.find t.index label)
 
 (* back edges in layout order delimit loops; nesting = number of enclosing
    [header; latch] ranges *)

@@ -1,15 +1,4 @@
-module IntSet = Set.Make (Int)
-
 type stats = { rounds : int; spilled : int }
-
-type node = {
-  preg : Mir.preg;
-  mutable adj : IntSet.t;  (* neighbouring preg ids *)
-  mutable forbidden : Model.reg list;  (* overlapping precolored registers *)
-  mutable cost : float;  (* spill cost *)
-  mutable color : Model.reg option;
-  no_spill : bool;  (* spill-code temporaries must color *)
-}
 
 (* a pure register-to-register move: its source does not interfere with
    its destination (Chaitin) *)
@@ -24,117 +13,152 @@ let move_regs (i : Mir.inst) =
       | _ -> None)
   | _ -> None
 
+(* every pseudo-register operand of the function, in layout order,
+   repeats included *)
+let iter_pregs (fn : Mir.func) f =
+  let rec go (o : Mir.operand) =
+    match o with
+    | Mir.Opreg p -> f p
+    | Mir.Opart (inner, _) -> go inner
+    | Mir.Ophys _ | Mir.Oimm _ | Mir.Oslot _ | Mir.Osym _ | Mir.Olab _ -> ()
+  in
+  List.iter
+    (fun (b : Mir.block) ->
+      List.iter (fun (i : Mir.inst) -> Array.iter go i.Mir.n_ops) b.Mir.b_insts)
+    fn.Mir.f_blocks
+
+(* The function's pseudos in a table created at size 64 and filled in
+   order of first mention. Keep both: its [Hashtbl] iteration order is
+   the order of the local-only baseline's spill list, which fixes the
+   slot ids, and of the [Lreg] entries of [f_locations], which the
+   compilation cache stores *)
+let first_mention (fn : Mir.func) =
+  let seen : (int, Mir.preg) Hashtbl.t = Hashtbl.create 64 in
+  iter_pregs fn (fun p ->
+      if not (Hashtbl.mem seen p.Mir.p_id) then Hashtbl.replace seen p.Mir.p_id p);
+  seen
+
 (* ------------------------------------------------------------------ *)
 (* Interference graph construction                                     *)
 (* ------------------------------------------------------------------ *)
 
-let collect_pregs (fn : Mir.func) no_spill_ids =
-  let nodes : (int, node) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (b : Mir.block) ->
-      List.iter
-        (fun (i : Mir.inst) ->
-          Array.iter
-            (fun o ->
-              match Mir.operand_reg o with
-              | Some (`Preg p) ->
-                  if not (Hashtbl.mem nodes p.Mir.p_id) then
-                    Hashtbl.replace nodes p.Mir.p_id
-                      {
-                        preg = p;
-                        adj = IntSet.empty;
-                        forbidden = [];
-                        cost = 0.0;
-                        color = None;
-                        no_spill = IntSet.mem p.Mir.p_id no_spill_ids;
-                      }
-              | Some (`Phys _) | None -> ())
-            i.Mir.n_ops)
-        b.Mir.b_insts)
-    fn.Mir.f_blocks;
-  nodes
+(* One round's graph. Nodes are the function's pseudo-registers, numbered
+   by rank in p_id order. The per-node arrays live for one round of
+   [allocate] only. *)
+type graph = {
+  pregs : Mir.preg array;  (* node -> pseudo-register *)
+  node_of : int array;  (* p_id -> node, or -1 *)
+  adj : int array array;  (* node -> interfering nodes, ascending *)
+  forbidden : Bitset.t array;  (* node -> interfering hard registers *)
+  n_forbidden : int array;
+  cost : float array;  (* spill cost *)
+  no_spill : bool array;  (* spill-code temporaries must color *)
+}
 
-let classes_may_overlap model c1 c2 =
-  (Model.class_exn model c1).Model.c_bank = (Model.class_exn model c2).Model.c_bank
-
-let build_graph (fn : Mir.func) nodes =
-  let model = fn.Mir.f_model in
+let build_graph (tab : Regtab.t) (fn : Mir.func) is_no_spill =
   let live = Liveness.compute fn in
   let depth = Liveness.loop_depth fn in
-  let add_edge k1 k2 =
-    match (k1, k2) with
-    | Liveness.Kp a, Liveness.Kp b when a <> b ->
-        let na = Hashtbl.find nodes a and nb = Hashtbl.find nodes b in
-        if classes_may_overlap model na.preg.Mir.p_cls nb.preg.Mir.p_cls then begin
-          na.adj <- IntSet.add b na.adj;
-          nb.adj <- IntSet.add a nb.adj
-        end
-    | Liveness.Kp a, Liveness.Kh (c, i) | Liveness.Kh (c, i), Liveness.Kp a ->
-        let n = Hashtbl.find nodes a in
-        let r = { Model.cls = c; idx = i } in
-        if
-          classes_may_overlap model n.preg.Mir.p_cls c
-          && not (List.exists (Model.reg_equal r) n.forbidden)
-        then n.forbidden <- r :: n.forbidden
-    | Liveness.Kp _, Liveness.Kp _ | Liveness.Kh _, Liveness.Kh _ -> ()
+  let np = fn.Mir.f_next_preg in
+  let first = Array.make np None in
+  iter_pregs fn (fun p ->
+      if Option.is_none first.(p.Mir.p_id) then first.(p.Mir.p_id) <- Some p);
+  let pregs = Array.of_list (List.filter_map Fun.id (Array.to_list first)) in
+  let n = Array.length pregs in
+  let node_of = Array.make np (-1) in
+  Array.iteri (fun u (p : Mir.preg) -> node_of.(p.Mir.p_id) <- u) pregs;
+  let edges = Array.init n (fun _ -> Bitset.create n) in
+  let degree = Array.make n 0 in
+  let forbidden = Array.init n (fun _ -> Bitset.create tab.Regtab.n_hard) in
+  let n_forbidden = Array.make n 0 in
+  let cost = Array.make n 0.0 in
+  let bank_of_node u = tab.Regtab.bank.(pregs.(u).Mir.p_cls) in
+  let forbid u h =
+    if
+      bank_of_node u = tab.Regtab.bank.(tab.Regtab.regs.(h).Model.cls)
+      && not (Bitset.mem forbidden.(u) h)
+    then begin
+      Bitset.set forbidden.(u) h;
+      n_forbidden.(u) <- n_forbidden.(u) + 1
+    end
   in
+  (* keys below [np] are pseudo-registers, the rest hard registers *)
+  let add_edge a b =
+    if a < np then begin
+      let u = node_of.(a) in
+      if b < np then begin
+        let v = node_of.(b) in
+        if
+          u <> v
+          && bank_of_node u = bank_of_node v
+          && not (Bitset.mem edges.(u) v)
+        then begin
+          Bitset.set edges.(u) v;
+          Bitset.set edges.(v) u;
+          degree.(u) <- degree.(u) + 1;
+          degree.(v) <- degree.(v) + 1
+        end
+      end
+      else forbid u (b - np)
+    end
+    else if b < np then forbid node_of.(b) (a - np)
+  in
+  let live_set = Bitset.create (np + tab.Regtab.n_hard) in
   List.iter
     (fun (b : Mir.block) ->
       let d = try Hashtbl.find depth b.Mir.b_label with Not_found -> 0 in
       let weight = 10.0 ** float_of_int (min d 4) in
-      let live_set =
-        ref
-          (try Hashtbl.find live.Liveness.live_out b.Mir.b_label
-           with Not_found -> Liveness.KeySet.empty)
+      let account k =
+        if k < np then begin
+          let u = node_of.(k) in
+          cost.(u) <- cost.(u) +. weight
+        end
       in
+      Bitset.blit ~src:(Liveness.live_out live b.Mir.b_label) ~dst:live_set;
       List.iter
         (fun (i : Mir.inst) ->
-          let defs = Liveness.inst_defs i in
-          let uses = Liveness.inst_uses i in
           (* account spill costs *)
-          List.iter
-            (fun k ->
-              match k with
-              | Liveness.Kp id ->
-                  let n = Hashtbl.find nodes id in
-                  n.cost <- n.cost +. weight
-              | Liveness.Kh _ -> ())
-            (defs @ uses);
-          let live_for_edges =
+          Liveness.iter_defs live account i;
+          Liveness.iter_uses live account i;
+          let move_src =
             match move_regs i with
-            | Some (_, s) ->
-                Liveness.KeySet.remove (Liveness.key_of_reg s) !live_set
-            | None -> !live_set
+            | Some (_, s) -> Liveness.reg_key live s
+            | None -> -1
           in
-          List.iter
+          Liveness.iter_defs live
             (fun d ->
-              Liveness.KeySet.iter (fun l -> if l <> d then add_edge d l) live_for_edges;
+              Bitset.iter
+                (fun l -> if l <> d && l <> move_src then add_edge d l)
+                live_set;
               (* simultaneous defs interfere *)
-              List.iter (fun d2 -> if d2 <> d then add_edge d d2) defs)
-            defs;
-          live_set :=
-            Liveness.KeySet.union
-              (List.fold_left
-                 (fun acc d -> Liveness.KeySet.remove d acc)
-                 !live_set defs)
-              (Liveness.KeySet.of_list uses))
+              Liveness.iter_defs live (fun d2 -> if d2 <> d then add_edge d d2) i)
+            i;
+          Liveness.iter_defs live (Bitset.unset live_set) i;
+          Liveness.iter_uses live (Bitset.set live_set) i)
         (List.rev b.Mir.b_insts))
-    fn.Mir.f_blocks
+    fn.Mir.f_blocks;
+  let adj =
+    Array.init n (fun u ->
+        let a = Array.make degree.(u) 0 and k = ref 0 in
+        Bitset.iter
+          (fun v ->
+            a.(!k) <- v;
+            incr k)
+          edges.(u);
+        a)
+  in
+  {
+    pregs;
+    node_of;
+    adj;
+    forbidden;
+    n_forbidden;
+    cost;
+    no_spill = Array.map (fun (p : Mir.preg) -> is_no_spill p.Mir.p_id) pregs;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Coloring                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let available_regs model max_local cls =
-  let all = Model.allocable_of_class model cls in
-  match max_local with
-  | None -> all
-  | Some k -> List.filteri (fun i _ -> i < k) all
-
-let color_order model regs =
-  (* prefer caller-save registers so we do not pay save/restore *)
-  let caller, callee = List.partition (fun r -> not (Model.is_callee_save model r)) regs in
-  caller @ callee
 
 let simplify ~adj ~size ~avail ~forbidden ~cost ~no_spill =
   let n = Array.length adj in
@@ -177,100 +201,110 @@ let simplify ~adj ~size ~avail ~forbidden ~cost ~no_spill =
         adj.(v);
       v)
 
-let try_color model max_local nodes =
-  let order =
-    Hashtbl.fold (fun _ n acc -> n :: acc) nodes []
-    |> List.sort (fun a b -> compare a.preg.Mir.p_id b.preg.Mir.p_id)
-    |> Array.of_list
-  in
-  let index : (int, int) Hashtbl.t = Hashtbl.create (Array.length order) in
-  Array.iteri (fun k (u : node) -> Hashtbl.replace index u.preg.Mir.p_id k) order;
-  let per_class f =
-    let t = Array.init (Array.length model.Model.classes) f in
-    Array.map (fun (u : node) -> t.(u.preg.Mir.p_cls)) order
-  in
+(* Colors every node, or returns the pseudo-registers to spill (newest
+   first; their order fixes the slot ids). [color.(u)] receives node
+   [u]'s hard register id. *)
+let try_color (tab : Regtab.t) max_local g color =
+  let colors u = Regtab.colors tab max_local g.pregs.(u).Mir.p_cls in
   let removal =
-    simplify
-      ~adj:
-        (Array.map
-           (fun (u : node) ->
-             Array.of_list
-               (List.map (Hashtbl.find index) (IntSet.elements u.adj)))
-           order)
-      ~size:(per_class (fun c -> (Model.class_exn model c).Model.c_size))
-      ~avail:
-        (per_class (fun c -> List.length (available_regs model max_local c)))
-      ~forbidden:(Array.map (fun (u : node) -> List.length u.forbidden) order)
-      ~cost:(Array.map (fun (u : node) -> u.cost) order)
-      ~no_spill:(Array.map (fun (u : node) -> u.no_spill) order)
+    simplify ~adj:g.adj
+      ~size:(Array.map (fun (p : Mir.preg) -> tab.Regtab.size.(p.Mir.p_cls)) g.pregs)
+      ~avail:(Array.init (Array.length g.pregs) (fun u -> Array.length (colors u)))
+      ~forbidden:g.n_forbidden ~cost:g.cost ~no_spill:g.no_spill
   in
-  let stack = Array.fold_left (fun acc k -> order.(k) :: acc) [] removal in
-  (* select phase: the stack pops in reverse removal order *)
+  (* select phase: the stack pops in reverse removal order. A register
+     is taken for [u] when it overlaps a colored neighbour's register or
+     a forbidden one: both mark their overlap sets with stamp [u] *)
+  let mark = Array.make tab.Regtab.n_hard (-1) in
   let spilled = ref [] in
-  List.iter
-    (fun (u : node) ->
-      let taken =
-        IntSet.fold
-          (fun vid acc ->
-            match (Hashtbl.find nodes vid).color with
-            | Some r -> r :: acc
-            | None -> acc)
-          u.adj u.forbidden
-      in
-      let model_overlap r r' = Model.regs_overlap model r r' in
-      let choice =
-        List.find_opt
-          (fun r -> not (List.exists (model_overlap r) taken))
-          (color_order model (available_regs model max_local u.preg.Mir.p_cls))
-      in
-      match choice with
-      | Some r -> u.color <- Some r
-      | None ->
-          if u.no_spill then begin
-            (* a spill temporary failed to color: its live range is already
-               minimal, so relieve the pressure by spilling a neighbouring
-               ordinary value instead and let the next round recolor *)
-            let victim =
-              IntSet.fold
-                (fun vid best ->
-                  let v = Hashtbl.find nodes vid in
-                  if v.no_spill then best
-                  else
-                    match best with
-                    | None -> Some v
-                    | Some b -> if v.cost < b.cost then Some v else best)
-                u.adj None
-            in
-            match victim with
-            | Some v ->
-                if not (List.memq v !spilled) then spilled := v :: !spilled
-            | None ->
-                Loc.fail Loc.dummy
-                  "register allocation: spill temporary %%p%d cannot be \
-                   colored and has no spillable neighbour"
-                  u.preg.Mir.p_id
-          end
-          else spilled := u :: !spilled)
-    stack;
-  !spilled
+  for s = Array.length removal - 1 downto 0 do
+    let u = removal.(s) in
+    let take h = Array.iter (fun r -> mark.(r) <- u) tab.Regtab.overlaps.(h) in
+    Array.iter (fun v -> if color.(v) >= 0 then take color.(v)) g.adj.(u);
+    Bitset.iter take g.forbidden.(u);
+    let cs = colors u in
+    let k = ref 0 in
+    while !k < Array.length cs && mark.(cs.(!k)) = u do
+      incr k
+    done;
+    if !k < Array.length cs then color.(u) <- cs.(!k)
+    else if g.no_spill.(u) then begin
+      (* a spill temporary failed to color: its live range is already
+         minimal, so relieve the pressure by spilling a neighbouring
+         ordinary value instead and let the next round recolor. Among
+         equal costs the lowest p_id wins. *)
+      let victim = ref (-1) in
+      Array.iter
+        (fun v ->
+          if
+            (not g.no_spill.(v))
+            && (!victim < 0 || g.cost.(v) < g.cost.(!victim))
+          then victim := v)
+        g.adj.(u);
+      if !victim >= 0 then begin
+        if not (List.mem !victim !spilled) then spilled := !victim :: !spilled
+      end
+      else
+        Loc.fail Loc.dummy
+          "register allocation: spill temporary %%p%d cannot be colored and \
+           has no spillable neighbour"
+          g.pregs.(u).Mir.p_id
+    end
+    else spilled := u :: !spilled
+  done;
+  List.map (fun u -> g.pregs.(u)) !spilled
+
+(* every interference edge must end up with non-overlapping registers,
+   and precolored conflicts must be respected *)
+let self_check (tab : Regtab.t) g color =
+  let overlap a b = Bitset.mem tab.Regtab.overlap ((a * tab.Regtab.n_hard) + b) in
+  Array.iteri
+    (fun u cu ->
+      Array.iter
+        (fun v ->
+          if overlap cu color.(v) then
+            Loc.fail Loc.dummy
+              "register allocation self-check: %%p%d and %%p%d share \
+               overlapping registers"
+              g.pregs.(u).Mir.p_id g.pregs.(v).Mir.p_id)
+        g.adj.(u);
+      Bitset.iter
+        (fun h ->
+          if overlap cu h then
+            Loc.fail Loc.dummy
+              "register allocation self-check: %%p%d overlaps a live physical \
+               register"
+              g.pregs.(u).Mir.p_id)
+        g.forbidden.(u))
+    color
 
 (* ------------------------------------------------------------------ *)
 (* Spill code                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let insert_spills (fn : Mir.func) (spills : node list) fresh_no_spill =
+let insert_spills (fn : Mir.func) (spills : Mir.preg list) fresh_no_spill =
   let model = fn.Mir.f_model in
   let fp = Mir.Ophys model.Model.cwvm.Model.v_fp in
-  let slot_of : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  (* p_id -> slot and pseudo. Its [Hashtbl.iter] order orders the reloads
+     and the fresh temporaries of an instruction that mentions two
+     spilled pseudos, so its size and insertion order stay as they are *)
+  let slot_of : (int, int * Mir.preg) Hashtbl.t = Hashtbl.create 8 in
+  let spilled = Array.make fn.Mir.f_next_preg false in
   List.iter
-    (fun (u : node) ->
-      let c = Model.class_exn model u.preg.Mir.p_cls in
+    (fun (p : Mir.preg) ->
+      let c = Model.class_exn model p.Mir.p_cls in
       let id = Mir.new_slot fn ~size:c.Model.c_size ~align:c.Model.c_size in
-      Hashtbl.replace slot_of u.preg.Mir.p_id id;
+      Hashtbl.replace slot_of p.Mir.p_id (id, p);
+      spilled.(p.Mir.p_id) <- true;
       (* location metadata: the pseudo now lives in this frame slot *)
-      fn.Mir.f_locations <-
-        (u.preg.Mir.p_id, Mir.Lslot id) :: fn.Mir.f_locations)
+      fn.Mir.f_locations <- (p.Mir.p_id, Mir.Lslot id) :: fn.Mir.f_locations)
     spills;
+  let rec mentions_spilled (o : Mir.operand) =
+    match o with
+    | Mir.Opreg q -> q.Mir.p_id < Array.length spilled && spilled.(q.Mir.p_id)
+    | Mir.Opart (inner, _) -> mentions_spilled inner
+    | Mir.Ophys _ | Mir.Oimm _ | Mir.Oslot _ | Mir.Osym _ | Mir.Olab _ -> false
+  in
   let rec operand_mentions p (o : Mir.operand) =
     match o with
     | Mir.Opreg q -> q.Mir.p_id = p
@@ -285,58 +319,61 @@ let insert_spills (fn : Mir.func) (spills : node list) fresh_no_spill =
     | Mir.Olab _ ->
         o
   in
+  let rewrite (i : Mir.inst) =
+    let pre = ref [] and post = ref [] in
+    let ops = ref i.Mir.n_ops in
+    Hashtbl.iter
+      (fun pid (slot, (p : Mir.preg)) ->
+        let reads =
+          List.exists
+            (fun pos -> operand_mentions pid !ops.(pos))
+            i.Mir.n_op.Model.i_reads
+        in
+        let partial_write =
+          (* writing through a half-register part leaves the other
+             half meaningful: reload it before the instruction *)
+          List.exists
+            (fun pos ->
+              match !ops.(pos) with
+              | Mir.Opart (inner, _) -> operand_mentions pid inner
+              | _ -> false)
+            i.Mir.n_op.Model.i_writes
+        in
+        let reads = reads || partial_write in
+        let writes =
+          List.exists
+            (fun pos -> operand_mentions pid !ops.(pos))
+            i.Mir.n_op.Model.i_writes
+        in
+        if reads || writes then begin
+          let q = Mir.fresh_preg fn p.Mir.p_cls in
+          fresh_no_spill q;
+          ops := Array.map (replace pid q) !ops;
+          if reads then begin
+            let ld = Frame.find_load_ri model p.Mir.p_cls in
+            pre :=
+              Frame.load_at fn ld ~dst:(Mir.Opreg q) ~base:fp
+                ~off:(Mir.Oslot (slot, 0))
+              :: !pre
+          end;
+          if writes then begin
+            let st = Frame.find_store_ri model p.Mir.p_cls in
+            post :=
+              Frame.store_at fn st ~base:fp ~off:(Mir.Oslot (slot, 0))
+                ~value:(Mir.Opreg q)
+              :: !post
+          end
+        end)
+      slot_of;
+    List.rev !pre @ [ { i with Mir.n_ops = !ops } ] @ List.rev !post
+  in
   List.iter
     (fun (b : Mir.block) ->
       b.Mir.b_insts <-
         List.concat_map
           (fun (i : Mir.inst) ->
-            let pre = ref [] and post = ref [] in
-            let ops = ref i.Mir.n_ops in
-            Hashtbl.iter
-              (fun pid slot ->
-                let reads =
-                  List.exists
-                    (fun pos -> operand_mentions pid !ops.(pos))
-                    i.Mir.n_op.Model.i_reads
-                in
-                let partial_write =
-                  (* writing through a half-register part leaves the other
-                     half meaningful: reload it before the instruction *)
-                  List.exists
-                    (fun pos ->
-                      match !ops.(pos) with
-                      | Mir.Opart (inner, _) -> operand_mentions pid inner
-                      | _ -> false)
-                    i.Mir.n_op.Model.i_writes
-                in
-                let reads = reads || partial_write in
-                let writes =
-                  List.exists
-                    (fun pos -> operand_mentions pid !ops.(pos))
-                    i.Mir.n_op.Model.i_writes
-                in
-                if reads || writes then begin
-                  let u = List.find (fun u -> u.preg.Mir.p_id = pid) spills in
-                  let q = Mir.fresh_preg fn u.preg.Mir.p_cls in
-                  fresh_no_spill q;
-                  ops := Array.map (replace pid q) !ops;
-                  if reads then begin
-                    let ld = Frame.find_load_ri model u.preg.Mir.p_cls in
-                    pre :=
-                      Frame.load_at fn ld ~dst:(Mir.Opreg q) ~base:fp
-                        ~off:(Mir.Oslot (slot, 0))
-                      :: !pre
-                  end;
-                  if writes then begin
-                    let st = Frame.find_store_ri model u.preg.Mir.p_cls in
-                    post :=
-                      Frame.store_at fn st ~base:fp ~off:(Mir.Oslot (slot, 0))
-                        ~value:(Mir.Opreg q)
-                      :: !post
-                  end
-                end)
-              slot_of;
-            List.rev !pre @ [ { i with Mir.n_ops = !ops } ] @ List.rev !post)
+            if Array.exists mentions_spilled i.Mir.n_ops then rewrite i
+            else [ i ])
           b.Mir.b_insts)
     fn.Mir.f_blocks
 
@@ -344,24 +381,19 @@ let insert_spills (fn : Mir.func) (spills : node list) fresh_no_spill =
 (* Rewriting with assigned colors                                      *)
 (* ------------------------------------------------------------------ *)
 
-let rewrite_colors (fn : Mir.func) nodes =
+let rewrite_colors (tab : Regtab.t) (fn : Mir.func) g color =
   let model = fn.Mir.f_model in
   (* location metadata: every surviving pseudo (spill temporaries
      included) now lives in its color *)
   Hashtbl.iter
-    (fun pid (n : node) ->
-      match n.color with
-      | Some r -> fn.Mir.f_locations <- (pid, Mir.Lreg r) :: fn.Mir.f_locations
-      | None -> ())
-    nodes;
-  let color_of p =
-    match (Hashtbl.find nodes p.Mir.p_id).color with
-    | Some r -> r
-    | None -> assert false
-  in
+    (fun pid _ ->
+      fn.Mir.f_locations <-
+        (pid, Mir.Lreg tab.Regtab.regs.(color.(g.node_of.(pid))))
+        :: fn.Mir.f_locations)
+    (first_mention fn);
   let rec rw (o : Mir.operand) =
     match o with
-    | Mir.Opreg p -> Mir.Ophys (color_of p)
+    | Mir.Opreg p -> Mir.Ophys tab.Regtab.regs.(color.(g.node_of.(p.Mir.p_id)))
     | Mir.Opart (inner, k) -> (
         match rw inner with
         | Mir.Ophys r -> (
@@ -401,7 +433,7 @@ let rewrite_colors (fn : Mir.func) nodes =
               match d with
               | `Phys r ->
                   if
-                    Model.is_callee_save model r
+                    tab.Regtab.callee_save.(Regtab.id tab r)
                     && (not (special r))
                     && not (List.exists (Model.reg_equal r) !saved)
                   then saved := r :: !saved
@@ -416,59 +448,35 @@ let rewrite_colors (fn : Mir.func) nodes =
 (* ------------------------------------------------------------------ *)
 
 let allocate ?(forbid_global_pregs = false) ?max_local (fn : Mir.func) : stats =
-  let no_spill = ref IntSet.empty in
+  let tab = Regtab.get fn.Mir.f_model in
+  (* the p_ids of this allocation's spill temporaries *)
+  let no_spill : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let total_spilled = ref 0 in
   fn.Mir.f_locations <- [];
   (* the local-only baseline: force every cross-block pseudo to memory *)
   if forbid_global_pregs then begin
-    let nodes = collect_pregs fn IntSet.empty in
     let globals =
       Hashtbl.fold
-        (fun _ n acc -> if n.preg.Mir.p_global then n :: acc else acc)
-        nodes []
+        (fun _ (p : Mir.preg) acc -> if p.Mir.p_global then p :: acc else acc)
+        (first_mention fn) []
     in
     total_spilled := List.length globals;
-    insert_spills fn globals (fun q -> ignore q)
+    insert_spills fn globals ignore
   end;
   let rec round k =
     if k > 16 then
       Loc.fail Loc.dummy "register allocation did not converge in %s"
         fn.Mir.f_name;
-    let nodes = collect_pregs fn !no_spill in
-    build_graph fn nodes;
-    match try_color fn.Mir.f_model max_local nodes with
+    let g = build_graph tab fn (Hashtbl.mem no_spill) in
+    let color = Array.make (Array.length g.pregs) (-1) in
+    match try_color tab max_local g color with
     | [] ->
-        (* self-check: every interference edge must end up with
-           non-overlapping registers, and precolored conflicts must be
-           respected *)
-        Hashtbl.iter
-          (fun _ (u : node) ->
-            let cu = Option.get u.color in
-            IntSet.iter
-              (fun vid ->
-                let v = Hashtbl.find nodes vid in
-                let cv = Option.get v.color in
-                if Model.regs_overlap fn.Mir.f_model cu cv then
-                  Loc.fail Loc.dummy
-                    "register allocation self-check: %%p%d and %%p%d share \
-                     overlapping registers"
-                    u.preg.Mir.p_id v.preg.Mir.p_id)
-              u.adj;
-            List.iter
-              (fun r ->
-                if Model.regs_overlap fn.Mir.f_model cu r then
-                  Loc.fail Loc.dummy
-                    "register allocation self-check: %%p%d overlaps a live \
-                     physical register"
-                    u.preg.Mir.p_id)
-              u.forbidden)
-          nodes;
-        rewrite_colors fn nodes;
+        self_check tab g color;
+        rewrite_colors tab fn g color;
         { rounds = k; spilled = !total_spilled }
     | spills ->
         total_spilled := !total_spilled + List.length spills;
-        insert_spills fn spills (fun q ->
-            no_spill := IntSet.add q.Mir.p_id !no_spill);
+        insert_spills fn spills (fun q -> Hashtbl.replace no_spill q.Mir.p_id ());
         round (k + 1)
   in
   round 1

@@ -7,7 +7,12 @@
     physical registers (CWVM argument/result registers, call clobbers)
     constrain the colors a pseudo-register may take. Coloring is
     optimistic; uncolored nodes spill to frame slots, spill code is
-    inserted, and allocation repeats until it converges. *)
+    inserted, and allocation repeats until it converges.
+
+    Everything runs on dense ids: bitset liveness over pseudo and hard
+    register keys ({!Liveness}), per-node bitset rows and int-array
+    adjacency for one round's graph, and per-model color and overlap
+    tables ({!Regtab}). No per-function table outlives {!allocate}. *)
 
 type stats = {
   rounds : int;  (** coloring rounds (1 = no spilling needed) *)

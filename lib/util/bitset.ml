@@ -91,6 +91,16 @@ let union_into ~dst src =
     dst.words.(i) <- dst.words.(i) lor src.words.(i)
   done
 
+let diff_into ~dst src =
+  same_cap dst src;
+  for i = 0 to Array.length dst.words - 1 do
+    dst.words.(i) <- dst.words.(i) land lnot src.words.(i)
+  done
+
+let blit ~src ~dst =
+  same_cap dst src;
+  Array.blit src.words 0 dst.words 0 (Array.length src.words)
+
 let inter_into ~dst src =
   same_cap dst src;
   for i = 0 to Array.length dst.words - 1 do
@@ -108,7 +118,15 @@ let inter_empty a b =
   done;
   !i = n
 
-let equal a b = a.cap = b.cap && Array.for_all2 ( = ) a.words b.words
+let equal a b =
+  a.cap = b.cap
+  &&
+  let n = Array.length a.words in
+  let i = ref 0 in
+  while !i < n && a.words.(!i) = b.words.(!i) do
+    incr i
+  done;
+  !i = n
 
 let popcount w =
   let rec go acc w = if w = 0 then acc else go (acc + (w land 1)) (w lsr 1) in
@@ -116,9 +134,26 @@ let popcount w =
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
+(* the index of the one bit set in [b], by halving *)
+let bit_index b =
+  let n = ref 0 and b = ref b in
+  if !b land 0xFFFFFFFF = 0 then begin n := 32; b := !b lsr 32 end;
+  if !b land 0xFFFF = 0 then begin n := !n + 16; b := !b lsr 16 end;
+  if !b land 0xFF = 0 then begin n := !n + 8; b := !b lsr 8 end;
+  if !b land 0xF = 0 then begin n := !n + 4; b := !b lsr 4 end;
+  if !b land 0x3 = 0 then begin n := !n + 2; b := !b lsr 2 end;
+  if !b land 0x1 = 0 then incr n;
+  !n
+
+(* word by word, lowest bit first: empty words cost one test *)
 let iter f t =
-  for i = 0 to t.cap - 1 do
-    if mem t i then f i
+  for w = 0 to Array.length t.words - 1 do
+    let x = ref t.words.(w) in
+    while !x <> 0 do
+      let low = !x land - !x in
+      f ((w * bits_per_word) + bit_index low);
+      x := !x lxor low
+    done
   done
 
 let of_list cap l =

@@ -36,6 +36,14 @@ val union_into : dst:t -> t -> unit
 (** [union_into ~dst src] adds every element of [src] to [dst]. Capacities
     must agree. *)
 
+val diff_into : dst:t -> t -> unit
+(** [diff_into ~dst src] removes from [dst] every element of [src].
+    Capacities must agree. *)
+
+val blit : src:t -> dst:t -> unit
+(** [blit ~src ~dst] makes [dst] hold exactly the elements of [src].
+    Capacities must agree. *)
+
 val inter_into : dst:t -> t -> unit
 (** [inter_into ~dst src] removes from [dst] every element not in [src].
     Capacities must agree. *)
@@ -48,6 +56,7 @@ val equal : t -> t -> bool
 val cardinal : t -> int
 
 val iter : (int -> unit) -> t -> unit
+(** In ascending order; [f] must not change the set. *)
 
 val of_list : int -> int list -> t
 

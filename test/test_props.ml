@@ -259,19 +259,29 @@ let prop_maril_roundtrip =
 
 let gen_small_ints = QCheck2.Gen.(list_size (int_bound 20) (int_bound 63))
 
+(* elements span four words, sign bits (62, 125, 188) included *)
+let gen_bitset_ints = QCheck2.Gen.(list_size (int_bound 30) (int_bound 199))
+
 let prop_bitset_model =
   QCheck2.Test.make ~name:"bitset agrees with a list model" ~count:200
-    QCheck2.Gen.(pair gen_small_ints gen_small_ints)
+    QCheck2.Gen.(pair gen_bitset_ints gen_bitset_ints)
     (fun (xs, ys) ->
-      let a = Bitset.of_list 64 xs and b = Bitset.of_list 64 ys in
+      let a = Bitset.of_list 200 xs and b = Bitset.of_list 200 ys in
       let inter_empty_model =
         not (List.exists (fun x -> List.mem x ys) xs)
       in
       let u = Bitset.copy a in
       Bitset.union_into ~dst:u b;
+      let d = Bitset.copy a in
+      Bitset.diff_into ~dst:d b;
+      let c = Bitset.create 200 in
+      Bitset.blit ~src:u ~dst:c;
       Bitset.inter_empty a b = inter_empty_model
       && Bitset.to_list u
          = List.sort_uniq compare (xs @ ys)
+      && Bitset.to_list d
+         = List.sort_uniq compare (List.filter (fun x -> not (List.mem x ys)) xs)
+      && Bitset.equal c u
       && Bitset.cardinal a = List.length (List.sort_uniq compare xs))
 
 (* word-wise range operations against the one-bit-at-a-time model, with a
