@@ -186,20 +186,29 @@ let write_bytes (arr : bank_state) (bk, off, sz) t =
 
 (* after a partial (Opart) def, the untouched bytes of the containing
    register are semantically part of the new value: retag the maximal
-   contiguous run of old-tagged bytes around the written range *)
-let extend_adjacent (arr : bank_state) (bk, off, sz) ~old t =
+   contiguous run of old-tagged bytes around the written range, within
+   [lo, hi) (the containing register's bytes, when known) *)
+let extend_adjacent ?(lo = 0) ?hi (arr : bank_state) (bk, off, sz) ~old t =
   let bank = arr.(bk) in
-  let n = Array.length bank in
+  let hi = Option.value hi ~default:(Array.length bank) in
   let k = ref (off - 1) in
-  while !k >= 0 && bank.(!k) = old do
+  while !k >= lo && bank.(!k) = old do
     bank.(!k) <- t;
     decr k
   done;
   let k = ref (off + sz) in
-  while !k < n && bank.(!k) = old do
+  while !k < hi && bank.(!k) = old do
     bank.(!k) <- t;
     incr k
   done
+
+(* a partial def [part] of the register whose bytes are [root]: the part
+   takes [t], and the root's other bytes join it only where they still
+   hold [old], the value before the def. A half clobbered in between
+   keeps its own tag, so a later read of the whole register is mixed. *)
+let write_part (arr : bank_state) ~root:(_, lo, sz) part ~old t =
+  write_bytes arr part t;
+  extend_adjacent ~lo ~hi:(lo + sz) arr part ~old t
 
 (* [Opreg p] under an assigned register, [Opart]s resolved to
    subregisters — what a correct rewrite must have produced *)
@@ -414,7 +423,7 @@ let regval_func ~before (after : Mir.func) =
           if not (Hashtbl.mem pentry p.Mir.p_id) then
             Hashtbl.replace pentry p.Mir.p_id (-1);
           match Hashtbl.find_opt loc_of p.Mir.p_id with
-          | Some (Mir.Lreg r) ->
+          | Some (Mir.Lreg r) -> (
               (match rewrite_preg_operand model o_in r with
               | Some w when w = o_out -> ()
               | Some _ | None ->
@@ -423,8 +432,14 @@ let regval_func ~before (after : Mir.func) =
                      register %a (found `%a')"
                     (pos + 1) (pp_i model) i_in p.Mir.p_id
                     (Model.pp_reg model) r (Mir.pp_operand model) o_out);
-              (* the whole assigned register now carries the new value *)
-              write_bytes bytes_out (Model.reg_bytes model r) t
+              let root = Model.reg_bytes model r in
+              match (partial, out_root o_out) with
+              | true, Some w ->
+                  (* before its first touch in the block the register
+                     holds the pseudo's entry value, still untouched *)
+                  write_part bytes_out ~root (Model.reg_bytes model w)
+                    ~old:(Option.value old ~default:0) t
+              | _ -> write_bytes bytes_out root t)
           | Some (Mir.Lslot _) -> (
               (* spilled: the def writes a temporary; a spill store must
                  follow (checked when the store is consumed) *)
@@ -443,16 +458,30 @@ let regval_func ~before (after : Mir.func) =
           | None ->
               report ~code:"V011"
                 "pseudo-register %%p%d has no recorded location" p.Mir.p_id)
-      | Some (`Phys r) ->
+      | Some (`Phys r) -> (
           (match resolve_parts model o_in with
           | Some w when w = o_out -> ()
           | Some _ | None ->
               report ~code:"V012"
                 "physical def operand %d of `%a' changed to `%a'" (pos + 1)
                 (pp_i model) i_in (Mir.pp_operand model) o_out);
-          (* partial phys defs retag the whole root on both sides *)
-          write_bytes bytes_in (Model.reg_bytes model r) t;
-          write_bytes bytes_out (Model.reg_bytes model r) t
+          let root = Model.reg_bytes model r in
+          match (partial, resolve_parts model o_in) with
+          | true, Some (Mir.Ophys w) ->
+              (* both sides extend over the input's old value, so a half
+                 the output clobbered in between stays apart *)
+              let old =
+                match read_bytes bytes_in root with
+                | `Tag o -> o
+                | `Untouched -> 0
+                | `Mixed -> -1
+              in
+              let part = Model.reg_bytes model w in
+              write_part bytes_in ~root part ~old t;
+              write_part bytes_out ~root part ~old t
+          | _ ->
+              write_bytes bytes_in root t;
+              write_bytes bytes_out root t)
       | None ->
           if o_in <> o_out then
             report ~code:"V012"

@@ -327,6 +327,54 @@ let test_regval_clobbered_pair () =
   assert_code "clobbered pair" "V019" Diag.Post_regalloc
     (Transval.validate_func Diag.Post_regalloc ~before fn)
 
+(* The shape of a double move on r2000 (two [mov.s] halves) with a
+   spill reload into the same register between the halves, then a read
+   of the whole pair: the reload clobbers the half already written, so
+   the read sees a mixed value. [hard] writes the double argument pair
+   d6 instead of a pseudo. *)
+let test_regval_half_clobber ~hard () =
+  let model = Lazy.force r2000 in
+  let cid name = (Option.get (Model.find_class model name)).Model.c_id in
+  let movs = Option.get (Model.instr_by_tag model "s.movs") in
+  let addd = List.hd (Model.instrs_by_name model "add.d") in
+  let fn = Mir.new_func model "main" in
+  let f idx = Mir.Ophys { Model.cls = cid "f"; idx } in
+  let d6 = { Model.cls = cid "d"; idx = 6 } in
+  let p = Mir.fresh_preg fn (cid "d") in
+  let pair = if hard then Mir.Ophys d6 else Mir.Opreg p in
+  let sum = Mir.Opreg (Mir.fresh_preg fn (cid "d")) in
+  let entry = Mir.new_block "entry" in
+  entry.Mir.b_insts <-
+    [
+      Mir.mk_inst fn movs [| Mir.Opart (pair, 0); f 8 |];
+      Mir.mk_inst fn movs [| Mir.Opart (pair, 1); f 9 |];
+      Mir.mk_inst fn addd [| sum; pair; pair |];
+    ];
+  fn.Mir.f_blocks <- [ entry ];
+  let before = Transval.capture fn in
+  ignore (Regalloc.allocate fn);
+  check (Alcotest.list Alcotest.string) "clean allocation validates" []
+    (codes (Transval.validate_func Diag.Post_regalloc ~before fn));
+  let reg =
+    if hard then d6
+    else
+      match List.assoc p.Mir.p_id fn.Mir.f_locations with
+      | Mir.Lreg r -> r
+      | Mir.Lslot _ -> Alcotest.fail "the pair should get a register"
+  in
+  let reload =
+    Frame.load_at fn
+      (Frame.find_load_ri model (cid "d"))
+      ~dst:(Mir.Ophys reg)
+      ~base:(Mir.Ophys model.Model.cwvm.Model.v_fp)
+      ~off:(Mir.Oslot (before.Mir.f_next_slot, 0))
+  in
+  (match entry.Mir.b_insts with
+  | lo :: rest -> entry.Mir.b_insts <- lo :: reload :: rest
+  | [] -> Alcotest.fail "empty block");
+  assert_code "reload between the halves" "V019" Diag.Post_regalloc
+    (Transval.validate_func Diag.Post_regalloc ~before fn)
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: Schedval over random blocks                                 *)
 
@@ -427,6 +475,10 @@ let suite =
       test_regval_dropped_reload;
     Alcotest.test_case "seeded: clobbered pair (V019)" `Quick
       test_regval_clobbered_pair;
+    Alcotest.test_case "seeded: reload between pseudo halves (V019)" `Quick
+      (test_regval_half_clobber ~hard:false);
+    Alcotest.test_case "seeded: reload between hard halves (V019)" `Quick
+      (test_regval_half_clobber ~hard:true);
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
