@@ -249,8 +249,6 @@ let may_overlap (a : access) (b : access) =
 module Dom = struct
   type fact = env
 
-  let direction = Dataflow.Forward
-
   let boundary (fn : Mir.func) =
     Env.singleton (Locs.Lh fn.Mir.f_model.Model.cwvm.Model.v_fp) Vfp
 

@@ -6,12 +6,8 @@ type stats = {
 
 let fresh_stats () = { solves = 0; iterations = 0; facts = 0 }
 
-type direction = Forward | Backward
-
 module type DOMAIN = sig
   type fact
-
-  val direction : direction
 
   val boundary : Mir.func -> fact
 
@@ -56,18 +52,6 @@ module Solve (D : DOMAIN) = struct
           | None -> ())
         (List.rev blocks.(i).Mir.b_succs)
     done;
-    (* [sources.(i)] feed block i's incoming fact; [sinks.(i)] consume its
-       outgoing fact *)
-    let sources, sinks =
-      match D.direction with
-      | Forward -> (preds, succs)
-      | Backward -> (succs, preds)
-    in
-    let is_boundary i =
-      match D.direction with
-      | Forward -> i = 0
-      | Backward -> blocks.(i).Mir.b_succs = []
-    in
     (* [None] is bottom: the block has not been reached by any fact yet *)
     let inb : D.fact option array = Array.make n None in
     let outb : D.fact option array = Array.make n None in
@@ -79,15 +63,9 @@ module Solve (D : DOMAIN) = struct
         Queue.add i work
       end
     in
-    (match D.direction with
-    | Forward ->
-        for i = 0 to n - 1 do
-          enqueue i
-        done
-    | Backward ->
-        for i = n - 1 downto 0 do
-          enqueue i
-        done);
+    for i = 0 to n - 1 do
+      enqueue i
+    done;
     let iters = ref 0 in
     while not (Queue.is_empty work) do
       let i = Queue.take work in
@@ -99,8 +77,8 @@ module Solve (D : DOMAIN) = struct
             | None, acc -> acc
             | Some f, None -> Some f
             | Some f, Some g -> Some (D.join g f))
-          (if is_boundary i then Some (D.boundary fn) else None)
-          sources.(i)
+          (if i = 0 then Some (D.boundary fn) else None)
+          preds.(i)
       in
       match incoming with
       | None -> () (* unreachable so far: stays bottom *)
@@ -122,7 +100,7 @@ module Solve (D : DOMAIN) = struct
                   outb.(i) <- Some out;
                   true
             in
-            if out_changed then List.iter enqueue sinks.(i)
+            if out_changed then List.iter enqueue succs.(i)
           end
     done;
     Option.iter

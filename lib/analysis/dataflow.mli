@@ -1,14 +1,11 @@
-(** A reusable dataflow framework over the MIR control-flow graph.
+(** A reusable forward dataflow framework over the MIR control-flow
+    graph.
 
     A client packages its lattice as a {!DOMAIN} — a fact type with join,
     equality, a boundary fact and a per-block transfer function — and
     {!Solve} produces the classic worklist fixpoint over a function's
-    blocks, in either direction. Facts attach to block edges of the flow:
-    for a {e forward} problem the incoming fact of a block is the join of
-    its predecessors' outgoing facts (the entry block additionally joined
-    with the boundary); for a {e backward} problem incoming means {e at
-    block exit} (joined from successors; exit blocks — no successors —
-    get the boundary) and the transfer walks the block in reverse.
+    blocks. The incoming fact of a block is the join of its predecessors'
+    outgoing facts, the entry block's also joined with the boundary.
 
     Bottom is represented outside the domain: a block no fact has reached
     yet simply has no entry in the result, so clients need no artificial
@@ -21,9 +18,7 @@
     representation: with intersection as [join], a source block not yet
     reached contributes nothing — it acts as the universal set — so the
     fixpoint is the greatest one, and blocks left without a fact are
-    exactly those unreachable from the boundary ([M031] in [Mircheck]).
-    Conversely, a backward problem leaves a loop with no path to an exit
-    without any fact (why [lib/regalloc/liveness.ml] keeps its own). *)
+    exactly those unreachable from the boundary ([M031] in [Mircheck]). *)
 
 type stats = {
   mutable solves : int;  (** fixpoints computed *)
@@ -34,16 +29,11 @@ type stats = {
 
 val fresh_stats : unit -> stats
 
-type direction = Forward | Backward
-
 module type DOMAIN = sig
   type fact
 
-  val direction : direction
-
   val boundary : Mir.func -> fact
-  (** The fact at the flow's boundary: function entry (forward) or every
-      exit block (backward). *)
+  (** The fact at function entry. *)
 
   val equal : fact -> fact -> bool
 
@@ -52,9 +42,8 @@ module type DOMAIN = sig
       associative up to [equal]. *)
 
   val transfer : Mir.func -> Mir.block -> fact -> fact
-  (** The block's effect on a fact, walking its instructions in flow
-      order (reverse instruction order for a backward problem). Must be
-      monotone. *)
+  (** The block's effect on a fact, walking its instructions in order.
+      Must be monotone. *)
 
   val nfacts : fact -> int
   (** Size measure for profiling ({!stats.facts}). *)
@@ -68,11 +57,9 @@ module Solve (D : DOMAIN) : sig
       [stats], when given, accumulates solver counters. *)
 
   val flow_in : result -> string -> D.fact option
-  (** Fact flowing {e into} the block's transfer — at block entry for a
-      forward problem, at block exit for a backward one. [None] when no
-      fact reached the block (unreachable along the flow). *)
+  (** The fact at block entry, flowing into the block's transfer. [None]
+      when no fact reached the block (unreachable from the entry). *)
 
   val flow_out : result -> string -> D.fact option
-  (** The transfer's output — at block exit (forward) or entry
-      (backward). *)
+  (** The transfer's output, at block exit. *)
 end

@@ -407,7 +407,6 @@ let check_func phase (fn : Mir.func) : Diag.t list =
    let module D = struct
      type fact = Bitset.t
 
-     let direction = Dataflow.Forward
 
      let boundary _ = seed
 
@@ -451,30 +450,103 @@ let check_func phase (fn : Mir.func) : Diag.t list =
   (* -------- global dataflow diagnostics (A001/A002, warnings) ------- *)
   (* Post_select only: pseudo-registers exist there, and later phases
      would re-report facts the allocator has already consumed. Both are
-     warnings from the lib/analysis liveness client: A001 overlaps M031's
-     error (the definitely-assigned analysis), but reports per pseudo
-     with its live-in path; A002 has no M-series counterpart. *)
-  (if phase = Diag.Post_select then begin
-     let live = Glive.compute fn in
-     List.iter
-       (fun (u : Glive.uninit) ->
-         let loc =
-           Option.map (fun (i : Mir.inst) -> i.Mir.n_op.Model.i_loc) u.Glive.u_inst
+     warnings from {!Liveness}, restricted to pseudo keys: A001 overlaps
+     M031's error (the definitely-assigned analysis), but reports per
+     pseudo with a use it reaches; A002 has no M-series counterpart. A
+     register that names no machine register (M006) leaves them out. *)
+  (if phase = Diag.Post_select then
+     match Liveness.compute fn with
+     | exception Invalid_argument _ -> ()
+     | live ->
+         (* A002: an instruction whose removal is observably safe (no
+            memory, control, temporal or implicit-register effect) and
+            whose every written operand is a whole pseudo dead after it *)
+         let removable (i : Mir.inst) =
+           let op = i.Mir.n_op in
+           (not op.Model.i_loads) && (not op.Model.i_stores)
+           && (not op.Model.i_branch) && (not op.Model.i_call)
+           && op.Model.i_affects = None && i.Mir.n_xdef = []
+           && op.Model.i_wnames = [] && op.Model.i_writes <> []
+           && List.for_all
+                (fun pos ->
+                  match i.Mir.n_ops.(pos) with Mir.Opreg _ -> true | _ -> false)
+                op.Model.i_writes
          in
-         report ~severity:Diag.Warning ?loc ~block:u.Glive.u_block
-           ~code:"A001" "%s is live into the function entry: it may be \
-                         used before being assigned"
-           (preg_name u.Glive.u_preg))
-       (Glive.uninitialized live fn);
-     List.iter
-       (fun (d : Glive.dead) ->
-         report ~severity:Diag.Warning ~loc:d.Glive.k_inst.Mir.n_op.Model.i_loc
-           ~block:d.Glive.k_block ~code:"A002"
-           "%s defines only dead value(s) (%s): the result is never read"
-           d.Glive.k_inst.Mir.n_op.Model.i_name
-           (String.concat ", " (List.map preg_name d.Glive.k_pregs)))
-       (Glive.dead_stores live fn)
-   end);
+         let np = fn.Mir.f_next_preg in
+         (* A001's site per pseudo: its first read in layout order that no
+            kill precedes in its block *)
+         let site = Array.make np None and exposed = Array.make np None in
+         let dead = ref [] in
+         List.iter
+           (fun (b : Mir.block) ->
+             let cur = Bitset.copy (Liveness.live_out live b.Mir.b_label) in
+             let block_dead = ref [] in
+             Array.fill exposed 0 np None;
+             Liveness.enter live;
+             List.iter
+               (fun (i : Mir.inst) ->
+                 let defs =
+                   List.filter_map
+                     (fun pos ->
+                       match i.Mir.n_ops.(pos) with
+                       | Mir.Opreg p -> Some p
+                       | _ -> None)
+                     i.Mir.n_op.Model.i_writes
+                 in
+                 if
+                   removable i
+                   && List.for_all
+                        (fun (p : Mir.preg) -> not (Bitset.mem cur p.Mir.p_id))
+                        defs
+                 then block_dead := (b.Mir.b_label, i, defs) :: !block_dead;
+                 Liveness.step live
+                   ~kill:(fun k ->
+                     Bitset.unset cur k;
+                     if k < np then exposed.(k) <- None)
+                   ~gen:(fun k ->
+                     Bitset.set cur k;
+                     if k < np then exposed.(k) <- Some i)
+                   i)
+               (List.rev b.Mir.b_insts);
+             Array.iteri
+               (fun k e ->
+                 match (e, site.(k)) with
+                 | Some i, None -> site.(k) <- Some (b.Mir.b_label, i)
+                 | _ -> ())
+               exposed;
+             dead := List.rev_append !block_dead !dead)
+           fn.Mir.f_blocks;
+         (match fn.Mir.f_blocks with
+         | [] -> ()
+         | entry :: _ ->
+             let uninit = Liveness.live_in live entry.Mir.b_label in
+             Array.iteri
+               (fun k s ->
+                 match s with
+                 | Some (block, (i : Mir.inst)) when Bitset.mem uninit k ->
+                     Option.iter
+                       (fun p ->
+                         report ~severity:Diag.Warning
+                           ~loc:i.Mir.n_op.Model.i_loc ~block ~code:"A001"
+                           "%s is live into the function entry: it may be \
+                            used before being assigned"
+                           (preg_name p))
+                       (Array.find_map
+                          (fun o ->
+                            match Mir.operand_reg o with
+                            | Some (`Preg p) when p.Mir.p_id = k -> Some p
+                            | _ -> None)
+                          i.Mir.n_ops)
+                 | _ -> ())
+               site);
+         List.iter
+           (fun (block, (i : Mir.inst), defs) ->
+             report ~severity:Diag.Warning ~loc:i.Mir.n_op.Model.i_loc ~block
+               ~code:"A002"
+               "%s defines only dead value(s) (%s): the result is never read"
+               i.Mir.n_op.Model.i_name
+               (String.concat ", " (List.map preg_name defs)))
+           (List.rev !dead));
 
   List.rev !diags
 

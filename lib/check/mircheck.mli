@@ -23,9 +23,10 @@
       its block — [M043], [M044].
 
     Phase-dependent:
-    - [Post_select] only: the {!Glive} liveness clients warn of a pseudo
-      that may be used uninitialized ([A001]) and of a definition no path
-      reads ([A002]) — advisory analysis findings, never errors;
+    - [Post_select] only: {!Liveness}, restricted to pseudo-registers,
+      warns of a pseudo that may be used uninitialized ([A001]) and of a
+      definition no path reads ([A002]) — advisory analysis findings,
+      never errors;
     - [Post_regalloc] and later: no pseudo-registers, no unresolved
       [Opart] — [M021], [M022];
     - [Post_sched] and later: every branch delay slot filled with a

@@ -21,10 +21,6 @@ let known_failures =
        live once a prepass stretches the pair-copy live ranges *)
     ("poly", "toyp", Strategy.Ips, Raises "cannot be colored");
     ("poly", "toyp", Strategy.Rase, Raises "cannot be colored");
-    (* the IPS prepass splits the halves of a double move, and a spill
-       reload then clobbers the written half *)
-    ("lfk9", "r2000", Strategy.Ips, Mismatch);
-    ("lfk9", "m88000", Strategy.Ips, Mismatch);
     (* the m88000 description has no branch pattern for an f64 compare *)
     ("lfk14", "m88000", Strategy.Naive, Raises "No_pattern");
     ("lfk14", "m88000", Strategy.Postpass, Raises "No_pattern");

@@ -907,29 +907,29 @@ let figure6_blob () =
 
 let dag_goldens =
   [
-    (("toyp", "lfk1"), "78a6401914c94a02e2a2d2088f5b4ad5");
-    (("toyp", "lfk2"), "391f80d6ce1665b612e19415862f0030");
-    (("toyp", "lfk3"), "21b07e3fcea2f24934934bfac259ae32");
-    (("toyp", "lfk4"), "38cafcd87482f7531ee9bddf1a2c24dc");
-    (("toyp", "lfk5"), "4ca05c30f96df9d5efab795c73873773");
-    (("toyp", "lfk6"), "9686e79751d698cface52564524f0970");
-    (("toyp", "lfk7"), "6f16b397222f58b49cc214c4f3b6542f");
-    (("toyp", "lfk8"), "abed96d5ffbe1185ee378b81f48c0237");
-    (("toyp", "lfk9"), "d32a006b4f758a8440c65a9ee37bbbb2");
-    (("toyp", "lfk10"), "c888c9026393cfdee55fc39ddf5f473d");
-    (("toyp", "lfk11"), "200940ca27c141d4a54a92c227920f23");
-    (("toyp", "lfk12"), "9bf4e68abc98aad1ee63fb366755ede8");
-    (("toyp", "lfk13"), "804515b90643ff5c82183ee93084042f");
-    (("toyp", "lfk14"), "87e2d1c2f259bdbbc68f37e33c6ef53c");
-    (("toyp", "suite:matmul"), "7fb3d22dcdbc1b2798a86f2ab306451c");
+    (("toyp", "lfk1"), "05aceb16802864d0670ccb068f016761");
+    (("toyp", "lfk2"), "7808e0ad4ec47a669bd909421b8306f3");
+    (("toyp", "lfk3"), "bbc19932500ab2da9c330608ceb1a272");
+    (("toyp", "lfk4"), "99c6ea608dc3110ca19d34064321bffb");
+    (("toyp", "lfk5"), "c007b75f0aeccd6ad762b0e44b83ebd7");
+    (("toyp", "lfk6"), "1ac0894c7996f36e9da3cafcfa7ef23a");
+    (("toyp", "lfk7"), "896cfcdf13d2904bdf03ae0ef7db86bb");
+    (("toyp", "lfk8"), "916d983e43535faa906e9abb699b45c4");
+    (("toyp", "lfk9"), "832d903f67a207b371a7abcf5a8e93a4");
+    (("toyp", "lfk10"), "d45cd9d89811f0636c844a5d88e458d5");
+    (("toyp", "lfk11"), "5622b16689da87c957e9af7ad62ce0d2");
+    (("toyp", "lfk12"), "a25c6ff7f2546cab239d8a3267be95e3");
+    (("toyp", "lfk13"), "16799b92a54d3c4d684ef86846d97859");
+    (("toyp", "lfk14"), "aefc5d4bec64a40f91bee07ce529a62a");
+    (("toyp", "suite:matmul"), "53a94ee1acc53beb93c4d4856fc4d674");
     (("toyp", "suite:sieve"), "f54f77b55aec720ceff0c2948ba189a9");
     (("toyp", "suite:sort"), "114ed78343a30b3ed62ab83461f1b654");
     (("toyp", "suite:strings"), "212a57f07521f5e9c883b5edb8bf3eaf");
     (("toyp", "suite:recursion"), "a525b187eb5f332a56f4a68ce858ddf6");
-    (("toyp", "suite:poly"), "d5629461b2c729b6b61b21849b0529b0");
-    (("toyp", "suite:lfk1"), "78a6401914c94a02e2a2d2088f5b4ad5");
-    (("toyp", "suite:lfk5"), "4ca05c30f96df9d5efab795c73873773");
-    (("toyp", "suite:lfk7"), "6f16b397222f58b49cc214c4f3b6542f");
+    (("toyp", "suite:poly"), "e9b41aa351ea697f3a877fc9f23cb3d5");
+    (("toyp", "suite:lfk1"), "05aceb16802864d0670ccb068f016761");
+    (("toyp", "suite:lfk5"), "c007b75f0aeccd6ad762b0e44b83ebd7");
+    (("toyp", "suite:lfk7"), "896cfcdf13d2904bdf03ae0ef7db86bb");
     (("r2000", "lfk1"), "9d945a6ed40e58d568529e2ce14979d6");
     (("r2000", "lfk2"), "6b3f7309e7ffabefa550096212c8978b");
     (("r2000", "lfk3"), "8ec9b659c37ebce847caf0c6a50a3819");
@@ -937,7 +937,7 @@ let dag_goldens =
     (("r2000", "lfk5"), "c228ff982f445e545247994e81e76ca2");
     (("r2000", "lfk6"), "b39b94e283c4e6e5b40ef663f91357cf");
     (("r2000", "lfk7"), "7708b217ee845497a20e0abc45fdb0d2");
-    (("r2000", "lfk8"), "c4079d5d695b4f7af61289e28e6733ba");
+    (("r2000", "lfk8"), "41359ba57d75fe5d2fcca94c824b795c");
     (("r2000", "lfk9"), "de513dceab438546875269bf521b8946");
     (("r2000", "lfk10"), "4fbf0f6acfd798fb05259f3183ac4c51");
     (("r2000", "lfk11"), "c3151b312811719c2a85e2cdb4622a08");
@@ -960,8 +960,8 @@ let dag_goldens =
     (("m88000", "lfk5"), "1c0355c1e7f4aaad660bfcfc6cc9ae25");
     (("m88000", "lfk6"), "a1372f0ec688817d134f97b7ec733595");
     (("m88000", "lfk7"), "4f93ac49f52b6120222af4c4bb28dfcd");
-    (("m88000", "lfk8"), "96072daa10b68a99d1b43686675fb77a");
-    (("m88000", "lfk9"), "904a163137c527086e800d999a66a119");
+    (("m88000", "lfk8"), "775244afd1a142b5d869fda89fb47490");
+    (("m88000", "lfk9"), "85065ab6b0c11dd35aff7bcf7f69e123");
     (("m88000", "lfk10"), "62c61391b5a48e5b6efbdd7467592795");
     (("m88000", "lfk11"), "c735ad501ce50ef9dbb14458162badb6");
     (("m88000", "lfk12"), "3227de61fe094c006b376a86eae828fd");

@@ -245,10 +245,10 @@ let contract_blob model =
 
 let contract_goldens =
   [
-    ("toyp", "dc98ec0e714f6c33ad72ed468a4970a8");
-    ("r2000", "c88094cfa5d442881cf40be0896c1a7c");
-    ("m88000", "fabb3e19a5953c9f95281d900750cb7f");
-    ("i860", "07507504e0d3bd0b28e504c3d4acb865");
+    ("toyp", "40f473e14e979ddef184b4422c7b0a27");
+    ("r2000", "caf3116af118e4f351388a9621bdd98f");
+    ("m88000", "004154d31436bfea1fd98f97b0c2df8e");
+    ("i860", "fedc8152b3db4b90ee72bfc1f5ec8021");
   ]
 
 let test_sim_contract () =

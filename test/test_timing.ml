@@ -27,19 +27,19 @@ let targets =
 
 let goldens =
   [
-    (("toyp", "naive"), "3423614287229df2dc24ba9b9786641f");
-    (("toyp", "postpass"), "b4319e39ebe0cc889f421543f086b8ea");
-    (("toyp", "ips"), "9f28f901ec5086a4f78dae507a7fdeec");
-    (("toyp", "rase"), "76a532c5f6dfe979695b84495d28105e");
-    (("r2000", "naive"), "4889300946c7beb0b599d9bc8cb2295a");
-    (("r2000", "postpass"), "7bc0edc6b0ee2ba912a20f6782503d86");
-    (("r2000", "ips"), "18d483483ad20381cf76801471968727");
-    (("r2000", "rase"), "98341dd104b6327fe839175703ef9f14");
-    (("m88000", "naive"), "eb086a968d1ca0ffbbc5870eab546ce5");
-    (("m88000", "postpass"), "dba6ec718491b5965dc810ce996421dd");
-    (("m88000", "ips"), "5e980f473ad378e3082c587323770773");
-    (("m88000", "rase"), "9d630a000e91379de491df1b60f6dedf");
-    (("i860", "naive"), "e495ab8099784bde49d3e1f8926f467e");
+    (("toyp", "naive"), "43cb48b7c012435c74ffad38fe48e9bc");
+    (("toyp", "postpass"), "fe787c65b6a1ec3a390df6ae69358924");
+    (("toyp", "ips"), "ec78efe3a9b321373a583df0b50fa604");
+    (("toyp", "rase"), "ab6e4b7df627d2445485d88de46641cd");
+    (("r2000", "naive"), "5c91be02a338cb06e63a2997e6fd68f4");
+    (("r2000", "postpass"), "add5f8acf3c53056be476d27c5c35b0f");
+    (("r2000", "ips"), "104baef63b4256b4b67c697d9da11314");
+    (("r2000", "rase"), "8c1d198e660917c7e0ba43e5eb9d421a");
+    (("m88000", "naive"), "f461e35b33f9bf5d684b2f7c42cb1df9");
+    (("m88000", "postpass"), "ed2e8da779b5c0e72ec59ce9fbeb3fcc");
+    (("m88000", "ips"), "3e70bca60157b01c63b1219162732a25");
+    (("m88000", "rase"), "f45b504307982d23b4970b81d09bdb55");
+    (("i860", "naive"), "2e3de99516bd651a7c69507be59ab8fa");
     (("i860", "postpass"), "b40c3a8905f1ef8dbd865d9fe64b2933");
     (("i860", "ips"), "6b29d30eb379e035dc2c14d1b1b13f57");
     (("i860", "rase"), "94f1fc391e83f961a25db41dc5887efb");
