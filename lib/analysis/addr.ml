@@ -38,11 +38,8 @@ type value =
   | Vslotoff of int * int
   | Vaddr of base * int option
 
-module Env = Map.Make (struct
-  type t = Locs.t
-
-  let compare = compare
-end)
+(* keyed by location key ({!Locs}) *)
+module Env = Map.Make (Int)
 
 type env = value Env.t
 
@@ -89,34 +86,33 @@ let vjoin a b =
 
 let lookup env l = match Env.find_opt l env with Some v -> v | None -> Vtop
 
-let eval_operand env (o : Mir.operand) =
+let eval_operand tab env (o : Mir.operand) =
   match o with
   | Mir.Oimm v -> Vint v
   | Mir.Oslot (s, a) -> Vslotoff (s, a)
   | Mir.Osym (s, a) -> Vaddr (Bsym s, Some a)
-  | Mir.Opreg p -> lookup env (Locs.Lp p.Mir.p_id)
-  | Mir.Ophys r -> lookup env (Locs.Lh r)
+  | Mir.Opreg _ | Mir.Ophys _ -> lookup env (Locs.key tab o)
   | Mir.Opart _ | Mir.Olab _ -> Vtop
 
-let rec eval env (i : Mir.inst) (e : Ast.expr) =
+let rec eval tab env (i : Mir.inst) (e : Ast.expr) =
   match e with
   | Ast.Eint n -> Vint n
   | Ast.Eopnd k ->
       if k >= 1 && k <= Array.length i.Mir.n_ops then
-        eval_operand env i.Mir.n_ops.(k - 1)
+        eval_operand tab env i.Mir.n_ops.(k - 1)
       else Vtop
-  | Ast.Ebinop (Ast.Add, a, b) -> vadd (eval env i a) (eval env i b)
-  | Ast.Ebinop (Ast.Sub, a, b) -> vsub (eval env i a) (eval env i b)
+  | Ast.Ebinop (Ast.Add, a, b) -> vadd (eval tab env i a) (eval tab env i b)
+  | Ast.Ebinop (Ast.Sub, a, b) -> vsub (eval tab env i a) (eval tab env i b)
   | Ast.Ebinop (Ast.Mul, a, b) -> (
-      match (eval env i a, eval env i b) with
+      match (eval tab env i a, eval tab env i b) with
       | Vint x, Vint y -> Vint (x * y)
       | _ -> Vtop)
   | Ast.Ebinop (Ast.Shl, a, b) -> (
-      match (eval env i a, eval env i b) with
+      match (eval tab env i a, eval tab env i b) with
       | Vint x, Vint y when y >= 0 && y < 31 -> Vint (x lsl y)
       | _ -> Vtop)
   (* int-sized conversions preserve the (32-bit) value *)
-  | Ast.Ecvt ((Ast.Int | Ast.Long), a) -> eval env i a
+  | Ast.Ecvt ((Ast.Int | Ast.Long), a) -> eval tab env i a
   | _ -> Vtop
 
 let rec expr_loads = function
@@ -136,7 +132,7 @@ let rec expr_loads = function
    converges), while the per-block oracle walk uses generation 1 so the
    value entering the block from a previous loop iteration can never be
    confused with the one this block defines at the same site. *)
-let step ?(gen = 0) model env (i : Mir.inst) =
+let step ?(gen = 0) tab env (i : Mir.inst) =
   let op = i.Mir.n_op in
   (* the value each written register operand receives, in the pre-state.
      Only input-independent fallbacks may name an opaque value: a
@@ -152,7 +148,7 @@ let step ?(gen = 0) model env (i : Mir.inst) =
     in
     match sem with
     | Some e when not (expr_loads e) -> (
-        match eval env i e with Vtop -> None | v -> Some v)
+        match eval tab env i e with Vtop -> None | v -> Some v)
     | _ ->
         (* a load result, or a write with no evaluable semantics: a fixed
            opaque value per execution of this site *)
@@ -162,29 +158,31 @@ let step ?(gen = 0) model env (i : Mir.inst) =
     List.filter_map
       (fun pos ->
         match i.Mir.n_ops.(pos) with
-        | Mir.Opreg p ->
-            Option.map (fun v -> (Locs.Lp p.Mir.p_id, v)) (bind_of pos)
-        | Mir.Ophys r -> Option.map (fun v -> (Locs.Lh r, v)) (bind_of pos)
+        | (Mir.Opreg _ | Mir.Ophys _) as o ->
+            Option.map (fun v -> (Locs.key tab o, v)) (bind_of pos)
         | _ -> None)
       op.Model.i_writes
   in
-  let writes = Locs.writes model i in
-  (* one traversal kills both the clobbered bindings and — since
-     re-executing a definition site creates a fresh opaque value — any
-     binding still naming this site's previous one; Env.filter returns
-     the map unchanged (physically) when nothing dies *)
+  (* re-executing a definition site creates a fresh opaque value, so a
+     binding still naming this site's previous one dies; Env.filter and
+     Env.remove return the map unchanged (physically) when nothing dies *)
   let env =
-    Env.filter
-      (fun l v ->
-        (writes = []
-        || not (List.exists (fun w -> Locs.overlap model w l) writes))
-        &&
-        match v with
-        | Vaddr (Bopq (id, _, _), _) -> id <> i.Mir.n_id
-        | _ -> true)
-      env
+    ref
+      (Env.filter
+         (fun _ v ->
+           match v with
+           | Vaddr (Bopq (id, _, _), _) -> id <> i.Mir.n_id
+           | _ -> true)
+         env)
   in
-  List.fold_left (fun env (l, v) -> Env.add l v env) env binds
+  (* every location the instruction writes kills what overlaps it *)
+  Locs.iter_writes tab
+    (fun w _ ->
+      if w >= tab.Regtab.n_hard then env := Env.remove w !env
+      else
+        Array.iter (fun l -> env := Env.remove l !env) tab.Regtab.overlaps.(w))
+    i;
+  List.fold_left (fun env (l, v) -> Env.add l v env) !env binds
 
 (* ------------------------------------------------------------------ *)
 (* Memory accesses                                                     *)
@@ -192,14 +190,16 @@ let step ?(gen = 0) model env (i : Mir.inst) =
 
 type access = { a_write : bool; a_val : value; a_size : int }
 
-let accesses env (i : Mir.inst) =
+let accesses tab env (i : Mir.inst) =
   let size =
     match i.Mir.n_op.Model.i_type with
     | Some t -> Ast.vtype_size t
     | None -> 8
   in
   let acc = ref [] in
-  let add write a = acc := { a_write = write; a_val = eval env i a; a_size = size } :: !acc in
+  let add write a =
+    acc := { a_write = write; a_val = eval tab env i a; a_size = size } :: !acc
+  in
   let rec expr = function
     | Ast.Emem (_, a) ->
         add false a;
@@ -250,7 +250,8 @@ module Dom = struct
   type fact = env
 
   let boundary (fn : Mir.func) =
-    Env.singleton (Locs.Lh fn.Mir.f_model.Model.cwvm.Model.v_fp) Vfp
+    let model = fn.Mir.f_model in
+    Env.singleton (Regtab.id (Regtab.get model) model.Model.cwvm.Model.v_fp) Vfp
 
   let equal = Env.equal (fun (a : value) b -> a = b)
 
@@ -264,7 +265,8 @@ module Dom = struct
       a b
 
   let transfer (fn : Mir.func) (b : Mir.block) env =
-    List.fold_left (fun env i -> step fn.Mir.f_model env i) env b.Mir.b_insts
+    let tab = Regtab.get fn.Mir.f_model in
+    List.fold_left (fun env i -> step tab env i) env b.Mir.b_insts
 
   let nfacts = Env.cardinal
 end

@@ -31,7 +31,8 @@ type value =
   | Vslotoff of int * int  (** slot id, addend — an [Oslot] operand *)
   | Vaddr of base * int option  (** offset within [base]; [None] = unknown *)
 
-module Env : Map.S with type key = Locs.t
+module Env : Map.S with type key = int
+(** Keyed by location key ({!Locs}). *)
 
 type env = value Env.t
 (** Missing key = {!Vtop}. *)
@@ -46,19 +47,20 @@ val vjoin : value -> value -> value
 (** Least upper bound: equal values stay, same-base addresses widen to an
     unknown offset, everything else is {!Vtop}. *)
 
-val eval_operand : env -> Mir.operand -> value
+val eval_operand : Regtab.t -> env -> Mir.operand -> value
 
-val eval : env -> Mir.inst -> Ast.expr -> value
+val eval : Regtab.t -> env -> Mir.inst -> Ast.expr -> value
 (** Evaluate a semantics expression of [inst] in [env] ([Eopnd k] maps to
     the instruction's operand [k-1]). *)
 
-val step : ?gen:int -> Model.t -> env -> Mir.inst -> env
-(** One instruction's effect: kill every location it writes (plus any
-    binding naming an opaque value this site defined before), then bind
-    evaluable results. [gen] (default 0) tags opaque values this step
-    creates: the dataflow transfer uses 0, a per-block walk must use a
-    different generation so a value carried in from a previous loop
-    iteration is never confused with the one re-defined in the block. *)
+val step : ?gen:int -> Regtab.t -> env -> Mir.inst -> env
+(** One instruction's effect: kill every location that overlaps one
+    {!Locs.iter_writes} gives (plus any binding naming an opaque value
+    this site defined before), then bind evaluable results. [gen]
+    (default 0) tags opaque values this step creates: the dataflow
+    transfer uses 0, a per-block walk must use a different generation so
+    a value carried in from a previous loop iteration is never confused
+    with the one re-defined in the block. *)
 
 type access = {
   a_write : bool;
@@ -66,7 +68,7 @@ type access = {
   a_size : int;  (** access width in bytes ([i_type], 8 when unknown) *)
 }
 
-val accesses : env -> Mir.inst -> access list
+val accesses : Regtab.t -> env -> Mir.inst -> access list
 (** The instruction's memory accesses, extracted from its semantics
     ([m[...]] loads and stores), with addresses evaluated in [env].
     Empty for an instruction whose semantics touch no memory. *)

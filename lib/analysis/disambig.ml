@@ -31,7 +31,7 @@ type t = { d_acc : (int, summary array) Hashtbl.t }
 
 let compute ?stats (fn : Mir.func) =
   let r = Addr.solve ?stats fn in
-  let model = fn.Mir.f_model in
+  let tab = Regtab.get fn.Mir.f_model in
   let d_acc = Hashtbl.create 64 in
   let interned : (Addr.base, int) Hashtbl.t = Hashtbl.create 16 in
   let intern b =
@@ -93,8 +93,8 @@ let compute ?stats (fn : Mir.func) =
           if (op.Model.i_loads || op.Model.i_stores) && not op.Model.i_call
           then
             Hashtbl.replace d_acc i.Mir.n_id
-              (Array.of_list (List.map summarize (Addr.accesses !env i)));
-          env := Addr.step ~gen:1 model !env i)
+              (Array.of_list (List.map summarize (Addr.accesses tab !env i)));
+          env := Addr.step ~gen:1 tab !env i)
         b.Mir.b_insts)
     fn.Mir.f_blocks;
   { d_acc }

@@ -1,13 +1,12 @@
-(* Backward liveness over dense keys: a pseudo-register's p_id, or
-   n_pregs plus a hard register's Regtab id. Facts are bitsets over all
-   keys. One transfer, [step], decides what an instruction kills and
-   generates; the block summaries below and every client's backward walk
-   go through it. The fixpoint stays outside {!Dataflow.Solve}: every
-   block contributes its uses, exits or not, and the facts are updated
-   in place. *)
+(* Backward liveness over the location keys of {!Locs}: a hard
+   register's Regtab id, or n_hard plus a pseudo-register's p_id. Facts
+   are bitsets over all keys. One transfer, [step], decides what an
+   instruction kills and generates; the block summaries below and every
+   client's backward walk go through it. The fixpoint stays outside
+   {!Dataflow.Solve}: every block contributes its uses, exits or not,
+   and the facts are updated in place. *)
 
 type t = {
-  n_pregs : int;
   tab : Regtab.t;
   index : (string, int) Hashtbl.t;  (* label -> block position *)
   live_in : Bitset.t array;  (* by block position *)
@@ -19,62 +18,32 @@ type t = {
   mutable walk : int;
 }
 
-let hard_key t r = t.n_pregs + Regtab.id t.tab r
-
-let reg_key t = function
-  | `Preg (p : Mir.preg) -> p.Mir.p_id
-  | `Phys r -> hard_key t r
-
-(* the key of the register at the root of an operand, or -1 *)
-let rec operand_key t (o : Mir.operand) =
-  match o with
-  | Mir.Opreg p -> p.Mir.p_id
-  | Mir.Ophys r -> hard_key t r
-  | Mir.Opart (inner, _) -> operand_key t inner
-  | Mir.Oimm _ | Mir.Oslot _ | Mir.Osym _ | Mir.Olab _ -> -1
-
-let iter_positions t f (i : Mir.inst) positions implicit =
-  List.iter
-    (fun pos ->
-      let k = operand_key t i.Mir.n_ops.(pos) in
-      if k >= 0 then f k)
-    positions;
-  List.iter (fun r -> f (hard_key t r)) implicit
-
-let iter_uses t f (i : Mir.inst) =
-  iter_positions t f i i.Mir.n_op.Model.i_reads i.Mir.n_xuse
-
-let iter_defs t f (i : Mir.inst) =
-  iter_positions t f i i.Mir.n_op.Model.i_writes i.Mir.n_xdef
-
 let enter t = t.walk <- t.walk + 1
 
+(* by-name class effects (condition codes, temporal latches) live
+   outside the allocation discipline and take no part *)
 let step t ~kill ~gen (i : Mir.inst) =
-  let kill k =
-    t.half.(k) <- 0;
-    kill k
+  let kill l =
+    t.half.(l) <- 0;
+    kill l
   in
-  List.iter
-    (fun pos ->
-      match i.Mir.n_ops.(pos) with
-      | Mir.Opart (inner, part) ->
-          let k = operand_key t inner in
-          if k >= 0 then begin
-            let mask =
-              if t.half.(k) lsr 2 = t.walk then t.half.(k) land 3 else 0
-            in
-            let mask = mask lor (1 lsl part) in
-            if mask = 3 then kill k else t.half.(k) <- (t.walk lsl 2) lor mask
-          end
-      | o ->
-          let k = operand_key t o in
-          if k >= 0 then kill k)
-    i.Mir.n_op.Model.i_writes;
-  List.iter (fun r -> kill (hard_key t r)) i.Mir.n_xdef;
-  iter_uses t
-    (fun k ->
-      t.half.(k) <- 0;
-      gen k)
+  Locs.iter_writes t.tab
+    (fun l how ->
+      if how = Locs.half0 || how = Locs.half1 then begin
+        let pending =
+          if t.half.(l) lsr 2 = t.walk then t.half.(l) land 3 else 0
+        in
+        let mask = pending lor (1 lsl (how - Locs.half0)) in
+        if mask = 3 then kill l else t.half.(l) <- (t.walk lsl 2) lor mask
+      end
+      else if how <> Locs.by_name then kill l)
+    i;
+  Locs.iter_reads t.tab
+    (fun l how ->
+      if how <> Locs.by_name then begin
+        t.half.(l) <- 0;
+        gen l
+      end)
     i
 
 let compute (fn : Mir.func) : t =
@@ -83,11 +52,10 @@ let compute (fn : Mir.func) : t =
   let nb = Array.length blocks in
   let index = Hashtbl.create 16 in
   Array.iteri (fun k (b : Mir.block) -> Hashtbl.replace index b.Mir.b_label k) blocks;
-  let cap = fn.Mir.f_next_preg + tab.Regtab.n_hard in
+  let cap = tab.Regtab.n_hard + fn.Mir.f_next_preg in
   let sets () = Array.init nb (fun _ -> Bitset.create cap) in
   let t =
     {
-      n_pregs = fn.Mir.f_next_preg;
       tab;
       index;
       live_in = sets ();
@@ -121,7 +89,7 @@ let compute (fn : Mir.func) : t =
      calling function the prologue saves and the epilogue restores it). *)
   let seed = Bitset.create cap in
   if not fn.Mir.f_has_calls then
-    Bitset.set seed (hard_key t fn.Mir.f_model.Model.cwvm.Model.v_retaddr);
+    Bitset.set seed (Regtab.id tab fn.Mir.f_model.Model.cwvm.Model.v_retaddr);
   let fact = Bitset.create cap in
   let changed = ref true in
   while !changed do

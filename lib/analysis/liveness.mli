@@ -1,13 +1,15 @@
 (** Backward liveness over MIR: the register allocator's interference
     and Mircheck's A001/A002 warnings.
 
-    Keys are dense ints over pseudo and hard registers, so that
-    precolored values (CWVM argument/result registers, call clobbers)
-    constrain allocation: a pseudo-register's key is its [p_id] (a
-    function numbers its pseudos [0 .. f_next_preg - 1]), and a hard
-    register's is [f_next_preg] plus its {!Regtab} id. %equiv halves and
-    the pair they form are keys of their own. Facts are {!Bitset}s over
-    all keys, one live-in and one live-out per block.
+    Keys are the location keys of {!Locs}, dense ints over hard and
+    pseudo registers, so that precolored values (CWVM argument/result
+    registers, call clobbers) constrain allocation: a hard register's
+    key is its {!Regtab} id, a pseudo-register's is [n_hard + p_id] (a
+    function numbers its pseudos [0 .. f_next_preg - 1]). %equiv halves
+    and the pair they form are keys of their own. Facts are {!Bitset}s
+    over all keys, one live-in and one live-out per block. What an
+    instruction reads and writes is {!Locs}'s effect walk without its
+    by-name class effects.
 
     One transfer, {!step}, decides what an instruction kills and
     generates. A full write kills its key. An [Opart] write (paper 3.4:
@@ -28,20 +30,6 @@ val compute : Mir.func -> t
     epilogue's return jump will read it. Labels are taken to be unique;
     successor labels naming no block are ignored. *)
 
-val hard_key : t -> Model.reg -> int
-(** [f_next_preg] (at {!compute}) plus the register's {!Regtab} id. *)
-
-val reg_key : t -> [ `Preg of Mir.preg | `Phys of Model.reg ] -> int
-
-val iter_uses : t -> (int -> unit) -> Mir.inst -> unit
-(** The keys an instruction reads: its register read positions in
-    order (an [Opart] reads its whole register), then its implicit
-    uses. A key read twice is passed twice. *)
-
-val iter_defs : t -> (int -> unit) -> Mir.inst -> unit
-(** The keys it writes, in the order of {!iter_uses}, half writes
-    included: what the instruction defines, not what it kills. *)
-
 val enter : t -> unit
 (** Start a backward walk of a block: forget every pending half write. *)
 
@@ -51,8 +39,8 @@ val step : t -> kill:(int -> unit) -> gen:(int -> unit) -> Mir.inst -> unit
     receives each key the instruction's writes kill: a full or implicit
     write, or the [Opart] write that completes both halves of a key
     whose other half is written below with no read in between. A lone
-    half write kills nothing. Then [gen] receives each key it reads, as
-    {!iter_uses} lists them. *)
+    half write kills nothing. Then [gen] receives each key it reads, in
+    the walk's order; a key read twice is passed twice. *)
 
 val live_in : t -> string -> Bitset.t
 (** The keys live into the block with this label. The set belongs to the

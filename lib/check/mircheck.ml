@@ -1,10 +1,14 @@
 (* Phase-aware MIR verifier; see mircheck.mli.
 
    Deliberately an independent re-implementation of the structural rules
-   the selector, allocator, scheduler and simulator share: it re-derives
-   everything from the machine model ({!Model.t}) and the raw MIR, so a
-   bug in any one phase shows up as a disagreement here rather than as a
-   silent miscompile. *)
+   the selector, allocator, scheduler and simulator share, so a bug in
+   any one phase shows up as a disagreement here rather than as a silent
+   miscompile. It shares one thing with them: {!Locs}'s effect walk,
+   which only projects the machine model's operand tables (read and
+   written positions, implicit and by-name effects) onto the raw MIR.
+   Everything else it re-derives from the model ({!Model.t}) and the
+   MIR: operand shapes, byte-level def-before-use over %equiv pairs,
+   layout and the temporal discipline. *)
 
 let rank = function
   | Diag.Post_select -> 0
@@ -44,9 +48,14 @@ let is_term (op : Model.instr) = op.Model.i_branch && not op.Model.i_call
    then one key per pseudo-register. The dense layout matters: the
    fixpoint runs at every phase point of every compile, and word-wise
    set operations keep its cost a few percent of back-end time. *)
-type keyspace = { bank_base : int array; nphys : int; cap : int }
+type keyspace = {
+  tab : Regtab.t;
+  bank_base : int array;
+  nphys : int;
+  cap : int;
+}
 
-let keyspace model (fn : Mir.func) =
+let keyspace tab model (fn : Mir.func) =
   let banks = model.Model.banks in
   let bank_base = Array.make (Array.length banks) 0 in
   let acc = ref 0 in
@@ -55,9 +64,15 @@ let keyspace model (fn : Mir.func) =
       bank_base.(i) <- !acc;
       acc := !acc + n)
     banks;
-  { bank_base; nphys = !acc; cap = !acc + fn.Mir.f_next_preg + 1 }
+  {
+    tab;
+    bank_base;
+    nphys = !acc;
+    cap = !acc + fn.Mir.f_next_preg + 1;
+  }
 
-let preg_key ks (p : Mir.preg) = ks.nphys + p.Mir.p_id
+(* the set key of a pseudo's location key *)
+let preg_key ks l = ks.nphys + l - ks.tab.Regtab.n_hard
 
 (* mark every storage byte of [r] as assigned *)
 let set_reg ks model set (r : Model.reg) =
@@ -87,61 +102,54 @@ let entry_seed ks model =
   List.iter (fun r -> set_reg ks model s r) regs;
   s
 
-(* record one instruction's defs into [set] (clobbers count: the bytes
-   hold *a* value afterwards, which is all M031 asks). The operand walk
-   reads [i_writes] directly rather than going through {!Mir.inst_defs},
-   which would build a fresh list per call: this runs on every
-   instruction at every phase point. *)
+(* record one instruction's defs into [set]: the whole effect walk,
+   clobbers and by-name writes included (the bytes hold *a* value
+   afterwards, which is all M031 asks) *)
 let add_inst_defs ks model set (i : Mir.inst) =
-  let nops = Array.length i.Mir.n_ops in
-  List.iter
-    (fun j ->
-      if j >= 0 && j < nops then
-        match Mir.operand_reg i.Mir.n_ops.(j) with
-        | Some (`Preg p) -> Bitset.set set (preg_key ks p)
-        | Some (`Phys r) -> set_reg ks model set r
-        | None -> ())
-    i.Mir.n_op.Model.i_writes;
-  List.iter (set_reg ks model set) i.Mir.n_xdef;
-  List.iter
-    (fun c -> set_reg ks model set (Locs.named_reg model c))
-    i.Mir.n_op.Model.i_wnames
+  Locs.iter_writes ks.tab
+    (fun l _ ->
+      if l >= ks.tab.Regtab.n_hard then Bitset.set set (preg_key ks l)
+      else set_reg ks model set ks.tab.Regtab.regs.(l))
+    i
 
-(* uses to check: explicit register operands and implicit xuses.
-   Temporal latches are excluded (M043/M044 govern them); named-class
-   reads (condition codes and the like) are excluded too, because they
-   live outside the allocation discipline. [missing] is only invoked on
-   a finding: this runs on every use of every instruction at every
-   phase, so the common path must not allocate. *)
+(* uses to check: the effect walk's reads without by-name ones
+   (condition codes and the like live outside the allocation discipline)
+   and without temporal latches (M043/M044 govern them). [missing]
+   receives each unassigned location once and is only invoked on a
+   finding: this runs on every use of every instruction at every phase,
+   so the common path must not allocate much. *)
 let iter_unassigned_uses ks model set ~missing (i : Mir.inst) =
-  let phys r =
-    if
-      reg_valid model r
-      && (match Locs.temporal_clock model r with Some _ -> false | None -> true)
-      && not (reg_assigned ks model set r)
-    then missing (`Phys r)
-  in
-  let nops = Array.length i.Mir.n_ops in
-  List.iter
-    (fun j ->
-      if j >= 0 && j < nops then
-        match Mir.operand_reg i.Mir.n_ops.(j) with
-        | Some (`Preg p) ->
-            if not (Bitset.mem set (preg_key ks p)) then missing (`Preg p)
-        | Some (`Phys r) -> phys r
-        | None -> ())
-    i.Mir.n_op.Model.i_reads;
-  List.iter phys i.Mir.n_xuse
+  let tab = ks.tab in
+  let reported = ref [] in
+  Locs.iter_reads tab
+    (fun l how ->
+      if how <> Locs.by_name && not (List.mem l !reported) then
+        let unassigned =
+          if l >= tab.Regtab.n_hard then not (Bitset.mem set (preg_key ks l))
+          else
+            Option.is_none tab.Regtab.clock.(l)
+            && not (reg_assigned ks model set tab.Regtab.regs.(l))
+        in
+        if unassigned then begin
+          reported := l :: !reported;
+          missing l
+        end)
+    i
 
-let use_name model = function
-  | `Preg p -> preg_name p
-  | `Phys r -> reg_name model r
+let use_name ks model (i : Mir.inst) l =
+  if l >= ks.tab.Regtab.n_hard then
+    preg_name (Option.get (Locs.preg_of ks.tab i l))
+  else reg_name model ks.tab.Regtab.regs.(l)
 
 (* ------------------------------------------------------------------ *)
 
 let check_func phase (fn : Mir.func) : Diag.t list =
   let model = fn.Mir.f_model in
+  let tab = Regtab.get model in
   let diags = ref [] in
+  (* a register naming no machine register (M006) leaves the A-codes
+     out: liveness has no key for it *)
+  let malformed = ref false in
   let report ?severity ?loc ?block ~code fmt =
     Format.kasprintf
       (fun msg ->
@@ -172,9 +180,11 @@ let check_func phase (fn : Mir.func) : Diag.t list =
 
   (* ---------------- operand shapes ---------------- *)
   let check_phys_valid ~loc ~block what (r : Model.reg) =
-    if not (reg_valid model r) then
+    if not (reg_valid model r) then begin
+      malformed := true;
       report ~loc ~block ~code:"M006" "%s names no machine register: %s"
         what (reg_name model r)
+    end
   in
   (* structural validity of one operand tree, phase discipline included *)
   let rec scan_operand ~loc ~block iname = function
@@ -364,8 +374,8 @@ let check_func phase (fn : Mir.func) : Diag.t list =
       (fun (i : Mir.inst) ->
         let iname = i.Mir.n_op.Model.i_name in
         let loc = i.Mir.n_op.Model.i_loc in
-        let reads = Temporal.latches model (Locs.reads model i)
-        and writes = Temporal.latches model (Locs.writes model i) in
+        let reads = Temporal.latches tab Locs.iter_reads i
+        and writes = Temporal.latches tab Locs.iter_writes i in
         (* reads catch their latch, closing the window *)
         List.iter
           (fun (_, r) ->
@@ -402,7 +412,7 @@ let check_func phase (fn : Mir.func) : Diag.t list =
   (* ---------------- def-before-use (M031) ---------------- *)
   (* keys assigned on every path from entry; an unreached predecessor is
      the optimistic top, and an unreached block carries no obligations *)
-  (let ks = keyspace model fn in
+  (let ks = keyspace tab model fn in
    let seed = entry_seed ks model in
    let module D = struct
      type fact = Bitset.t
@@ -436,12 +446,12 @@ let check_func phase (fn : Mir.func) : Diag.t list =
            List.iter
              (fun (i : Mir.inst) ->
                iter_unassigned_uses ks model cur
-                 ~missing:(fun use ->
+                 ~missing:(fun l ->
                    report ~loc:i.Mir.n_op.Model.i_loc ~block:b.Mir.b_label
                      ~code:"M031"
                      "%s reads %s, which is not assigned on every path \
                       from function entry"
-                     i.Mir.n_op.Model.i_name (use_name model use))
+                     i.Mir.n_op.Model.i_name (use_name ks model i l))
                  i;
                add_inst_defs ks model cur i)
              b.Mir.b_insts)
@@ -454,99 +464,92 @@ let check_func phase (fn : Mir.func) : Diag.t list =
      M031's error (the definitely-assigned analysis), but reports per
      pseudo with a use it reaches; A002 has no M-series counterpart. A
      register that names no machine register (M006) leaves them out. *)
-  (if phase = Diag.Post_select then
-     match Liveness.compute fn with
-     | exception Invalid_argument _ -> ()
-     | live ->
-         (* A002: an instruction whose removal is observably safe (no
-            memory, control, temporal or implicit-register effect) and
-            whose every written operand is a whole pseudo dead after it *)
-         let removable (i : Mir.inst) =
-           let op = i.Mir.n_op in
-           (not op.Model.i_loads) && (not op.Model.i_stores)
-           && (not op.Model.i_branch) && (not op.Model.i_call)
-           && op.Model.i_affects = None && i.Mir.n_xdef = []
-           && op.Model.i_wnames = [] && op.Model.i_writes <> []
-           && List.for_all
-                (fun pos ->
-                  match i.Mir.n_ops.(pos) with Mir.Opreg _ -> true | _ -> false)
-                op.Model.i_writes
-         in
-         let np = fn.Mir.f_next_preg in
-         (* A001's site per pseudo: its first read in layout order that no
-            kill precedes in its block *)
-         let site = Array.make np None and exposed = Array.make np None in
-         let dead = ref [] in
+  (if phase = Diag.Post_select && not !malformed then
+     let live = Liveness.compute fn in
+     (* A002: an instruction whose removal is observably safe (no
+        memory, control, temporal or implicit-register effect) and
+        whose every written operand is a whole pseudo dead after it *)
+     let removable (i : Mir.inst) =
+       let op = i.Mir.n_op in
+       (not op.Model.i_loads) && (not op.Model.i_stores)
+       && (not op.Model.i_branch) && (not op.Model.i_call)
+       && op.Model.i_affects = None && i.Mir.n_xdef = []
+       && op.Model.i_wnames = [] && op.Model.i_writes <> []
+       && List.for_all
+            (fun pos ->
+              match i.Mir.n_ops.(pos) with Mir.Opreg _ -> true | _ -> false)
+            op.Model.i_writes
+     in
+     let np = fn.Mir.f_next_preg and nh = tab.Regtab.n_hard in
+     (* A001's site per pseudo: its first read in layout order that no
+        kill precedes in its block *)
+     let site = Array.make np None and exposed = Array.make np None in
+     let dead = ref [] in
+     List.iter
+       (fun (b : Mir.block) ->
+         let cur = Bitset.copy (Liveness.live_out live b.Mir.b_label) in
+         let block_dead = ref [] in
+         Array.fill exposed 0 np None;
+         Liveness.enter live;
          List.iter
-           (fun (b : Mir.block) ->
-             let cur = Bitset.copy (Liveness.live_out live b.Mir.b_label) in
-             let block_dead = ref [] in
-             Array.fill exposed 0 np None;
-             Liveness.enter live;
-             List.iter
-               (fun (i : Mir.inst) ->
-                 let defs =
-                   List.filter_map
-                     (fun pos ->
-                       match i.Mir.n_ops.(pos) with
-                       | Mir.Opreg p -> Some p
-                       | _ -> None)
-                     i.Mir.n_op.Model.i_writes
-                 in
-                 if
-                   removable i
-                   && List.for_all
-                        (fun (p : Mir.preg) -> not (Bitset.mem cur p.Mir.p_id))
-                        defs
-                 then block_dead := (b.Mir.b_label, i, defs) :: !block_dead;
-                 Liveness.step live
-                   ~kill:(fun k ->
-                     Bitset.unset cur k;
-                     if k < np then exposed.(k) <- None)
-                   ~gen:(fun k ->
-                     Bitset.set cur k;
-                     if k < np then exposed.(k) <- Some i)
-                   i)
-               (List.rev b.Mir.b_insts);
-             Array.iteri
-               (fun k e ->
-                 match (e, site.(k)) with
-                 | Some i, None -> site.(k) <- Some (b.Mir.b_label, i)
-                 | _ -> ())
-               exposed;
-             dead := List.rev_append !block_dead !dead)
-           fn.Mir.f_blocks;
-         (match fn.Mir.f_blocks with
-         | [] -> ()
-         | entry :: _ ->
-             let uninit = Liveness.live_in live entry.Mir.b_label in
-             Array.iteri
-               (fun k s ->
-                 match s with
-                 | Some (block, (i : Mir.inst)) when Bitset.mem uninit k ->
-                     Option.iter
-                       (fun p ->
-                         report ~severity:Diag.Warning
-                           ~loc:i.Mir.n_op.Model.i_loc ~block ~code:"A001"
-                           "%s is live into the function entry: it may be \
-                            used before being assigned"
-                           (preg_name p))
-                       (Array.find_map
-                          (fun o ->
-                            match Mir.operand_reg o with
-                            | Some (`Preg p) when p.Mir.p_id = k -> Some p
-                            | _ -> None)
-                          i.Mir.n_ops)
-                 | _ -> ())
-               site);
-         List.iter
-           (fun (block, (i : Mir.inst), defs) ->
-             report ~severity:Diag.Warning ~loc:i.Mir.n_op.Model.i_loc ~block
-               ~code:"A002"
-               "%s defines only dead value(s) (%s): the result is never read"
-               i.Mir.n_op.Model.i_name
-               (String.concat ", " (List.map preg_name defs)))
-           (List.rev !dead));
+           (fun (i : Mir.inst) ->
+             let defs =
+               List.filter_map
+                 (fun pos ->
+                   match i.Mir.n_ops.(pos) with
+                   | Mir.Opreg p -> Some p
+                   | _ -> None)
+                 i.Mir.n_op.Model.i_writes
+             in
+             if
+               removable i
+               && List.for_all
+                    (fun p -> not (Bitset.mem cur (Locs.pseudo tab p)))
+                    defs
+             then block_dead := (b.Mir.b_label, i, defs) :: !block_dead;
+             Liveness.step live
+               ~kill:(fun k ->
+                 Bitset.unset cur k;
+                 if k >= nh then exposed.(k - nh) <- None)
+               ~gen:(fun k ->
+                 Bitset.set cur k;
+                 if k >= nh then exposed.(k - nh) <- Some i)
+               i)
+           (List.rev b.Mir.b_insts);
+         Array.iteri
+           (fun k e ->
+             match (e, site.(k)) with
+             | Some i, None -> site.(k) <- Some (b.Mir.b_label, i)
+             | _ -> ())
+           exposed;
+         dead := List.rev_append !block_dead !dead)
+       fn.Mir.f_blocks;
+     (match fn.Mir.f_blocks with
+     | [] -> ()
+     | entry :: _ ->
+         let uninit = Liveness.live_in live entry.Mir.b_label in
+         Array.iteri
+           (fun k s ->
+             match s with
+             | Some (block, (i : Mir.inst)) when Bitset.mem uninit (nh + k) ->
+                 Option.iter
+                   (fun p ->
+                     report ~severity:Diag.Warning
+                       ~loc:i.Mir.n_op.Model.i_loc ~block ~code:"A001"
+                       "%s is live into the function entry: it may be \
+                        used before being assigned"
+                       (preg_name p))
+                   (Locs.preg_of tab i (nh + k))
+             | _ -> ())
+           site);
+     List.iter
+       (fun (block, (i : Mir.inst), defs) ->
+         report ~severity:Diag.Warning ~loc:i.Mir.n_op.Model.i_loc ~block
+           ~code:"A002"
+           "%s defines only dead value(s) (%s): the result is never read"
+           i.Mir.n_op.Model.i_name
+           (String.concat ", " (List.map preg_name defs)))
+       (List.rev !dead));
 
   List.rev !diags
 

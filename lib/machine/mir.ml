@@ -122,14 +122,6 @@ let rec operand_reg = function
   | Opart (o, _) -> operand_reg o
   | Oimm _ | Oslot _ | Osym _ | Olab _ -> None
 
-(* Registers read by an instruction: explicit operand positions from the
-   description plus implicit uses. *)
-let inst_uses i =
-  List.filter_map (fun p -> operand_reg i.n_ops.(p)) i.n_op.Model.i_reads
-
-let inst_defs i =
-  List.filter_map (fun p -> operand_reg i.n_ops.(p)) i.n_op.Model.i_writes
-
 (* ------------------------------------------------------------------ *)
 (* Printing (assembly-like dumps)                                      *)
 (* ------------------------------------------------------------------ *)

@@ -94,12 +94,6 @@ val new_slot : func -> size:int -> align:int -> int
 val operand_reg : operand -> [ `Preg of preg | `Phys of Model.reg ] option
 (** The register at the root of an operand, [Opart]s included. *)
 
-val inst_uses : inst -> [ `Preg of preg | `Phys of Model.reg ] list
-(** Registers read through explicit operand positions (per the
-    description's derived facts). Implicit uses are in [n_xuse]. *)
-
-val inst_defs : inst -> [ `Preg of preg | `Phys of Model.reg ] list
-
 (** {1 Printing (assembly-like dumps)} *)
 
 val pp_operand : Model.t -> Format.formatter -> operand -> unit

@@ -1,26 +1,30 @@
-(* Per-model register tables for liveness and the allocator: dense
-   hard-register ids and, over them, what the select phase asks of each
+(* Per-model register tables: dense hard-register ids and, over them,
+   what the location walk, the DAG builder and the allocator ask of each
    register. *)
 
 type t = {
   n_hard : int;
   regs : Model.reg array;
   offset : int array;
+  first : int array;
   bank : int array;
   size : int array;
   callee_save : bool array;
   overlaps : int array array;
-  overlap : Bitset.t;
+  covers : int array array;
+  clock : int option array;
   orders : int array array array;
 }
 
 let build (model : Model.t) =
   let classes = model.Model.classes in
   let offset = Array.make (Array.length classes) 0 in
+  let first = Array.make (Array.length classes) (-1) in
   let n_hard =
     Array.fold_left
       (fun n (c : Model.rclass) ->
         offset.(c.Model.c_id) <- n - c.Model.c_lo;
+        if c.Model.c_lo <= c.Model.c_hi then first.(c.Model.c_id) <- n;
         n + c.Model.c_hi - c.Model.c_lo + 1)
       0 classes
   in
@@ -40,23 +44,56 @@ let build (model : Model.t) =
     (List.rev model.Model.cwvm.Model.v_allocable);
   let callee_save = Array.map (Model.is_callee_save model) regs in
   let allocable = List.map id model.Model.cwvm.Model.v_allocable in
-  let is_allocable = Array.make n_hard false in
-  List.iter (fun a -> is_allocable.(a) <- true) allocable;
-  let overlap = Bitset.create (n_hard * n_hard) in
-  Array.iteri
-    (fun a ra ->
-      Array.iteri
-        (fun b rb ->
-          if Model.regs_overlap model ra rb then
-            Bitset.set overlap ((a * n_hard) + b))
-        regs)
-    regs;
-  let overlaps =
-    Array.init n_hard (fun h ->
-        Array.of_list
-          (List.filter
-             (fun a -> is_allocable.(a) && Bitset.mem overlap ((h * n_hard) + a))
-             (List.init n_hard Fun.id)))
+  (* Overlap and cover need the two registers' bytes to meet in one
+     bank, so each register is tested only against its neighbours in
+     (bank, offset) order: those in its bank at an offset within reach,
+     found by walking that order both ways from its position. *)
+  let bytes = Array.map (Model.reg_bytes model) regs in
+  let widest = Array.fold_left (fun m (_, _, sz) -> max m sz) 0 bytes in
+  let order = Array.init n_hard Fun.id in
+  Array.stable_sort
+    (fun f g ->
+      let bf, of_, _ = bytes.(f) and bg, og, _ = bytes.(g) in
+      if bf <> bg then compare bf bg else compare of_ og)
+    order;
+  let related rel =
+    let sets = Array.make n_hard [||] in
+    Array.iteri
+      (fun k f ->
+        let bank, off, size = bytes.(f) in
+        let near j lo hi =
+          j >= 0 && j < n_hard
+          &&
+          let b, o, _ = bytes.(order.(j)) in
+          b = bank && o >= lo && o <= hi
+        in
+        let found = ref [] in
+        let test j =
+          let g = order.(j) in
+          if rel bytes.(f) bytes.(g) then found := g :: !found
+        in
+        let j = ref (k - 1) in
+        while near !j (off - widest) max_int do
+          test !j;
+          decr j
+        done;
+        let j = ref k in
+        while near !j min_int (off + size) do
+          test !j;
+          incr j
+        done;
+        sets.(f) <- Array.of_list !found)
+      order;
+    sets
+  in
+  (* byte-interval overlap in one bank, as {!Model.regs_overlap}; only a
+     write that covers a register supersedes it: with %equiv pairs,
+     writing r2 does not supersede a use of the d1 pair *)
+  let overlap (bx, ox, sx) (by, oy, sy) =
+    bx = by && ox < oy + sy && oy < ox + sx
+  in
+  let cover (bx, ox, sx) (by, oy, sy) =
+    bx = by && ox <= oy && oy + sy <= ox + sx
   in
   (* prefer caller-save registers so we do not pay save/restore *)
   let orders =
@@ -80,21 +117,34 @@ let build (model : Model.t) =
     n_hard;
     regs;
     offset;
+    first;
     bank = Array.map (fun (c : Model.rclass) -> c.Model.c_bank) classes;
     size = Array.map (fun (c : Model.rclass) -> c.Model.c_size) classes;
     callee_save;
-    overlaps;
-    overlap;
+    overlaps = related overlap;
+    covers = related cover;
+    clock =
+      Array.map
+        (fun (r : Model.reg) ->
+          let c = classes.(r.Model.cls) in
+          if c.Model.c_temporal then c.Model.c_clock else None)
+        regs;
     orders;
   }
 
 let get = Model.memo build
 
 (* an index outside the class's range would alias another class's id *)
-let id t (r : Model.reg) =
-  let h = t.offset.(r.Model.cls) + r.Model.idx in
-  if h < 0 || h >= t.n_hard || t.regs.(h).Model.cls <> r.Model.cls then
-    invalid_arg "Regtab.id: register index outside its class";
+let find t (r : Model.reg) =
+  let c = r.Model.cls in
+  if c < 0 || c >= Array.length t.offset then -1
+  else
+    let h = t.offset.(c) + r.Model.idx in
+    if h < 0 || h >= t.n_hard || t.regs.(h).Model.cls <> c then -1 else h
+
+let id t r =
+  let h = find t r in
+  if h < 0 then invalid_arg "Regtab.id: register index outside its class";
   h
 
 let colors t max_local cls =

@@ -81,12 +81,13 @@ let build_graph (tab : Regtab.t) (fn : Mir.func) is_no_spill =
       n_forbidden.(u) <- n_forbidden.(u) + 1
     end
   in
-  (* keys below [np] are pseudo-registers, the rest hard registers *)
+  (* keys below [nh] are hard registers, the rest pseudo-registers *)
+  let nh = tab.Regtab.n_hard in
   let add_edge a b =
-    if a < np then begin
-      let u = node_of.(a) in
-      if b < np then begin
-        let v = node_of.(b) in
+    if a >= nh then begin
+      let u = node_of.(a - nh) in
+      if b >= nh then begin
+        let v = node_of.(b - nh) in
         if
           u <> v
           && bank_of_node u = bank_of_node v
@@ -98,19 +99,21 @@ let build_graph (tab : Regtab.t) (fn : Mir.func) is_no_spill =
           degree.(v) <- degree.(v) + 1
         end
       end
-      else forbid u (b - np)
+      else forbid u b
     end
-    else if b < np then forbid node_of.(b) (a - np)
+    else if b >= nh then forbid node_of.(b - nh) a
   in
-  let live_set = Bitset.create (np + tab.Regtab.n_hard) in
+  let live_set = Bitset.create (nh + np) in
   let kill = Bitset.unset live_set and gen = Bitset.set live_set in
+  (* liveness's effects: the walk without by-name class effects *)
+  let defs f l how = if how <> Locs.by_name then f l in
   List.iter
     (fun (b : Mir.block) ->
       let d = try Hashtbl.find depth b.Mir.b_label with Not_found -> 0 in
       let weight = 10.0 ** float_of_int (min d 4) in
-      let account k =
-        if k < np then begin
-          let u = node_of.(k) in
+      let account l _ =
+        if l >= nh then begin
+          let u = node_of.(l - nh) in
           cost.(u) <- cost.(u) +. weight
         end
       in
@@ -119,20 +122,23 @@ let build_graph (tab : Regtab.t) (fn : Mir.func) is_no_spill =
       List.iter
         (fun (i : Mir.inst) ->
           (* account spill costs *)
-          Liveness.iter_defs live account i;
-          Liveness.iter_uses live account i;
+          Locs.iter_writes tab account i;
+          Locs.iter_reads tab account i;
           let move_src =
             match move_regs i with
-            | Some (_, s) -> Liveness.reg_key live s
+            | Some (_, `Preg p) -> Locs.pseudo tab p
+            | Some (_, `Phys r) -> Regtab.id tab r
             | None -> -1
           in
-          Liveness.iter_defs live
-            (fun d ->
-              Bitset.iter
-                (fun l -> if l <> d && l <> move_src then add_edge d l)
-                live_set;
-              (* simultaneous defs interfere *)
-              Liveness.iter_defs live (fun d2 -> if d2 <> d then add_edge d d2) i)
+          Locs.iter_writes tab
+            (defs (fun d ->
+                 Bitset.iter
+                   (fun l -> if l <> d && l <> move_src then add_edge d l)
+                   live_set;
+                 (* simultaneous defs interfere *)
+                 Locs.iter_writes tab
+                   (defs (fun d2 -> if d2 <> d then add_edge d d2))
+                   i))
             i;
           Liveness.step live ~kill ~gen i)
         (List.rev b.Mir.b_insts))
@@ -258,7 +264,10 @@ let try_color (tab : Regtab.t) max_local g color =
 (* every interference edge must end up with non-overlapping registers,
    and precolored conflicts must be respected *)
 let self_check (tab : Regtab.t) g color =
-  let overlap a b = Bitset.mem tab.Regtab.overlap ((a * tab.Regtab.n_hard) + b) in
+  (* colors are allocable, so [overlaps.(h)] decides it *)
+  let overlap c h =
+    Array.exists (fun (o : int) -> o = c) tab.Regtab.overlaps.(h)
+  in
   Array.iteri
     (fun u cu ->
       Array.iter
@@ -449,17 +458,20 @@ let rewrite_colors (tab : Regtab.t) (fn : Mir.func) g color =
     (fun (b : Mir.block) ->
       List.iter
         (fun (i : Mir.inst) ->
+          (* written register operands only, each kept as its operand
+             names it (a resolved [Opart] is a record of its own, which
+             the cache image of the function shares) *)
           List.iter
-            (fun d ->
-              match d with
-              | `Phys r ->
+            (fun pos ->
+              match i.Mir.n_ops.(pos) with
+              | Mir.Ophys r ->
                   if
                     tab.Regtab.callee_save.(Regtab.id tab r)
                     && (not (special r))
                     && not (List.exists (Model.reg_equal r) !saved)
                   then saved := r :: !saved
-              | `Preg _ -> ())
-            (Mir.inst_defs i))
+              | _ -> ())
+            i.Mir.n_op.Model.i_writes)
         b.Mir.b_insts)
     fn.Mir.f_blocks;
   fn.Mir.f_saved <- List.rev !saved

@@ -17,103 +17,13 @@ type oracle = {
 
 let oracle f = { o_alias = f; o_queries = 0; o_pruned = 0 }
 
-(* A model's hard registers numbered densely ("flat" indices), each with
-   the flats it overlaps ([Locs.overlap]) and covers ([Locs.covers]), so
-   %equiv halves behave exactly as the location vocabulary says. Both
-   relations need the two registers' bytes to meet in one bank, so each
-   register is tested only against its neighbours in (bank, offset)
-   order, once per model. *)
-type hard_regs = {
-  h_base : int array;  (* class -> flat index of its [c_lo] *)
-  h_ovl : int array array;  (* flat -> the flats it overlaps *)
-  h_cov : int array array;  (* flat -> the flats it covers *)
-  h_kind : edge_kind array;  (* flat -> kind of a true dependence on it *)
-}
-
-let hard_regs =
-  Model.memo (fun model ->
-      let classes = model.Model.classes in
-      let h_base = Array.make (Array.length classes) 0 in
-      let regs = ref [] and nflat = ref 0 in
-      Array.iteri
-        (fun cls (c : Model.rclass) ->
-          h_base.(cls) <- !nflat;
-          for idx = c.Model.c_lo to c.Model.c_hi do
-            regs := { Model.cls; idx } :: !regs;
-            incr nflat
-          done)
-        classes;
-      let regs = Array.of_list (List.rev !regs) in
-      let bytes = Array.map (Model.reg_bytes model) regs in
-      let widest = Array.fold_left (fun m (_, _, sz) -> max m sz) 0 bytes in
-      let order = Array.init (Array.length regs) Fun.id in
-      Array.stable_sort
-        (fun f g ->
-          let bf, of_, _ = bytes.(f) and bg, og, _ = bytes.(g) in
-          if bf <> bg then compare bf bg else compare of_ og)
-        order;
-      (* for each flat, the flats [rel] holds for; only those whose bytes
-         may meet its own are tested: the same bank, at an offset within
-         reach, found by walking [order] both ways from its position *)
-      let related rel =
-        let sets = Array.make (Array.length regs) [||] in
-        Array.iteri
-          (fun k f ->
-            let bank, off, size = bytes.(f) in
-            let near j lo hi =
-              j >= 0
-              && j < Array.length order
-              &&
-              let b, o, _ = bytes.(order.(j)) in
-              b = bank && o >= lo && o <= hi
-            in
-            let found = ref [] in
-            let test j =
-              let g = order.(j) in
-              if rel model (Locs.Lh regs.(f)) (Locs.Lh regs.(g)) then
-                found := g :: !found
-            in
-            let j = ref (k - 1) in
-            while near !j (off - widest) max_int do
-              test !j;
-              decr j
-            done;
-            let j = ref k in
-            while near !j min_int (off + size) do
-              test !j;
-              incr j
-            done;
-            sets.(f) <- Array.of_list !found)
-          order;
-        sets
-      in
-      {
-        h_base;
-        h_ovl = related Locs.overlap;
-        h_cov = related Locs.covers;
-        h_kind =
-          Array.map
-            (fun r ->
-              match Locs.temporal_clock model r with
-              | Some k -> Temporal k
-              | None -> True)
-            regs;
-      })
-
-(* the flat index of a hard register, or -1 when it is not a register of
-   the model (such a location overlaps and covers nothing) *)
-let flat model hr (r : Model.reg) =
-  if not (Locs.reg_valid model r) then -1
-  else
-    hr.h_base.(r.Model.cls)
-    + r.Model.idx - model.Model.classes.(r.Model.cls).Model.c_lo
-
-(* One scan over the block, in near-linear time. Locations are interned
-   to dense ids (pseudos by [p_id], hard registers by flat index, with
-   their overlap and cover sets narrowed to the ids the block touches).
-   Each id keeps its live writers and its readers since their last
-   covering write, newest first; a read or write walks only the lists of
-   the ids its location overlaps.
+(* One scan over the block, in near-linear time. The location keys of
+   {!Locs}'s walk are interned to dense local ids, each with its overlap
+   and cover sets narrowed to the ids the block touches (a pseudo
+   overlaps and covers only itself, a hard register what {!Regtab}
+   says). Each id keeps its live writers and its readers since their
+   last covering write, newest first; a read or write walks only the
+   lists of the ids its location overlaps.
 
    Every edge the scan adds ends at the node being scanned, so dedupe and
    strengthening use per-source stamps ([seen], [lab], [knd]), and each
@@ -129,52 +39,51 @@ let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
   let arr = Array.of_list insts in
   let n = Array.length arr in
   (* ---------------- locations to dense ids ---------------- *)
-  let hr = hard_regs model in
+  let tab = Regtab.get model in
   let ids : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let flats = ref [] and nlocs = ref 0 in
-  let intern key f =
-    match Hashtbl.find ids key with
+  let keys = ref [] and nlocs = ref 0 in
+  let intern l =
+    match Hashtbl.find ids l with
     | id -> id
     | exception Not_found ->
         let id = !nlocs in
-        Hashtbl.add ids key id;
-        flats := f :: !flats;
+        Hashtbl.add ids l id;
+        keys := l :: !keys;
         incr nlocs;
         id
   in
-  (* pseudos get even keys, hard registers odd ones; -1 is inert *)
-  let id_of = function
-    | Locs.Lp p -> intern (2 * p) (-1)
-    | Locs.Lh r ->
-        let f = flat model hr r in
-        if f < 0 then -1 else intern ((2 * f) + 1) f
+  let ids_of walk inst =
+    let acc = ref [] in
+    walk tab (fun l _ -> acc := intern l :: !acc) inst;
+    Array.of_list (List.rev !acc)
   in
-  let ids_of locs = Array.of_list (List.map id_of locs) in
-  let rd = Array.map (fun inst -> ids_of (Locs.reads model inst)) arr in
-  let wr = Array.map (fun inst -> ids_of (Locs.writes model inst)) arr in
-  let flat_of = Array.of_list (List.rev !flats) in
-  let nl = Array.length flat_of in
-  (* a pseudo overlaps and covers only itself; a hard register's sets
-     are narrowed to the registers the block touches *)
+  let rd = Array.map (ids_of Locs.iter_reads) arr in
+  let wr = Array.map (ids_of Locs.iter_writes) arr in
+  let key_of = Array.of_list (List.rev !keys) in
+  let nl = Array.length key_of in
   let ovl = Array.make nl [||] and cov = Array.make nl [||] in
+  (* the kind of a true dependence on the id: a temporal register's
+     clock *)
+  let kind = Array.make nl True in
   let local_ids set =
     Array.of_list
-      (List.filter_map
-         (fun f -> Hashtbl.find_opt ids ((2 * f) + 1))
-         (Array.to_list set))
+      (List.filter_map (Hashtbl.find_opt ids) (Array.to_list set))
   in
   Array.iteri
-    (fun id f ->
-      if f < 0 then begin
+    (fun id l ->
+      if l >= tab.Regtab.n_hard then begin
         let self = [| id |] in
         ovl.(id) <- self;
         cov.(id) <- self
       end
       else begin
-        ovl.(id) <- local_ids hr.h_ovl.(f);
-        cov.(id) <- local_ids hr.h_cov.(f)
+        ovl.(id) <- local_ids tab.Regtab.overlaps.(l);
+        cov.(id) <- local_ids tab.Regtab.covers.(l);
+        match tab.Regtab.clock.(l) with
+        | Some k -> kind.(id) <- Temporal k
+        | None -> ()
       end)
-    flat_of;
+    key_of;
   let readers = Array.make nl [] and writers = Array.make nl [] in
   (* ---------------- edges into the node being scanned ---------------- *)
   let succs = Array.make n [] and preds = Array.make n [] in
@@ -271,27 +180,20 @@ let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
     end;
     (* type 1 / temporal: true dependences *)
     for k = 0 to Array.length reads - 1 do
-      let l = reads.(k) in
-      if l >= 0 then begin
-        let set = ovl.(l) in
-        for j = 0 to Array.length set - 1 do
-          let o = set.(j) in
-          let f = flat_of.(o) in
-          true_deps (if f < 0 then True else hr.h_kind.(f)) writers.(o)
-        done
-      end
+      let set = ovl.(reads.(k)) in
+      for j = 0 to Array.length set - 1 do
+        let o = set.(j) in
+        true_deps kind.(o) writers.(o)
+      done
     done;
     (* type 3: anti (read then write) and output (write then write) *)
     if anti then
       for k = 0 to Array.length writes - 1 do
-        let l = writes.(k) in
-        if l >= 0 then begin
-          let set = ovl.(l) in
-          for j = 0 to Array.length set - 1 do
-            anti_deps 0 readers.(set.(j));
-            anti_deps 1 writers.(set.(j))
-          done
-        end
+        let set = ovl.(writes.(k)) in
+        for j = 0 to Array.length set - 1 do
+          anti_deps 0 readers.(set.(j));
+          anti_deps 1 writers.(set.(j))
+        done
       done;
     (* type 2: memory ordering; calls are memory barriers *)
     let acts_on_memory_r = inst.Mir.n_op.Model.i_loads || inst.Mir.n_op.Model.i_call in
@@ -355,22 +257,19 @@ let build ?(anti = true) ?(aux = true) ?oracle model (insts : Mir.inst list) :
     (* update reader/writer tracking; an entry dies only when a new write
        covers it completely *)
     for k = 0 to Array.length writes - 1 do
-      let l = writes.(k) in
-      if l >= 0 then begin
-        let set = cov.(l) in
-        for j = 0 to Array.length set - 1 do
-          readers.(set.(j)) <- [];
-          writers.(set.(j)) <- []
-        done
-      end
+      let set = cov.(writes.(k)) in
+      for j = 0 to Array.length set - 1 do
+        readers.(set.(j)) <- [];
+        writers.(set.(j)) <- []
+      done
     done;
     for k = 0 to Array.length reads - 1 do
       let l = reads.(k) in
-      if l >= 0 then readers.(l) <- i :: readers.(l)
+      readers.(l) <- i :: readers.(l)
     done;
     for k = 0 to Array.length writes - 1 do
       let l = writes.(k) in
-      if l >= 0 then writers.(l) <- i :: writers.(l)
+      writers.(l) <- i :: writers.(l)
     done
   done;
   (* ---------------- temporal sequence protection (paper 4.6) -------- *)

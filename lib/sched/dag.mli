@@ -14,7 +14,12 @@
     Construction also {e protects temporal sequences} (paper 4.6): for each
     alternate entry into a temporal sequence, ancestors that affect the
     sequence's clock get an extra edge to the sequence head, so a
-    non-backtracking list scheduler cannot deadlock (Figure 6). *)
+    non-backtracking list scheduler cannot deadlock (Figure 6).
+
+    Register dependences come from {!Locs}'s effect walk, in its scan
+    order (the kind of an edge is that of the first dependence in that
+    order asking for its label), over the overlap and cover sets of
+    {!Regtab}: a half write is a write of its whole root register. *)
 
 type edge_kind = True | Mem | Anti | Temporal of int
 
@@ -66,9 +71,7 @@ val build :
     the instructions, their operands and the edges made, plus the
     oracle's Mem closures (a bitset per memory node) and the protection
     walk, which runs only where a temporal sequence has an alternate
-    entry. [edges] is built once from [succs] at the end.
-    The register overlap and cover tables are built once per model, in
-    time about linear in its register file. *)
+    entry. [edges] is built once from [succs] at the end. *)
 
 val max_dist_to_leaf : t -> int array
 (** The list scheduler's priority function: the maximum label-weighted

@@ -71,31 +71,35 @@ let prepare ~options ?oracle (fn : Mir.func) (insts : Mir.inst list) =
                critical path *)
             Array.init n (fun i -> n - i)
       in
+      (* the block's pseudo-registers, as the effect walk keys them, to
+         dense local ids; a location read twice is listed twice *)
+      let tab = Regtab.get model in
       let local : (int, int) Hashtbl.t = Hashtbl.create 32 in
       let cls = ref [] in
-      let local_ids which (i : Mir.inst) =
-        List.filter_map
-          (fun pos ->
-            match Mir.operand_reg i.Mir.n_ops.(pos) with
-            | Some (`Preg p) ->
-                Some
-                  (match Hashtbl.find_opt local p.Mir.p_id with
-                  | Some l -> l
-                  | None ->
-                      let l = Hashtbl.length local in
-                      Hashtbl.add local p.Mir.p_id l;
-                      cls := p.Mir.p_cls :: !cls;
-                      l)
-            | Some (`Phys _) | None -> None)
-          which
-        |> Array.of_list
+      let local_ids walk (i : Mir.inst) =
+        let ids = ref [] in
+        walk tab
+          (fun l _ ->
+            if l >= tab.Regtab.n_hard then
+              ids :=
+                (match Hashtbl.find_opt local l with
+                | Some id -> id
+                | None ->
+                    let id = Hashtbl.length local in
+                    Hashtbl.add local l id;
+                    let p = Option.get (Locs.preg_of tab i l) in
+                    cls := p.Mir.p_cls :: !cls;
+                    id)
+                :: !ids)
+          i;
+        Array.of_list (List.rev !ids)
       in
       let reads, writes =
         Array.split
           (Array.map
              (fun (i : Mir.inst) ->
-               let r = local_ids i.Mir.n_op.Model.i_reads i in
-               (r, local_ids i.Mir.n_op.Model.i_writes i))
+               let r = local_ids Locs.iter_reads i in
+               (r, local_ids Locs.iter_writes i))
              dag.Dag.insts)
       in
       let uses = Array.make (Hashtbl.length local) 0 in

@@ -1,5 +1,3 @@
-type t = Lp of int | Lh of Model.reg
-
 let class_valid (model : Model.t) cid =
   cid >= 0 && cid < Array.length model.Model.classes
 
@@ -9,52 +7,77 @@ let reg_valid model (r : Model.reg) =
   let c = Model.class_exn model r.Model.cls in
   r.Model.idx >= c.Model.c_lo && r.Model.idx <= c.Model.c_hi
 
-let overlap model a b =
-  match (a, b) with
-  | Lp x, Lp y -> x = y
-  | Lh x, Lh y ->
-      reg_valid model x && reg_valid model y && Model.regs_overlap model x y
-  | Lp _, Lh _ | Lh _, Lp _ -> false
-
-(* [covers model w l]: writing [w] fully overwrites [l]. Only then may a
-   previous reader/writer record of [l] be dropped — with %equiv register
-   pairs a write can overlap a record only partially (writing r2 does not
-   supersede a use of the d1 pair), and dropping it would lose anti- and
-   output-dependences on the untouched half. *)
-let covers model w l =
-  match (w, l) with
-  | Lp x, Lp y -> x = y
-  | Lh x, Lh y ->
-      reg_valid model x && reg_valid model y
-      &&
-      let bx, ox, sx = Model.reg_bytes model x in
-      let by, oy, sy = Model.reg_bytes model y in
-      bx = by && ox <= oy && oy + sy <= ox + sx
-  | Lp _, Lh _ | Lh _, Lp _ -> false
-
 (* the single register of a named (usually temporal) single-register class *)
 let named_reg model cid =
   let c = Model.class_exn model cid in
   { Model.cls = cid; idx = c.Model.c_lo }
 
-let temporal_clock model (r : Model.reg) =
-  if not (class_valid model r.Model.cls) then None
-  else
-    let c = Model.class_exn model r.Model.cls in
-    if c.Model.c_temporal then c.Model.c_clock else None
+let pseudo (tab : Regtab.t) (p : Mir.preg) = tab.Regtab.n_hard + p.Mir.p_id
 
-let clock model = function Lp _ -> None | Lh r -> temporal_clock model r
+let rec key tab (o : Mir.operand) =
+  match o with
+  | Mir.Opreg p -> pseudo tab p
+  | Mir.Ophys r -> Regtab.find tab r
+  | Mir.Opart (inner, _) -> key tab inner
+  | Mir.Oimm _ | Mir.Oslot _ | Mir.Osym _ | Mir.Olab _ -> -1
 
-let reads model (i : Mir.inst) =
-  List.map
-    (fun r -> match r with `Preg p -> Lp p.Mir.p_id | `Phys h -> Lh h)
-    (Mir.inst_uses i)
-  @ List.map (fun h -> Lh h) i.Mir.n_xuse
-  @ List.map (fun c -> Lh (named_reg model c)) i.Mir.n_op.Model.i_rnames
+let whole = 0
 
-let writes model (i : Mir.inst) =
-  List.map
-    (fun r -> match r with `Preg p -> Lp p.Mir.p_id | `Phys h -> Lh h)
-    (Mir.inst_defs i)
-  @ List.map (fun h -> Lh h) i.Mir.n_xdef
-  @ List.map (fun c -> Lh (named_reg model c)) i.Mir.n_op.Model.i_wnames
+let half0 = 1
+
+let half1 = 2
+
+let implicit = 3
+
+let by_name = 4
+
+(* Recursion over the lists instead of [List.iter] with a closure: the
+   walk runs on every instruction of every pass and allocates nothing. *)
+let rec positions tab f (ops : Mir.operand array) = function
+  | [] -> ()
+  | pos :: rest ->
+      (if pos >= 0 && pos < Array.length ops then
+         match ops.(pos) with
+         | Mir.Opart (inner, k) ->
+             let l = key tab inner in
+             if l >= 0 then
+               f l (match k with 0 -> half0 | 1 -> half1 | _ -> whole)
+         | o ->
+             let l = key tab o in
+             if l >= 0 then f l whole);
+      positions tab f ops rest
+
+let rec implicits tab f = function
+  | [] -> ()
+  | r :: rest ->
+      let l = Regtab.find tab r in
+      if l >= 0 then f l implicit;
+      implicits tab f rest
+
+let rec names (tab : Regtab.t) f = function
+  | [] -> ()
+  | c :: rest ->
+      let l = tab.Regtab.first.(c) in
+      if l >= 0 then f l by_name;
+      names tab f rest
+
+let iter_reads tab f (i : Mir.inst) =
+  let op = i.Mir.n_op in
+  positions tab f i.Mir.n_ops op.Model.i_reads;
+  implicits tab f i.Mir.n_xuse;
+  names tab f op.Model.i_rnames
+
+let iter_writes tab f (i : Mir.inst) =
+  let op = i.Mir.n_op in
+  positions tab f i.Mir.n_ops op.Model.i_writes;
+  implicits tab f i.Mir.n_xdef;
+  names tab f op.Model.i_wnames
+
+let preg_of tab (i : Mir.inst) l =
+  let rec root (o : Mir.operand) =
+    match o with
+    | Mir.Opreg p when pseudo tab p = l -> Some p
+    | Mir.Opart (inner, _) -> root inner
+    | _ -> None
+  in
+  Array.find_map root i.Mir.n_ops

@@ -11,17 +11,18 @@ let has_temporal (model : Model.t) =
     (fun (c : Model.rclass) -> c.Model.c_temporal)
     model.Model.classes
 
-(* the temporal latches among [locs], paired with their clocks *)
-let latches model locs =
-  List.filter_map
-    (fun l ->
-      match l with
-      | Locs.Lp _ -> None
-      | Locs.Lh r -> (
-          match Locs.temporal_clock model r with
-          | Some k -> Some (k, r)
-          | None -> None))
-    locs
+(* the temporal latches among the locations [walk] gives, with their
+   clocks, in walk order *)
+let latches (tab : Regtab.t) walk i =
+  let found = ref [] in
+  walk tab
+    (fun l _ ->
+      if l < tab.Regtab.n_hard then
+        match tab.Regtab.clock.(l) with
+        | Some k -> found := (k, tab.Regtab.regs.(l)) :: !found
+        | None -> ())
+    i;
+  List.rev !found
 
 let catch t r =
   let caught, rest =

@@ -29,8 +29,14 @@ val reset : t -> unit
 val has_temporal : Model.t -> bool
 (** Does any register class of this model live on a clock at all? *)
 
-val latches : Model.t -> Locs.t list -> (int * Model.reg) list
-(** The temporal latches among a location list, with their clocks. *)
+val latches :
+  Regtab.t ->
+  (Regtab.t -> (int -> int -> unit) -> Mir.inst -> unit) ->
+  Mir.inst ->
+  (int * Model.reg) list
+(** [latches tab walk i]: the temporal latches among the locations that
+    [walk] ({!Locs.iter_reads} or {!Locs.iter_writes}) gives for [i],
+    with their clocks, in walk order. *)
 
 val catch : t -> Model.reg -> window list
 (** Close every window whose latch overlaps the read register; returns

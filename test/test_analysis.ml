@@ -297,6 +297,174 @@ let test_malformed_register () =
        (Mircheck.check_func Diag.Post_select fn));
   check (Alcotest.list Alcotest.string) "no A-codes" [] (codes Diag.Post_select fn)
 
+(* ---------------- the effect walk (differential) ---------------- *)
+
+(* The walkers Locs.iter_reads/iter_writes replaced, transcribed:
+   [Mir.inst_uses]/[inst_defs], [Locs.reads]/[writes] and liveness's
+   [iter_uses]/[iter_defs] over its old keys (a pseudo's p_id, or
+   [f_next_preg] plus the Regtab id). *)
+module Reference_walks = struct
+  let positions (i : Mir.inst) =
+    List.filter_map (fun p -> Mir.operand_reg i.Mir.n_ops.(p))
+
+  let inst_uses (i : Mir.inst) = positions i i.Mir.n_op.Model.i_reads
+
+  let inst_defs (i : Mir.inst) = positions i i.Mir.n_op.Model.i_writes
+
+  type loc = Lp of int | Lh of Model.reg
+
+  let locs model regs implicit names =
+    List.map (function `Preg p -> Lp p.Mir.p_id | `Phys h -> Lh h) regs
+    @ List.map (fun h -> Lh h) implicit
+    @ List.map (fun c -> Lh (Locs.named_reg model c)) names
+
+  let reads model (i : Mir.inst) =
+    locs model (inst_uses i) i.Mir.n_xuse i.Mir.n_op.Model.i_rnames
+
+  let writes model (i : Mir.inst) =
+    locs model (inst_defs i) i.Mir.n_xdef i.Mir.n_op.Model.i_wnames
+
+  let rec operand_key np tab (o : Mir.operand) =
+    match o with
+    | Mir.Opreg p -> p.Mir.p_id
+    | Mir.Ophys r -> np + Regtab.id tab r
+    | Mir.Opart (inner, _) -> operand_key np tab inner
+    | Mir.Oimm _ | Mir.Oslot _ | Mir.Osym _ | Mir.Olab _ -> -1
+
+  let iter_positions np tab f (i : Mir.inst) positions implicit =
+    List.iter
+      (fun pos ->
+        let k = operand_key np tab i.Mir.n_ops.(pos) in
+        if k >= 0 then f k)
+      positions;
+    List.iter (fun r -> f (np + Regtab.id tab r)) implicit
+
+  let iter_uses np tab f (i : Mir.inst) =
+    iter_positions np tab f i i.Mir.n_op.Model.i_reads i.Mir.n_xuse
+
+  let iter_defs np tab f (i : Mir.inst) =
+    iter_positions np tab f i i.Mir.n_op.Model.i_writes i.Mir.n_xdef
+
+  (* how each operand position touches its register *)
+  let hows (i : Mir.inst) positions implicit names =
+    List.filter_map
+      (fun p ->
+        match i.Mir.n_ops.(p) with
+        | Mir.Opart (_, k) -> Some (Locs.half0 + k)
+        | o -> Option.map (fun _ -> Locs.whole) (Mir.operand_reg o))
+      positions
+    @ List.map (fun _ -> Locs.implicit) implicit
+    @ List.map (fun _ -> Locs.by_name) names
+end
+
+(* The first instruction of [fn] on which the walk and a reference
+   disagree, described *)
+let walk_mismatch (fn : Mir.func) =
+  let module R = Reference_walks in
+  let model = fn.Mir.f_model in
+  let tab = Regtab.get model in
+  let np = fn.Mir.f_next_preg and nh = tab.Regtab.n_hard in
+  let of_loc = function R.Lp p -> nh + p | R.Lh r -> Regtab.id tab r in
+  let of_reg = function
+    | `Preg (p : Mir.preg) -> nh + p.Mir.p_id
+    | `Phys r -> Regtab.id tab r
+  in
+  let of_live k = if k < np then nh + k else k - np in
+  let walk w i =
+    let acc = ref [] in
+    w tab (fun l how -> acc := (l, how) :: !acc) i;
+    List.rev !acc
+  in
+  let keys keep effects =
+    List.filter_map (fun (l, how) -> if keep how then Some l else None) effects
+  in
+  let all _ = true in
+  let operand how = how <> Locs.implicit && how <> Locs.by_name in
+  let liveness how = how <> Locs.by_name in
+  let collect iter i =
+    let acc = ref [] in
+    iter np tab (fun k -> acc := of_live k :: !acc) i;
+    List.rev !acc
+  in
+  let insts =
+    List.concat_map (fun (b : Mir.block) -> b.Mir.b_insts) fn.Mir.f_blocks
+  in
+  List.find_map
+    (fun (i : Mir.inst) ->
+      let op = i.Mir.n_op in
+      let r = walk Locs.iter_reads i and w = walk Locs.iter_writes i in
+      let fails =
+        List.filter_map
+          (fun (what, ok) -> if ok then None else Some what)
+          [
+            ("Locs.reads", List.map of_loc (R.reads model i) = keys all r);
+            ("Locs.writes", List.map of_loc (R.writes model i) = keys all w);
+            ("Mir.inst_uses", List.map of_reg (R.inst_uses i) = keys operand r);
+            ("Mir.inst_defs", List.map of_reg (R.inst_defs i) = keys operand w);
+            ("Liveness.iter_uses", collect R.iter_uses i = keys liveness r);
+            ("Liveness.iter_defs", collect R.iter_defs i = keys liveness w);
+            ( "read hows",
+              R.hows i op.Model.i_reads i.Mir.n_xuse op.Model.i_rnames
+              = List.map snd r );
+            ( "write hows",
+              R.hows i op.Model.i_writes i.Mir.n_xdef op.Model.i_wnames
+              = List.map snd w );
+          ]
+      in
+      if fails = [] then None
+      else
+        Some
+          (Format.asprintf "%s: %a disagrees with %s" fn.Mir.f_name
+             (Mir.pp_inst model) i (String.concat ", " fails)))
+    insts
+
+(* every instruction of the 368 cells (Livermore 1-14 and the program
+   suite x 4 targets x 4 strategies), after selection and after the
+   strategy's allocation pass *)
+let test_effect_walk_corpus () =
+  List.iter
+    (fun (tname, load) ->
+      let model = load () in
+      List.iter
+        (fun (file, src) ->
+          List.iter
+            (fun strategy ->
+              let cell where =
+                Printf.sprintf "%s %s %s %s" tname file
+                  (Strategy.to_string strategy) where
+              in
+              let verify where fn =
+                Option.iter
+                  (fun msg -> Alcotest.failf "%s: %s" (cell where) msg)
+                  (walk_mismatch fn)
+              in
+              match
+                let ir = Cgen.compile ~file src in
+                List.iter (Glue.transform_func model) ir.Ir.funcs;
+                List.map (Select.select_func model) ir.Ir.funcs
+              with
+              | exception (Select.No_pattern _ | Loc.Error _) -> ()
+              | fns ->
+                  let prefix, alloc = Test_regalloc.split_at_alloc strategy in
+                  List.iter
+                    (fun fn ->
+                      verify "after select" fn;
+                      match Pass.run_pipeline (prefix @ [ alloc ]) fn with
+                      | exception Loc.Error _ -> ()
+                      | _ -> verify "after allocation" fn)
+                    fns)
+            Strategy.all)
+        (Test_regalloc.corpus ()))
+    Test_regalloc.targets
+
+(* and on random functions with half writes and implicit effects *)
+let prop_effect_walk_random =
+  QCheck2.Test.make ~name:"effect walk == the walkers it replaced" ~count:300
+    ~print:Test_regalloc.print_gfunc Test_regalloc.gen_gfunc (fun g ->
+      match walk_mismatch (Test_regalloc.build_gfunc g) with
+      | None -> true
+      | Some msg -> QCheck2.Test.fail_report msg)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_pruning_sound;
@@ -310,4 +478,7 @@ let suite =
       test_half_moves_initialise;
     Alcotest.test_case "a register naming no machine register" `Quick
       test_malformed_register;
+    Alcotest.test_case "effect walk vs the walkers it replaced" `Slow
+      test_effect_walk_corpus;
+    QCheck_alcotest.to_alcotest prop_effect_walk_random;
   ]

@@ -369,6 +369,24 @@ let test_m031_multi_block () =
        ~blocks:[ ("entry", []); ("dead", []) ]
        ~def_in:[] ~use_in:[ "dead" ])
 
+(* [x * x] with [x] never assigned: [mult] reads the pseudo through two
+   operands, and M031 names it once for the instruction *)
+let test_m031_once_per_register () =
+  let m = Lazy.force r2000 in
+  let prog =
+    Select.select_prog m
+      (Cgen.compile ~file:"<m031.c>" "int f(void) { int x; return x * x; }")
+  in
+  check
+    Alcotest.(list string)
+    "one M031 per unassigned register per instruction"
+    [ "mult reads %0(x), which is not assigned on every path from function \
+       entry" ]
+    (List.filter_map
+       (fun (d : Diag.t) ->
+         if d.Diag.code = "M031" then Some d.Diag.message else None)
+       (Mircheck.check_prog Diag.Post_select prog))
+
 let test_duplicate_label_m011 () =
   (* two blocks share a label: reported, never raised *)
   let m = Lazy.force r2000 in
@@ -508,6 +526,8 @@ let suite =
     Alcotest.test_case "mutation: use before def" `Quick
       test_mutation_use_before_def;
     Alcotest.test_case "M031 across blocks" `Quick test_m031_multi_block;
+    Alcotest.test_case "M031 once per register per instruction" `Quick
+      test_m031_once_per_register;
     Alcotest.test_case "duplicate label M011" `Quick
       test_duplicate_label_m011;
     Alcotest.test_case "mutation: broken cfg" `Quick

@@ -212,7 +212,7 @@ let test_liveness_no_exit_loop () =
   loop.Mir.b_succs <- [ "loop" ];
   fn.Mir.f_blocks <- [ entry; loop ];
   let live = Liveness.compute fn in
-  let key = Liveness.reg_key live (`Preg p) in
+  let key = Locs.pseudo (Regtab.get m) p in
   check Alcotest.bool "live out of entry" true
     (Bitset.mem (Liveness.live_out live "entry") key);
   check Alcotest.bool "live into the loop" true
@@ -279,6 +279,15 @@ let corpus () =
 let is_alloc_pass (p : Pass.t) =
   p.Pass.name = "allocate" || p.Pass.name = "allocate-local"
 
+(* the strategy's passes before its allocation pass, and that pass *)
+let split_at_alloc strategy =
+  let rec split acc = function
+    | p :: _ when is_alloc_pass p -> (List.rev acc, p)
+    | p :: rest -> split (p :: acc) rest
+    | [] -> Alcotest.fail "pipeline has no allocation pass"
+  in
+  split [] (Strategy.pipeline strategy)
+
 (* One cell (target, source, strategy): every selected function run
    through the strategy's pipeline up to and including its allocation
    pass. The passes before it run as the pipeline defines them; the
@@ -298,13 +307,7 @@ let alloc_blob model (file, src) strategy =
    with
   | exception (Select.No_pattern _ | Loc.Error _) -> add "no-select\n"
   | fns ->
-      let pipeline = Strategy.pipeline strategy in
-      let rec split acc = function
-        | p :: _ when is_alloc_pass p -> (List.rev acc, p)
-        | p :: rest -> split (p :: acc) rest
-        | [] -> Alcotest.fail "pipeline has no allocation pass"
-      in
-      let prefix, alloc = split [] pipeline in
+      let prefix, alloc = split_at_alloc strategy in
       List.iter
         (fun (fn : Mir.func) ->
           let rounds = ref 0 in
@@ -819,14 +822,35 @@ let test_register_tables () =
           check Alcotest.bool
             (tname ^ " callee-save " ^ name r)
             (Model.is_callee_save model r) tab.Regtab.callee_save.(h);
+          (* the sets the neighbour walk finds, against every pair *)
+          let where rel =
+            names
+              (List.filter
+                 (fun g -> rel r tab.Regtab.regs.(g))
+                 (List.init tab.Regtab.n_hard Fun.id))
+          in
+          let sorted set = names (List.sort compare (Array.to_list set)) in
           check
             Alcotest.(list string)
             (tname ^ " overlap set of " ^ name r)
-            (List.map name
-               (List.sort_uniq compare
-                  (List.filter (Model.regs_overlap model r)
-                     model.Model.cwvm.Model.v_allocable)))
-            (names (Array.to_list tab.Regtab.overlaps.(h))))
+            (where (Model.regs_overlap model))
+            (sorted tab.Regtab.overlaps.(h));
+          let covers w l =
+            let bw, ow, sw = Model.reg_bytes model w in
+            let bl, ol, sl = Model.reg_bytes model l in
+            bw = bl && ow <= ol && ol + sl <= ow + sw
+          in
+          check
+            Alcotest.(list string)
+            (tname ^ " cover set of " ^ name r)
+            (where covers)
+            (sorted tab.Regtab.covers.(h));
+          let c = Model.class_exn model r.Model.cls in
+          check
+            Alcotest.(option int)
+            (tname ^ " clock of " ^ name r)
+            (if c.Model.c_temporal then c.Model.c_clock else None)
+            tab.Regtab.clock.(h))
         regs;
       Array.iter
         (fun (c : Model.rclass) ->
@@ -877,8 +901,11 @@ module Reference_liveness = struct
     | `Preg (p : Mir.preg) -> Kp p.Mir.p_id
     | `Phys (r : Model.reg) -> Kh (r.Model.cls, r.Model.idx)
 
+  (* the deleted [Mir.inst_uses], plus implicit uses *)
   let inst_uses (i : Mir.inst) =
-    List.map key_of_reg (Mir.inst_uses i)
+    List.filter_map
+      (fun p -> Option.map key_of_reg (Mir.operand_reg i.Mir.n_ops.(p)))
+      i.Mir.n_op.Model.i_reads
     @ List.map (fun r -> key_of_reg (`Phys r)) i.Mir.n_xuse
 
   (* A block's upward-exposed uses and its kills, walking it backward. A
@@ -1086,14 +1113,15 @@ let prop_liveness_matches_reference =
     ~print:print_gfunc gen_gfunc (fun g ->
       let fn = build_gfunc g in
       let live = Liveness.compute fn in
+      let tab = Regtab.get fn.Mir.f_model in
       let ref_in, ref_out = Reference_liveness.compute fn in
       let dense set =
         List.sort compare
           (List.map
              (function
-               | Reference_liveness.Kp id -> id
+               | Reference_liveness.Kp id -> tab.Regtab.n_hard + id
                | Reference_liveness.Kh (cls, idx) ->
-                   Liveness.hard_key live { Model.cls; idx })
+                   Regtab.id tab { Model.cls; idx })
              (Reference_liveness.KeySet.elements set))
       in
       List.for_all
