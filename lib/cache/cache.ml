@@ -62,9 +62,13 @@ let dummy_model =
       };
   }
 
+(* The stats' analysis time is a wall-clock measurement: frozen as 0,
+   so two fills of one cell write the same bytes and a hit, which runs
+   no analysis, reports none. *)
 let freeze (p : payload) : string =
   let stripped = { p.c_func with Mir.f_model = dummy_model } in
-  Marshal.to_string { p with c_func = stripped } []
+  let stats = { p.c_stats with Pass.an_time = 0.0 } in
+  Marshal.to_string { p with c_func = stripped; c_stats = stats } []
 
 let thaw (model : Model.t) (blob : string) : payload =
   let p : payload =
@@ -169,8 +173,9 @@ let magic = "MARION-CACHE"
    Ckey.format_version, which is hashed into the keys themselves).
    rev 2: Pass.stats grew scoreboard probe/conflict/reserve counters.
    rev 3: Pass.stats grew dataflow-analysis counters.
-   rev 4: the payload lost its DAG node/edge counts. *)
-let entry_rev = 4
+   rev 4: the payload lost its DAG node/edge counts.
+   rev 5: Mir.block lost its process-wide id. *)
+let entry_rev = 5
 
 let version_line =
   Printf.sprintf "format %d.%d marshal %s" Ckey.format_version entry_rev

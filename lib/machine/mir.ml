@@ -35,7 +35,6 @@ type inst = {
 }
 
 type block = {
-  b_id : int;
   b_label : string;
   mutable b_insts : inst list;
   mutable b_succs : string list;  (* labels; fallthrough included *)
@@ -105,11 +104,7 @@ let clone_inst fn i =
   fn.f_next_inst <- fn.f_next_inst + 1;
   n
 
-let new_block =
-  let counter = ref 0 in
-  fun label ->
-    incr counter;
-    { b_id = !counter; b_label = label; b_insts = []; b_succs = [] }
+let new_block label = { b_label = label; b_insts = []; b_succs = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Operand queries                                                     *)

@@ -36,7 +36,6 @@ type inst = {
 }
 
 type block = {
-  b_id : int;
   b_label : string;
   mutable b_insts : inst list;
   mutable b_succs : string list;  (** labels; fallthrough included *)

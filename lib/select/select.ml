@@ -724,7 +724,7 @@ let select_stmt ctx irfn (s : Ir.stmt) =
 (* ------------------------------------------------------------------ *)
 
 let mark_globals (fn : Mir.func) =
-  let seen : (int, int) Hashtbl.t = Hashtbl.create 32 in
+  let seen : (int, Mir.block) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun (b : Mir.block) ->
       List.iter
@@ -734,8 +734,8 @@ let mark_globals (fn : Mir.func) =
               match Mir.operand_reg o with
               | Some (`Preg p) -> (
                   match Hashtbl.find_opt seen p.Mir.p_id with
-                  | None -> Hashtbl.replace seen p.Mir.p_id b.Mir.b_id
-                  | Some bid -> if bid <> b.Mir.b_id then p.Mir.p_global <- true)
+                  | None -> Hashtbl.replace seen p.Mir.p_id b
+                  | Some b' -> if b' != b then p.Mir.p_global <- true)
               | Some (`Phys _) | None -> ())
             i.Mir.n_ops)
         b.Mir.b_insts)

@@ -252,6 +252,10 @@ type state = {
   writer : int array;
   wcycle : int array;
   aux_memo : (int, int) Hashtbl.t;  (* writer * ncode + consumer -> lat *)
+  (* the last pair looked up there and its latency: the bytes of one
+     register usually share their writer *)
+  mutable aux_key : int;
+  mutable aux_lat : int;
   mem : Bytes.t;
   acc : facc;
   out : Buffer.t;
@@ -277,6 +281,23 @@ type state = {
   cache_tags : int array;  (* -1 = invalid *)
   halt_index : int;
   builtin_base : int;
+  (* the segment timing memo: the extent entered at each code index, and
+     buffers for a key and for the timing a miss records *)
+  extents : extent array;
+  key : int array;
+  timing : int array;
+}
+
+(* A straight-line extent: the code from its entry up to the next label,
+   ending earlier after an instruction that can redirect and its delay
+   slots, so a redirect takes effect only at its end. [exposed] holds the
+   (position, scoreboard byte) pairs read before an earlier instruction
+   of the extent writes the byte. Each memo entry is a key followed by
+   the timing of the extent from a state with that key. *)
+and extent = {
+  len : int;  (* 0: the extent is stepped *)
+  exposed : int array;
+  mutable memo : int array list;  (* at most [max_memo] *)
 }
 
 (* direct-mapped cache lookup for loads *)
@@ -319,9 +340,6 @@ let slot st (r : Model.reg) =
     else -1
   in
   { bank = b; off; first; width = size; flt = a.a_float }
-
-let scoreboard_bytes (s : slot) =
-  List.init s.width (fun k -> if s.first < 0 then -1 else s.first + k)
 
 let sext_byte m = if m land 0x80 <> 0 then m - 0x100 else m
 
@@ -465,7 +483,6 @@ let rel op c =
 
 let rec compile_expr st pc (si : sinst) (e : Ast.expr) : cexpr =
   let acc = st.acc in
-  let sub = compile_expr st pc si in
   match e with
   | Ast.Eint n -> I (fun () -> n)
   | Ast.Eflt x -> F (fun () -> acc.f <- x)
@@ -480,7 +497,7 @@ let rec compile_expr st pc (si : sinst) (e : Ast.expr) : cexpr =
       | Some s -> read_slot acc s
       | None -> I (fun () -> fail "unknown register name %S in semantics" name))
   | Ast.Emem (_, a) ->
-      let addr = as_int acc (sub a) in
+      let addr = as_int acc (compile_expr st pc si a) in
       let k = Option.value ~default:word si.s_load_kind in
       let mem = st.mem and width = k.a_width in
       let checked () =
@@ -492,7 +509,7 @@ let rec compile_expr st pc (si : sinst) (e : Ast.expr) : cexpr =
       if k.a_float then F (fun () -> get_float acc mem (checked ()) width)
       else I (fun () -> get_int mem (checked ()) width)
   | Ast.Ebinop (op, a, b) -> (
-      match (sub a, sub b) with
+      match (compile_expr st pc si a, compile_expr st pc si b) with
       | I x, I y ->
           I
             (fun () ->
@@ -500,7 +517,7 @@ let rec compile_expr st pc (si : sinst) (e : Ast.expr) : cexpr =
               int_binop op (x ()) b)
       | a, b -> float_binop acc op (as_float acc a) (as_float acc b))
   | Ast.Erel (op, a, b) -> (
-      match (sub a, sub b) with
+      match (compile_expr st pc si a, compile_expr st pc si b) with
       | I x, I y ->
           I
             (fun () ->
@@ -510,17 +527,17 @@ let rec compile_expr st pc (si : sinst) (e : Ast.expr) : cexpr =
           let fa = as_float acc a and fb = as_float acc b in
           I (fun () -> fb (); let y = acc.f in fa (); rel op (compare acc.f y)))
   | Ast.Eunop (Ast.Neg, a) -> (
-      match sub a with
+      match compile_expr st pc si a with
       | I g -> I (fun () -> Arith32.sext32 (-g ()))
       | F g -> F (fun () -> g (); acc.f <- -.acc.f))
   | Ast.Eunop (Ast.Bnot, a) ->
-      let g = as_int acc (sub a) in
+      let g = as_int acc (compile_expr st pc si a) in
       I (fun () -> Arith32.sext32 (lnot (g ())))
   | Ast.Eunop (Ast.Lnot, a) ->
-      let g = as_int acc (sub a) in
+      let g = as_int acc (compile_expr st pc si a) in
       I (fun () -> if g () = 0 then 1 else 0)
   | Ast.Ecvt (vt, a) -> (
-      let v = sub a in
+      let v = compile_expr st pc si a in
       match vt with
       | Ast.Char ->
           let g = as_int acc v in
@@ -539,12 +556,12 @@ let rec compile_expr st pc (si : sinst) (e : Ast.expr) : cexpr =
               acc.f <- Int32.float_of_bits (Int32.bits_of_float acc.f))
       | Ast.Double -> F (as_float acc v))
   | Ast.Ebuiltin ("high", [ a ]) ->
-      let g = as_int acc (sub a) in
+      let g = as_int acc (compile_expr st pc si a) in
       I (fun () -> (Arith32.mask32 (g ()) lsr 16) land 0xFFFF)
   | Ast.Ebuiltin ("low", [ a ]) ->
-      let g = as_int acc (sub a) in
+      let g = as_int acc (compile_expr st pc si a) in
       I (fun () -> g () land 0xFFFF)
-  | Ast.Ebuiltin ("eval", [ a ]) -> sub a
+  | Ast.Ebuiltin ("eval", [ a ]) -> compile_expr st pc si a
   | Ast.Ebuiltin (f, _) ->
       I (fun () -> fail "unknown builtin %S in semantics" f)
 
@@ -580,30 +597,34 @@ let compile_builtins st =
           Buffer.add_string st.out (Printf.sprintf "%.6f\n" st.acc.f));
   |]
 
+(* [s] := [v], marking [s]'s bytes written by an instruction of
+   [latency] *)
+let write st latency (s : slot) v =
+  let w = assign st.acc s v and first = s.first and width = s.width in
+  fun () ->
+    w ();
+    mark_written st first width latency
+
+let target st (si : sinst) n =
+  if n < 1 || n > Array.length si.s_ops then out_of_bounds
+  else
+    match si.s_ops.(n - 1) with
+    | Slab t | Simm t -> fun () -> t
+    | Sreg r -> as_int st.acc (read_slot st.acc (slot st r))
+
+let ra st = slot st st.model.Model.cwvm.Model.v_retaddr
+
+(* The helpers above are functions of their own, not closures: this
+   runs for every statement of every instruction of a run. *)
 let compile_stmt st pc (si : sinst) builtins (s : Ast.stmt) : unit -> unit =
   let acc = st.acc in
-  let expr = compile_expr st pc si in
   let op = si.s_op in
   let slots = abs op.Model.i_slots in
   let latency = max 1 op.Model.i_latency in
-  let write (s : slot) v =
-    let w = assign acc s v and first = s.first and width = s.width in
-    fun () ->
-      w ();
-      mark_written st first width latency
-  in
-  let target n =
-    if n < 1 || n > Array.length si.s_ops then out_of_bounds
-    else
-      match si.s_ops.(n - 1) with
-      | Slab t | Simm t -> fun () -> t
-      | Sreg r -> as_int acc (read_slot acc (slot st r))
-  in
-  let ra () = slot st st.model.Model.cwvm.Model.v_retaddr in
   match s with
   | Ast.Snop -> fun () -> ()
   | Ast.Sassign (lhs, e) -> (
-      let v = expr e in
+      let v = compile_expr st pc si e in
       let then_fail f =
         let g = evaluate v in
         fun () ->
@@ -615,19 +636,19 @@ let compile_stmt st pc (si : sinst) builtins (s : Ast.stmt) : unit -> unit =
           if n < 1 || n > Array.length si.s_ops then then_fail out_of_bounds
           else
             match si.s_ops.(n - 1) with
-            | Sreg r -> write (slot st r) v
+            | Sreg r -> write st latency (slot st r) v
             | Simm _ | Slab _ ->
                 then_fail (fun () ->
                     fail "assignment to a non-register operand"))
       | Ast.Lname name -> (
           match find_named st name with
-          | Some s -> write s v
+          | Some s -> write st latency s v
           | None ->
               then_fail (fun () ->
                   fail "unknown register name %S in semantics" name))
       | Ast.Lmem (_, a) -> (
           (* the value is evaluated before the address *)
-          let addr = as_int acc (expr a) in
+          let addr = as_int acc (compile_expr st pc si a) in
           let k = Option.value ~default:word si.s_store_kind in
           let mem = st.mem and width = k.a_width in
           let checked p =
@@ -651,14 +672,14 @@ let compile_stmt st pc (si : sinst) builtins (s : Ast.stmt) : unit -> unit =
               acc.f <- x;
               set_float acc mem p width))
   | Ast.Sifgoto (c, n) ->
-      let c = as_int acc (expr c) and t = target n in
+      let c = as_int acc (compile_expr st pc si c) and t = target st si n in
       fun () -> if c () <> 0 then redirect st (t ()) slots
   | Ast.Sgoto n ->
-      let t = target n in
+      let t = target st si n in
       fun () -> redirect st (t ()) slots
   | Ast.Scall n ->
-      let t = target n in
-      let link = write (ra ()) (I (fun () -> pc + 1 + slots)) in
+      let t = target st si n in
+      let link = write st latency (ra st) (I (fun () -> pc + 1 + slots)) in
       fun () ->
         let target = t () in
         link ();
@@ -666,20 +687,44 @@ let compile_stmt st pc (si : sinst) builtins (s : Ast.stmt) : unit -> unit =
         if k >= 0 && k < Array.length builtins then builtins.(k) ()
         else redirect st target slots
   | Ast.Sret ->
-      let back = as_int acc (read_slot acc (ra ())) in
+      let back = as_int acc (read_slot acc (ra st)) in
       fun () -> redirect st (back ()) slots
 
-(* bytes of the operands at [positions] (an out-of-range position or a
-   register outside its bank yields -1: the access raises when made) *)
-let operand_bytes st (si : sinst) positions =
-  List.concat_map
+(* The scoreboard bytes of the operands at [positions], then of the
+   named registers of classes [cids] (an out-of-range position or a
+   register outside its bank yields -1: the access raises when made).
+   Sized first and filled in place: every instruction builds one. *)
+let scoreboard_bytes st (si : sinst) positions cids =
+  let size cid = (Model.class_exn st.model cid).Model.c_size in
+  let n =
+    List.fold_left
+      (fun n pos ->
+        if pos < 0 || pos >= Array.length si.s_ops then n + 1
+        else
+          match si.s_ops.(pos) with
+          | Sreg r -> n + size r.Model.cls
+          | Simm _ | Slab _ -> n)
+      0 positions
+    + List.fold_left (fun n cid -> n + size cid) 0 cids
+  in
+  let bytes = Array.make n (-1) and at = ref 0 in
+  let add (s : slot) =
+    if s.first >= 0 then
+      for k = 0 to s.width - 1 do
+        bytes.(!at + k) <- s.first + k
+      done;
+    at := !at + s.width
+  in
+  List.iter
     (fun pos ->
-      if pos < 0 || pos >= Array.length si.s_ops then [ -1 ]
+      if pos < 0 || pos >= Array.length si.s_ops then incr at
       else
         match si.s_ops.(pos) with
-        | Sreg r -> scoreboard_bytes (slot st r)
-        | Simm _ | Slab _ -> [])
-    positions
+        | Sreg r -> add (slot st r)
+        | Simm _ | Slab _ -> ())
+    positions;
+  List.iter (fun cid -> add (slot st (Locs.named_reg st.model cid))) cids;
+  bytes
 
 let compile_inst st builtins pc (si : sinst) : cinst =
   let op = si.s_op in
@@ -708,7 +753,7 @@ let compile_inst st builtins pc (si : sinst) : cinst =
     match address with
     | None -> run
     | Some address ->
-        let delayed = Array.of_list (operand_bytes st si op.Model.i_writes) in
+        let delayed = scoreboard_bytes st si op.Model.i_writes [] in
         fun () ->
           let penalty = cache_access st (address ()) in
           run ();
@@ -719,13 +764,7 @@ let compile_inst st builtins pc (si : sinst) : cinst =
     c_op = op;
     c_ops = si.s_ops;
     c_label = si.s_label;
-    c_reads =
-      Array.of_list
-        (operand_bytes st si op.Model.i_reads
-        @ List.concat_map
-            (fun cid ->
-              scoreboard_bytes (slot st (Locs.named_reg st.model cid)))
-            op.Model.i_rnames);
+    c_reads = scoreboard_bytes st si op.Model.i_reads op.Model.i_rnames;
     c_aux = Latency.producer st.lat op;
     c_exec = exec;
   }
@@ -739,12 +778,17 @@ let no_override = min_int
 (* The %aux latency between the instructions at code indices [w] and
    [pc], or [no_override]. It depends only on the two instructions' ops
    and bound operands, so it is looked up once per pair. *)
-let aux_override st w =
-  let key = (w * Array.length st.code) + st.pc in
+let aux_override st w pc =
+  let key = (w * Array.length st.code) + pc in
+  if key = st.aux_key then st.aux_lat
+  else
   match Hashtbl.find st.aux_memo key with
-  | l -> l
+  | l ->
+      st.aux_key <- key;
+      st.aux_lat <- l;
+      l
   | exception Not_found ->
-      let wi = st.code.(w) and ci = st.code.(st.pc) in
+      let wi = st.code.(w) and ci = st.code.(pc) in
       let opnd_eq a b =
         (* operand condition of %aux: compare the operand values of the
            two instructions *)
@@ -761,25 +805,21 @@ let aux_override st w =
       Hashtbl.add st.aux_memo key l;
       l
 
-(* the first cycle at which every byte [ci] reads is ready for it; the
-   bytes of one register usually share their writer, so the last
-   writer's override is kept at hand *)
+(* the cycle at which byte [b] is ready for the instruction at [pc] *)
+let ready_for st b pc =
+  let w = st.writer.(b) in
+  if w >= 0 && st.code.(w).c_aux then begin
+    let l = aux_override st w pc in
+    if l = no_override then st.ready.(b) else st.wcycle.(b) + l
+  end
+  else st.ready.(b)
+
+(* the first cycle at which every byte [ci] reads is ready for it *)
 let required st (ci : cinst) =
   let reads = ci.c_reads in
-  let req = ref 0 and last_w = ref (-1) and last_l = ref no_override in
+  let req = ref 0 in
   for k = 0 to Array.length reads - 1 do
-    let b = reads.(k) in
-    let w = st.writer.(b) in
-    let t =
-      if w >= 0 && st.code.(w).c_aux then begin
-        if w <> !last_w then begin
-          last_w := w;
-          last_l := aux_override st w
-        end;
-        if !last_l = no_override then st.ready.(b) else st.wcycle.(b) + !last_l
-      end
-      else st.ready.(b)
-    in
+    let t = ready_for st reads.(k) st.pc in
     if t > !req then req := t
   done;
   !req
@@ -798,9 +838,8 @@ let render st (ci : cinst) =
     ci.c_ops;
   Buffer.contents b
 
-let issue st (ci : cinst) =
-  if st.icount < st.cfg.trace_limit then
-    st.trace_acc <- (st.cycle, render st ci) :: st.trace_acc;
+(* everything of an issue at [st.cycle] but the reservation *)
+let execute st (ci : cinst) =
   (match ci.c_label with
   | Some _ ->
       let n = st.freq.(st.pc) in
@@ -810,7 +849,6 @@ let issue st (ci : cinst) =
       end;
       st.freq.(st.pc) <- n + 1
   | None -> ());
-  Scoreboard.reserve st.busy ~cycle:st.cycle ci.c_op;
   ci.c_exec ();
   st.icount <- st.icount + 1;
   (* advance pc honouring any pending redirect and its delay slots *)
@@ -825,6 +863,201 @@ let issue st (ci : cinst) =
   end;
   if (not st.halted) && st.pc >= Array.length st.code then
     fail "program counter fell off the end of the code"
+
+let issue st (ci : cinst) =
+  if st.icount < st.cfg.trace_limit then
+    st.trace_acc <- (st.cycle, render st ci) :: st.trace_acc;
+  Scoreboard.reserve st.busy ~cycle:st.cycle ci.c_op;
+  execute st ci
+
+(* An instruction issues at the first cycle, from the current one, at
+   which its operands are ready, its packing class is open and its
+   resources are free. While it stalls nothing issues, so the cycle at
+   which its last operand byte is ready stays constant, and so does
+   the scoreboard: the clock jumps straight to the issue cycle, which
+   [Scoreboard.first_free] finds from the readiness cycle on. The
+   scoreboard window advances over a jump exactly as over single
+   steps, and every class is open at a cycle past the current one.
+   So each step issues one instruction, and at most [fuel] issue. *)
+let step st =
+  if st.icount >= st.cfg.fuel then
+    fail "out of fuel after %d instructions" st.icount;
+  let ci = st.code.(st.pc) in
+  st.cycle <-
+    Scoreboard.first_free st.busy ~cycle:(max st.cycle (required st ci))
+      ci.c_op;
+  issue st ci
+
+(* ------------------------------------------------------------------ *)
+(* Segment timing memo                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Inside an extent the code runs in order whatever the semantics
+   compute, so the issue cycles of its instructions, relative to the
+   cycle [c] at entry, depend only on: for each position, the latest
+   cycle at which a byte it reads from before the extent is ready for
+   it, counted from [c] and clipped at 0 (the clock never goes back);
+   and the scoreboard's state at [c]. Bytes written inside the extent
+   are ready at cycles the extent's own timing decides. That key, built
+   in [st.key], maps to the issue offsets and the scoreboard's state at
+   the exit cycle. A hit runs the semantics at the recorded cycles and
+   restores the scoreboard; a miss steps and records. *)
+
+let max_extent = 32
+
+let max_memo = 8
+
+(* shared sentinels: never written *)
+let unknown = { len = 0; exposed = [||]; memo = [] }
+
+let stepped = { len = 0; exposed = [||]; memo = [] }
+
+let redirects (op : Model.instr) =
+  List.exists
+    (function
+      | Ast.Sgoto _ | Ast.Sifgoto _ | Ast.Scall _ | Ast.Sret -> true
+      | Ast.Sassign _ | Ast.Snop -> false)
+    op.Model.i_sem
+
+(* the registers whose bytes [compile_stmt] marks written *)
+let written st (ci : cinst) =
+  List.filter_map
+    (function
+      | Ast.Sassign (Ast.Lopnd n, _) when n >= 1 && n <= Array.length ci.c_ops
+        -> (
+          match ci.c_ops.(n - 1) with
+          | Sreg r -> Some (slot st r)
+          | Simm _ | Slab _ -> None)
+      | Ast.Sassign (Ast.Lname name, _) -> find_named st name
+      | Ast.Scall _ -> Some (slot st st.model.Model.cwvm.Model.v_retaddr)
+      | Ast.Sassign ((Ast.Lopnd _ | Ast.Lmem _), _)
+      | Ast.Sgoto _ | Ast.Sifgoto _ | Ast.Sret | Ast.Snop ->
+          None)
+    ci.c_op.Model.i_sem
+
+(* whether a position before [k] writes byte [b], by the (position,
+   first byte, width) ranges [ws] *)
+let rec written_before k b = function
+  | [] -> false
+  | (j, first, width) :: ws ->
+      (j < k && b >= first && b < first + width) || written_before k b ws
+
+(* The extent entered at [entry]; stepped when a byte it reads or writes
+   is outside the scoreboard, which raises on the step loop's access.
+   Built once per entry, so it allocates little: the write ranges, then
+   the exposed pairs counted before they are filled in. *)
+let extent_at st entry =
+  let stop = ref (min (Array.length st.code) (entry + max_extent)) in
+  let pc = ref entry and ok = ref true and ws = ref [] in
+  while !pc < !stop do
+    let ci = st.code.(!pc) in
+    if !pc > entry && ci.c_label <> None then stop := !pc
+    else begin
+      for i = 0 to Array.length ci.c_reads - 1 do
+        if ci.c_reads.(i) < 0 then ok := false
+      done;
+      List.iter
+        (fun (s : slot) ->
+          if s.first < 0 then ok := false
+          else ws := (!pc - entry, s.first, s.width) :: !ws)
+        (written st ci);
+      if redirects ci.c_op then
+        stop := min !stop (!pc + 1 + abs ci.c_op.Model.i_slots);
+      incr pc
+    end
+  done;
+  if not !ok then stepped
+  else begin
+    let len = !stop - entry and ws = !ws in
+    let each f =
+      for k = 0 to len - 1 do
+        let reads = st.code.(entry + k).c_reads in
+        for i = 0 to Array.length reads - 1 do
+          if not (written_before k reads.(i) ws) then f k reads.(i)
+        done
+      done
+    in
+    let n = ref 0 in
+    each (fun _ _ -> incr n);
+    let exposed = Array.make (2 * !n) 0 and at = ref 0 in
+    each (fun k b ->
+        exposed.(!at) <- k;
+        exposed.(!at + 1) <- b;
+        at := !at + 2);
+    { len; exposed; memo = [] }
+  end
+
+(* The key of the state at entry to [e], from [st.key.(0)]; returns its
+   length. *)
+let build_key st e =
+  let key = st.key and c = st.cycle and entry = st.pc in
+  for k = 0 to e.len - 1 do
+    key.(k) <- 0
+  done;
+  let ex = e.exposed in
+  let i = ref 0 in
+  while !i < Array.length ex do
+    let k = ex.(!i) in
+    let t = ready_for st ex.(!i + 1) (entry + k) - c in
+    if t > key.(k) then key.(k) <- t;
+    i := !i + 2
+  done;
+  Scoreboard.export st.busy ~cycle:c key e.len
+
+(* the memo entry whose key is [st.key.(0 .. klen-1)], or [[||]] *)
+let rec lookup key klen = function
+  | [] -> [||]
+  | (m : int array) :: rest ->
+      let i = ref 0 in
+      while !i < klen && m.(!i) = key.(!i) do
+        incr i
+      done;
+      if !i = klen then m else lookup key klen rest
+
+let run_extent st e =
+  let klen = build_key st e in
+  let m = lookup st.key klen e.memo in
+  let c = st.cycle in
+  if Array.length m > 0 then begin
+    for k = 0 to e.len - 1 do
+      st.cycle <- c + m.(klen + k);
+      execute st st.code.(st.pc)
+    done;
+    Scoreboard.import st.busy ~cycle:st.cycle m (klen + e.len)
+  end
+  else begin
+    let timing = st.timing in
+    for k = 0 to e.len - 1 do
+      step st;
+      timing.(k) <- st.cycle - c
+    done;
+    if List.length e.memo < max_memo then begin
+      let tlen = Scoreboard.export st.busy ~cycle:st.cycle timing e.len in
+      let m = Array.make (klen + tlen) 0 in
+      Array.blit st.key 0 m 0 klen;
+      Array.blit timing 0 m klen tlen;
+      e.memo <- m :: e.memo
+    end
+  end
+
+(* An extent entered with a redirect pending, one that cannot be
+   memoized and one in which fuel would run out are stepped one
+   instruction at a time: the next entry decides afresh. *)
+let advance st =
+  if st.redirect_in >= 0 then step st
+  else begin
+    let e = st.extents.(st.pc) in
+    let e =
+      if e != unknown then e
+      else begin
+        let e = extent_at st st.pc in
+        st.extents.(st.pc) <- e;
+        e
+      end
+    in
+    if e.len = 0 || st.icount + e.len > st.cfg.fuel then step st
+    else run_extent st e
+  end
 
 (* the block frequencies, each label inserted at its first issue, so the
    table iterates in the same order as one updated on every issue *)
@@ -852,6 +1085,9 @@ let run ?(config = default_config) (prog : Mir.prog) : result =
       nbytes := !nbytes + Bytes.length b)
     banks;
   let ncode = Array.length loaded.code in
+  (* the memo serves runs without a cache or a trace *)
+  let memo = config.cache = None && config.trace_limit <= 0 in
+  let busy = Scoreboard.create model in
   let st =
     {
       model;
@@ -863,6 +1099,8 @@ let run ?(config = default_config) (prog : Mir.prog) : result =
       writer = Array.make !nbytes (-1);
       wcycle = Array.make !nbytes 0;
       aux_memo = Hashtbl.create 64;
+      aux_key = -1;
+      aux_lat = no_override;
       mem = loaded.data;
       acc = { f = 0.0 };
       out = Buffer.create 256;
@@ -878,7 +1116,7 @@ let run ?(config = default_config) (prog : Mir.prog) : result =
       freq = Array.make ncode 0;
       seen = Array.make ncode 0;
       nseen = 0;
-      busy = Scoreboard.create model;
+      busy;
       lat = Latency.for_model model;
       cache_tags =
         (match config.cache with
@@ -886,6 +1124,13 @@ let run ?(config = default_config) (prog : Mir.prog) : result =
         | None -> [||]);
       halt_index = ncode;
       builtin_base = loaded.builtin_base;
+      extents = (if memo then Array.make ncode unknown else [||]);
+      key =
+        (if memo then Array.make (max_extent + Scoreboard.state_words busy) 0
+         else [||]);
+      timing =
+        (if memo then Array.make (max_extent + Scoreboard.state_words busy) 0
+         else [||]);
     }
   in
   let set r v = assign st.acc (slot st r) (I (fun () -> v)) () in
@@ -896,23 +1141,8 @@ let run ?(config = default_config) (prog : Mir.prog) : result =
   set model.Model.cwvm.Model.v_retaddr st.halt_index;
   let builtins = compile_builtins st in
   st.code <- Array.mapi (compile_inst st builtins) loaded.code;
-  (* An instruction issues at the first cycle, from the current one, at
-     which its operands are ready, its packing class is open and its
-     resources are free. While it stalls nothing issues, so the cycle at
-     which its last operand byte is ready stays constant, and so does
-     the scoreboard: the clock jumps straight to the issue cycle, which
-     [Scoreboard.first_free] finds from the readiness cycle on. The
-     scoreboard window advances over a jump exactly as over single
-     steps, and every class is open at a cycle past the current one.
-     So each step issues one instruction, and at most [fuel] issue. *)
   while not st.halted do
-    if st.icount >= config.fuel then
-      fail "out of fuel after %d instructions" st.icount;
-    let ci = st.code.(st.pc) in
-    st.cycle <-
-      Scoreboard.first_free st.busy ~cycle:(max st.cycle (required st ci))
-        ci.c_op;
-    issue st ci
+    if memo then advance st else step st
   done;
   let result_reg =
     List.find_map

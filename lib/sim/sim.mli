@@ -14,6 +14,13 @@
     the semantics (division by zero, out-of-bounds accesses, unknown
     names) are still raised only when the instruction executes.
 
+    Without a cache or a trace, the timing of each straight-line extent
+    (up to the next label, or the first possible redirect and its delay
+    slots) is memoized per entry state: the readiness of the registers
+    it reads and the scoreboard's state. A repeated state replays the
+    recorded issue cycles; the semantics still run for every
+    instruction, and every result is the one stepping gives.
+
     The optional direct-mapped data cache adds a miss penalty to load
     latencies; scheduler estimates ignore it, which reproduces the paper's
     actual-versus-estimated gap of Table 4. *)

@@ -50,8 +50,10 @@ let packed_for = Model.memo pack
 
 (* The ring has a power-of-two number of slots, at least [span], so a
    cycle's row starts at [(c land mask) * words]. Only cycles
-   [base .. base+span-1] can hold reservations: a reservation is made at
-   the base and lasts at most [span] cycles.
+   [base .. top-1] can hold reservations, and every other slot is zero:
+   a reservation is made at the base and lasts at most [span] cycles, so
+   [top <= base + span], and [top] is one past the last row any
+   reservation since reached.
 
    The packing classes still open are tracked for one cycle only,
    [class_cycle], the cycle of the last classed reservation; every other
@@ -61,6 +63,7 @@ type t = {
   mask : int;
   p : packed;
   mutable base : int;
+  mutable top : int;
   mutable class_cycle : int;
   open_classes : Bitset.t;
   stats : stats option;
@@ -77,6 +80,7 @@ let create ?stats (model : Model.t) =
     mask = !slots - 1;
     p;
     base = 0;
+    top = 0;
     class_cycle = -1;
     open_classes = Bitset.create (Array.length model.Model.elements);
     stats;
@@ -89,6 +93,7 @@ let clear t = Array.fill t.ring 0 (Array.length t.ring) 0
 let reset t =
   clear t;
   t.base <- 0;
+  t.top <- 0;
   t.class_cycle <- -1
 
 (* whether [i]'s packing class meets none still open on [cycle] *)
@@ -99,6 +104,17 @@ let class_closed t cycle (i : Model.instr) =
   | Some k -> Bitset.inter_empty t.open_classes k
   | None -> false
 
+(* zero the rows of cycles [from .. upto-1]; a row is one or two words,
+   cleared inline rather than through a C call per row *)
+let clear_rows t from upto =
+  let words = t.p.words in
+  for c = from to upto - 1 do
+    let row = (c land t.mask) * words in
+    for w = row to row + words - 1 do
+      t.ring.(w) <- 0
+    done
+  done
+
 (* Every consumer probes at monotonically non-decreasing cycles (the list
    scheduler's and simulator's clocks only advance), so moving the window
    forward may recycle every row that fell behind it. *)
@@ -106,19 +122,14 @@ let advance t cycle =
   if cycle < t.base then
     invalid_arg "Scoreboard: probe behind the window base";
   if cycle > t.base then begin
-    let words = t.p.words in
-    if cycle - t.base >= t.p.span then clear t
-    else
-      for c = t.base to cycle - 1 do
-        Array.fill t.ring ((c land t.mask) * words) words 0
-      done;
+    clear_rows t t.base (if cycle < t.top then cycle else t.top);
     t.base <- cycle
   end
 
 (* whether [rvec] collides when issued on [cycle >= base]; rows from
-   [base + span] on hold nothing *)
+   [top] on hold nothing *)
 let collides t cycle (rvec : int array) =
-  let limit = t.base + t.p.span and words = t.p.words in
+  let limit = t.top and words = t.p.words in
   let hit = ref false and k = ref 0 in
   while (not !hit) && !k < Array.length rvec do
     let c = cycle + rvec.(!k) in
@@ -151,6 +162,9 @@ let reserve t ~cycle (i : Model.instr) =
     t.ring.(at) <- t.ring.(at) lor rvec.(!k + 2);
     k := !k + 3
   done;
+  (* the triples are in cycle order *)
+  if !k > 0 && cycle + rvec.(!k - 3) >= t.top then
+    t.top <- cycle + rvec.(!k - 3) + 1;
   (match i.Model.i_class with
   | Some k when cycle = t.class_cycle ->
       Bitset.inter_into ~dst:t.open_classes k
@@ -161,7 +175,7 @@ let reserve t ~cycle (i : Model.instr) =
   | None -> ());
   match t.stats with Some s -> s.reserves <- s.reserves + 1 | None -> ()
 
-(* terminates by [base + span], where every row is free and, past
+(* terminates by [top], where every row is free and, past
    [class_cycle], every class open *)
 let first_free t ~cycle (i : Model.instr) =
   if cycle < t.base then
@@ -172,3 +186,63 @@ let first_free t ~cycle (i : Model.instr) =
     incr c
   done;
   !c
+
+(* The exported state: a class flag (1 when [cycle] is the class cycle)
+   and the open classes' bits in [class_words] ints, then the length [n]
+   of the rows from [cycle] on without their trailing zero words, then
+   those [n] words. *)
+let class_words t =
+  (Bitset.capacity t.open_classes + Sys.int_size - 1) / Sys.int_size
+
+let state_words t = 2 + class_words t + (t.p.span * t.p.words)
+
+let export t ~cycle buf pos =
+  if cycle < t.base then
+    invalid_arg "Scoreboard: export behind the window base";
+  let cw = class_words t in
+  for k = pos + 1 to pos + cw do
+    buf.(k) <- 0
+  done;
+  if cycle = t.class_cycle then begin
+    buf.(pos) <- 1;
+    for e = 0 to Bitset.capacity t.open_classes - 1 do
+      if Bitset.mem t.open_classes e then begin
+        let k = pos + 1 + (e / Sys.int_size) in
+        buf.(k) <- buf.(k) lor (1 lsl (e mod Sys.int_size))
+      end
+    done
+  end
+  else buf.(pos) <- 0;
+  let words = t.p.words and first = pos + 2 + cw and n = ref 0 in
+  for c = cycle to t.top - 1 do
+    let row = (c land t.mask) * words and at = first + ((c - cycle) * words) in
+    for w = 0 to words - 1 do
+      let v = t.ring.(row + w) in
+      buf.(at + w) <- v;
+      if v <> 0 then n := at + w - first + 1
+    done
+  done;
+  buf.(first - 1) <- !n;
+  first + !n
+
+let import t ~cycle buf pos =
+  let cw = class_words t in
+  if buf.(pos) = 1 then begin
+    Bitset.clear t.open_classes;
+    for e = 0 to Bitset.capacity t.open_classes - 1 do
+      if buf.(pos + 1 + (e / Sys.int_size)) land (1 lsl (e mod Sys.int_size))
+         <> 0
+      then Bitset.set t.open_classes e
+    done;
+    t.class_cycle <- cycle
+  end
+  else t.class_cycle <- -1;
+  clear_rows t t.base t.top;
+  let words = t.p.words and first = pos + 2 + cw in
+  let n = buf.(first - 1) in
+  for i = 0 to n - 1 do
+    let c = cycle + (i / words) in
+    t.ring.(((c land t.mask) * words) + (i mod words)) <- buf.(first + i)
+  done;
+  t.base <- cycle;
+  t.top <- cycle + ((n + words - 1) / words)

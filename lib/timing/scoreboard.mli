@@ -64,3 +64,26 @@ val first_free : t -> cycle:int -> Model.instr -> int
     one where its class is open and its resources are free. Does not
     move the window and is not counted in [stats]; [cycle] must not be
     behind the window base. *)
+
+(** {2 Saving and restoring the window}
+
+    Every probe and reservation at a cycle [c] or later depends only on
+    the rows [c .. c+span-1] and, when [c] is the cycle of the last
+    classed reservation, on the classes still open there. The simulator
+    memoizes the timing of straight-line code on that state. *)
+
+val state_words : t -> int
+(** The most ints {!export} writes. *)
+
+val export : t -> cycle:int -> int array -> int -> int
+(** [export t ~cycle buf pos] writes the state that decides every probe
+    and reservation at [cycle] or later into [buf] from index [pos], in
+    a canonical form relative to [cycle], and returns the index after
+    the last int written: two scoreboards whose exports at their own
+    cycles are equal answer every later probe alike, shifted by the
+    difference of the cycles. Trailing free rows are not written, so the
+    length varies. [cycle] must not be behind the window base. *)
+
+val import : t -> cycle:int -> int array -> int -> unit
+(** [import t ~cycle buf pos] makes the window start at [cycle] and hold
+    the state an {!export} wrote at [buf.(pos)], shifted to [cycle]. *)

@@ -336,6 +336,42 @@ let test_disk_persistence () =
   if base <> cold || base <> warm then
     Alcotest.fail "disk-cached compile differs from uncached"
 
+(* Two cold fills of fresh directories with the same cells write the
+   same entries, byte for byte: nothing measured is frozen. *)
+let test_disk_fills_reproducible () =
+  let read path =
+    In_channel.with_open_bin path In_channel.input_all
+  in
+  let fill () =
+    let dir = temp_dir () in
+    let cache = Cache.create ~dir () in
+    List.iter
+      (fun (_, model) ->
+        List.iter
+          (fun strat ->
+            List.iter
+              (fun unit ->
+                ignore (compile ~cache ~jobs:1 (Lazy.force model) strat unit))
+              (workload ()))
+          Strategy.all)
+      targets;
+    let files =
+      List.map (fun e -> (e, read (Filename.concat dir e))) (entries dir)
+    in
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir;
+    files
+  in
+  let a = fill () and b = fill () in
+  check Alcotest.bool "entries written" true (a <> []);
+  check
+    Alcotest.(list string)
+    "same entry names" (List.map fst a) (List.map fst b);
+  List.iter2
+    (fun (e, x) (_, y) ->
+      if x <> y then Alcotest.failf "entry %s differs between two fills" e)
+    a b
+
 let corrupt_last_byte path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -433,6 +469,8 @@ let suite =
       test_source_edit_invalidates;
     Alcotest.test_case "disk persistence across cache objects" `Quick
       test_disk_persistence;
+    Alcotest.test_case "two cold fills write identical entries" `Slow
+      test_disk_fills_reproducible;
     Alcotest.test_case "corrupted disk entry is a miss, not an error" `Quick
       test_disk_corruption_is_a_miss;
     Alcotest.test_case "wrong-version disk entry is a miss" `Quick

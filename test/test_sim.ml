@@ -185,6 +185,139 @@ let test_fuel_limit () =
         (Printf.sprintf "out of fuel after %d instructions" (k - 1))
         m
 
+(* A fuel limit that runs out inside a hot loop body, at every position
+   of its straight-line code: each of a run of consecutive limits stops
+   the run after exactly that many instructions, with or without the
+   segment timing memo (a one-issue trace turns it off). *)
+let test_fuel_inside_loop () =
+  let prog =
+    compile (R2000.load ()) Strategy.Ips (Livermore.source ~iter:1 1)
+  in
+  let k = (Marion.run prog).Sim.instructions in
+  for fuel = (k / 2) to (k / 2) + 40 do
+    List.iter
+      (fun trace_limit ->
+        match
+          Marion.run ~config:{ Sim.default_config with Sim.fuel; trace_limit }
+            prog
+        with
+        | _ -> Alcotest.failf "completed with fuel %d of %d" fuel k
+        | exception Sim.Sim_error m ->
+            check Alcotest.string "out of fuel"
+              (Printf.sprintf "out of fuel after %d instructions" fuel)
+              m)
+      [ 0; 1 ]
+  done
+
+(* Block [j] is entered twice with equal scoreboard windows: from [p1]
+   and from [p2], each a jump whose delay slot writes r3, the register
+   [j] reads first, with the same resource vector but a different
+   latency (a load, 3 cycles, or an add, 1), after the same footprints
+   before it. Only the register part of the memo key tells the two
+   entries apart. *)
+let test_memo_key_reads_registers () =
+  let m = Lazy.force toyp in
+  let find name pred =
+    match
+      Array.find_opt
+        (fun (i : Model.instr) -> i.Model.i_name = name && pred i.Model.i_opnds)
+        m.Model.instrs
+    with
+    | Some i -> i
+    | None -> Alcotest.failf "toyp has no %s" name
+  in
+  let any _ = true
+  and regs = Array.for_all (function Model.Kreg _ -> true | _ -> false) in
+  let rcls =
+    match Model.find_class m "r" with
+    | Some c -> c.Model.c_id
+    | None -> Alcotest.fail "toyp has no class r"
+  in
+  let r idx = Mir.Ophys { Model.cls = rcls; idx } in
+  let fn = Mir.new_func m "main" in
+  let i name pred ops = Mir.mk_inst fn (find name pred) ops in
+  let add d a b = i "add" regs [| r d; r a; r b |]
+  and jmp l = i "jmp" any [| Mir.Olab l |]
+  and block label insts =
+    let b = Mir.new_block label in
+    b.Mir.b_insts <- insts;
+    b
+  in
+  fn.Mir.f_blocks <-
+    [
+      block "main" [ jmp "p1"; add 5 0 0 ];
+      block "p1" [ jmp "j"; i "ld" any [| r 3; r 7; Mir.Oimm 0 |] ];
+      block "p2" [ jmp "j"; add 3 0 0 ];
+      block "j"
+        [ add 4 3 3; i "bne0" any [| r 2; Mir.Olab "x" |]; i "nop" any [||] ];
+      block "k" [ jmp "p2"; add 2 7 0 ];
+      block "x" [ i "jr" any [| r 1 |]; add 5 0 0 ];
+    ];
+  let prog = { Mir.p_model = m; p_globals = []; p_funcs = [ fn ] } in
+  let stepped =
+    Sim.run ~config:{ Sim.default_config with Sim.trace_limit = 100 } prog
+  in
+  (* the read of r3 waits 3 cycles after the load, 1 after the add *)
+  let rec waits = function
+    | (c, _) :: ((c', s') :: _ as rest) ->
+        if
+          String.starts_with ~prefix:"add" s'
+          && String.ends_with ~suffix:"r3, r3" s'
+        then (c' - c) :: waits rest
+        else waits rest
+    | _ -> []
+  in
+  check Alcotest.(list int) "r3 readiness at the two entries" [ 3; 1 ]
+    (waits stepped.Sim.trace);
+  let memo = Sim.run prog in
+  check Alcotest.int "cycles" stepped.Sim.cycles memo.Sim.cycles;
+  check Alcotest.int "instructions" stepped.Sim.instructions
+    memo.Sim.instructions
+
+(* Every cell that compiles (Livermore 1-14 and the program suite x 4
+   targets x 4 strategies) simulates to the same result under the
+   default configuration, which memoizes segment timing, and with a
+   one-issue trace, which steps every instruction: every field but the
+   trace, and the text of a simulation error. *)
+let test_memo_vs_step () =
+  let outcome config prog =
+    match Sim.run ~config prog with
+    | r ->
+        Ok
+          ( r.Sim.output,
+            r.Sim.return_value,
+            r.Sim.cycles,
+            r.Sim.instructions,
+            Hashtbl.fold (fun l n acc -> (l, n) :: acc) r.Sim.block_freq [],
+            r.Sim.loads,
+            r.Sim.cache_misses )
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let cells = ref 0 in
+  List.iter
+    (fun (tname, load) ->
+      let model = load () in
+      List.iter
+        (fun (file, src) ->
+          List.iter
+            (fun strat ->
+              match Strategy.compile model strat (Cgen.compile ~file src) with
+              | exception _ -> ()
+              | prog, _ ->
+                  incr cells;
+                  if
+                    outcome Sim.default_config prog
+                    <> outcome
+                         { Sim.default_config with Sim.trace_limit = 1 }
+                         prog
+                  then
+                    Alcotest.failf "%s %s %s: memoized run differs" tname file
+                      (Strategy.to_string strat))
+            Strategy.all)
+        (Test_regalloc.corpus ()))
+    Test_regalloc.targets;
+  check Alcotest.bool "most cells compile" true (!cells > 300)
+
 let test_estimated_cycles_close () =
   (* without a cache, the scheduler's estimate and the simulator agree
      closely: they implement the same hazard model *)
@@ -216,7 +349,7 @@ let contract_config =
     trace_limit = 64;
   }
 
-let contract_blob model =
+let contract_blob config model =
   let buf = Buffer.create (1 lsl 16) in
   let add fmt = Printf.bprintf buf fmt in
   for id = 1 to 14 do
@@ -228,7 +361,7 @@ let contract_blob model =
         match Strategy.compile model strat (Cgen.compile ~file src) with
         | exception e -> add "compile-error:%s\n" (Printexc.to_string e)
         | prog, _ -> (
-            match Sim.run ~config:contract_config prog with
+            match Sim.run ~config prog with
             | exception Sim.Sim_error m -> add "simerr:%s\n" m
             | r ->
                 add "cycles=%d insts=%d ret=%d loads=%d misses=%d out=%s\n"
@@ -251,13 +384,25 @@ let contract_goldens =
     ("i860", "fedc8152b3db4b90ee72bfc1f5ec8021");
   ]
 
-let test_sim_contract () =
+(* The same blob under [Sim.default_config]: no cache and no trace, the
+   configuration the segment timing memo serves (the contract above only
+   reaches the step loop). Loads, misses and the trace are empty here.
+   Captured before the memo existed; never regenerate them. *)
+let default_goldens =
+  [
+    ("toyp", "ee580d8f13145314720a4b86ed358862");
+    ("r2000", "132678ee7f8f319e41e2e7c8a024429a");
+    ("m88000", "dc4d8bb1450e2ad29b01e11ac2cb53fa");
+    ("i860", "f5020176ac443b7d67c533060547cf5c");
+  ]
+
+let contract_check config goldens () =
   List.iter
     (fun (model : Model.t) ->
       check Alcotest.string
         (model.Model.name ^ " contract digest")
-        (List.assoc model.Model.name contract_goldens)
-        (Digest.to_hex (Digest.string (contract_blob model))))
+        (List.assoc model.Model.name goldens)
+        (Digest.to_hex (Digest.string (contract_blob config model))))
     [ Lazy.force toyp; R2000.load (); M88000.load (); I860.load () ]
 
 let suite =
@@ -277,8 +422,17 @@ let suite =
     Alcotest.test_case "bad memory traps" `Quick test_sim_error_on_bad_memory;
     Alcotest.test_case "fuel bounds issued instructions" `Quick
       test_fuel_limit;
+    Alcotest.test_case "fuel runs out inside a loop body" `Quick
+      test_fuel_inside_loop;
+    Alcotest.test_case "memo key holds register readiness" `Quick
+      test_memo_key_reads_registers;
+    Alcotest.test_case "memoized timing == stepped timing, 368 cells" `Slow
+      test_memo_vs_step;
     Alcotest.test_case "estimate matches simulation" `Quick
       test_estimated_cycles_close;
     Alcotest.test_case "contract digests vs the unstaged simulator" `Slow
-      test_sim_contract;
+      (contract_check contract_config contract_goldens);
+    Alcotest.test_case "default-config contract digests vs the unmemoized simulator"
+      `Slow
+      (contract_check Sim.default_config default_goldens);
   ]

@@ -187,6 +187,10 @@ let test_scoreboard_vs_reference () =
       if ref_conflict cycle op then ref_first_free (cycle + 1) op else cycle
     in
     let sb = Scoreboard.create model in
+    (* [replica] holds [sb]'s exported state imported [shift] cycles
+       later, then mirrors every reservation *)
+    let replica = Scoreboard.create model and shift = ref 0 in
+    let buf = Array.make (Scoreboard.state_words sb) 0 in
     let rng = Random.State.make [| 0x5eed; 42 |] in
     let ops = model.Model.instrs in
     let classed =
@@ -225,9 +229,28 @@ let test_scoreboard_vs_reference () =
       check Alcotest.int (tag "first_free after the probe")
         (ref_first_free (!cycle + 1) op)
         (Scoreboard.first_free sb ~cycle:(!cycle + 1) op);
+      (* the export decides every later probe: the replica answers
+         alike, shifted, and a round trip in place leaves the reference
+         checks holding *)
+      if Random.State.int rng 8 = 0 then begin
+        ignore (Scoreboard.export sb ~cycle:!cycle buf 0 : int);
+        shift := Random.State.int rng 100;
+        Scoreboard.import replica ~cycle:(!cycle + !shift) buf 0;
+        Scoreboard.import sb ~cycle:!cycle buf 0;
+        Array.iter
+          (fun (o : Model.instr) ->
+            check Alcotest.int (tag ("round trip first_free " ^ o.Model.i_name))
+              (ref_first_free !cycle o)
+              (Scoreboard.first_free sb ~cycle:!cycle o))
+          ops
+      end;
+      check Alcotest.int (tag "replica first_free")
+        (Scoreboard.first_free sb ~cycle:!cycle op + !shift)
+        (Scoreboard.first_free replica ~cycle:(!cycle + !shift) op);
       if Random.State.bool rng then begin
         ref_reserve !cycle op;
-        Scoreboard.reserve sb ~cycle:!cycle op
+        Scoreboard.reserve sb ~cycle:!cycle op;
+        Scoreboard.reserve replica ~cycle:(!cycle + !shift) op
       end
     done;
     if model.Model.name = "i860" then
