@@ -29,10 +29,14 @@ module Solve (D : DOMAIN) = struct
   }
 
   let flow_in r label =
-    Option.bind (Hashtbl.find_opt r.index label) (Array.get r.inb)
+    match Hashtbl.find r.index label with
+    | i -> r.inb.(i)
+    | exception Not_found -> None
 
   let flow_out r label =
-    Option.bind (Hashtbl.find_opt r.index label) (Array.get r.outb)
+    match Hashtbl.find r.index label with
+    | i -> r.outb.(i)
+    | exception Not_found -> None
 
   let solve ?stats (fn : Mir.func) =
     let blocks = Array.of_list fn.Mir.f_blocks in
@@ -40,45 +44,58 @@ module Solve (D : DOMAIN) = struct
     let index = Hashtbl.create (2 * n) in
     Array.iteri (fun i b -> Hashtbl.replace index b.Mir.b_label i) blocks;
     let preds = Array.make n [] and succs = Array.make n [] in
-    (* build in reverse block order so the adjacency lists come out in
-       layout order — joins are then applied deterministically *)
-    for i = n - 1 downto 0 do
-      List.iter
-        (fun l ->
-          match Hashtbl.find_opt index l with
-          | Some j ->
+    (* build in reverse block order, each block's successors last to
+       first, so the adjacency lists come out in layout order — joins
+       are then applied deterministically *)
+    let rec add_succs i = function
+      | [] -> ()
+      | l :: rest -> (
+          add_succs i rest;
+          match Hashtbl.find index l with
+          | j ->
               succs.(i) <- j :: succs.(i);
               preds.(j) <- i :: preds.(j)
-          | None -> ())
-        (List.rev blocks.(i).Mir.b_succs)
+          | exception Not_found -> ())
+    in
+    for i = n - 1 downto 0 do
+      add_succs i blocks.(i).Mir.b_succs
     done;
     (* [None] is bottom: the block has not been reached by any fact yet *)
     let inb : D.fact option array = Array.make n None in
     let outb : D.fact option array = Array.make n None in
+    (* the worklist: a FIFO ring of block indices, each queued at most
+       once *)
     let queued = Array.make n false in
-    let work = Queue.create () in
+    let ring = Array.make (max n 1) 0 in
+    let head = ref 0 and count = ref 0 in
     let enqueue i =
       if not queued.(i) then begin
         queued.(i) <- true;
-        Queue.add i work
+        ring.((!head + !count) mod n) <- i;
+        incr count
       end
     in
     for i = 0 to n - 1 do
       enqueue i
     done;
-    let iters = ref 0 in
-    while not (Queue.is_empty work) do
-      let i = Queue.take work in
-      queued.(i) <- false;
-      let incoming =
-        List.fold_left
-          (fun acc j ->
-            match (outb.(j), acc) with
+    let rec gather acc = function
+      | [] -> acc
+      | j :: rest ->
+          gather
+            (match (outb.(j), acc) with
             | None, acc -> acc
             | Some f, None -> Some f
             | Some f, Some g -> Some (D.join g f))
-          (if i = 0 then Some (D.boundary fn) else None)
-          preds.(i)
+            rest
+    in
+    let iters = ref 0 in
+    while !count > 0 do
+      let i = ring.(!head) in
+      head := (!head + 1) mod n;
+      decr count;
+      queued.(i) <- false;
+      let incoming =
+        gather (if i = 0 then Some (D.boundary fn) else None) preds.(i)
       in
       match incoming with
       | None -> () (* unreachable so far: stays bottom *)
@@ -90,7 +107,7 @@ module Solve (D : DOMAIN) = struct
                 inb.(i) <- Some fact;
                 true
           in
-          if in_changed || outb.(i) = None then begin
+          if in_changed || Option.is_none outb.(i) then begin
             incr iters;
             let out = D.transfer fn blocks.(i) fact in
             let out_changed =

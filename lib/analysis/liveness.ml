@@ -16,35 +16,43 @@ type t = {
          the walk's position with no read in between; stale when the
          walk number is not [walk] *)
   mutable walk : int;
+  mutable kill : int -> unit;  (* the running step's callbacks *)
+  mutable gen : int -> unit;
+  mutable on_write : int -> int -> unit;
+      (* the effect walks' callbacks, built once per analysis so a step
+         allocates nothing *)
+  mutable on_read : int -> int -> unit;
 }
 
 let enter t = t.walk <- t.walk + 1
 
+let kill t l =
+  t.half.(l) <- 0;
+  t.kill l
+
 (* by-name class effects (condition codes, temporal latches) live
    outside the allocation discipline and take no part *)
-let step t ~kill ~gen (i : Mir.inst) =
-  let kill l =
+let on_write t l how =
+  if how = Locs.half0 || how = Locs.half1 then begin
+    let pending =
+      if t.half.(l) lsr 2 = t.walk then t.half.(l) land 3 else 0
+    in
+    let mask = pending lor (1 lsl (how - Locs.half0)) in
+    if mask = 3 then kill t l else t.half.(l) <- (t.walk lsl 2) lor mask
+  end
+  else if how <> Locs.by_name then kill t l
+
+let on_read t l how =
+  if how <> Locs.by_name then begin
     t.half.(l) <- 0;
-    kill l
-  in
-  Locs.iter_writes t.tab
-    (fun l how ->
-      if how = Locs.half0 || how = Locs.half1 then begin
-        let pending =
-          if t.half.(l) lsr 2 = t.walk then t.half.(l) land 3 else 0
-        in
-        let mask = pending lor (1 lsl (how - Locs.half0)) in
-        if mask = 3 then kill l else t.half.(l) <- (t.walk lsl 2) lor mask
-      end
-      else if how <> Locs.by_name then kill l)
-    i;
-  Locs.iter_reads t.tab
-    (fun l how ->
-      if how <> Locs.by_name then begin
-        t.half.(l) <- 0;
-        gen l
-      end)
-    i
+    t.gen l
+  end
+
+let step t ~kill ~gen (i : Mir.inst) =
+  t.kill <- kill;
+  t.gen <- gen;
+  Locs.iter_writes t.tab t.on_write i;
+  Locs.iter_reads t.tab t.on_read i
 
 let compute (fn : Mir.func) : t =
   let tab = Regtab.get fn.Mir.f_model in
@@ -62,8 +70,14 @@ let compute (fn : Mir.func) : t =
       live_out = sets ();
       half = Array.make cap 0;
       walk = 0;
+      kill = ignore;
+      gen = ignore;
+      on_write = (fun _ _ -> ());
+      on_read = (fun _ _ -> ());
     }
   in
+  t.on_write <- on_write t;
+  t.on_read <- on_read t;
   (* use: live into the block whatever leaves it; def: killed in it *)
   let use = sets () and def = sets () in
   Array.iteri

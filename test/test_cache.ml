@@ -84,11 +84,19 @@ let replace_first ~pat ~by s =
   | Some i ->
       String.sub s 0 i ^ by ^ String.sub s (i + m) (n - i - m)
 
-let temp_dir () =
-  let f = Filename.temp_file "marion-cache-test" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o700;
-  f
+(* [f dir] over a fresh directory, which is removed with every entry the
+   cache wrote into it however [f] ends *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "marion-cache-test" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun e -> Sys.remove (Filename.concat dir e))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
 
 let counters c = Cache.counters c
 
@@ -319,8 +327,8 @@ let entries dir =
   |> List.sort compare
 
 let test_disk_persistence () =
+  with_temp_dir @@ fun dir ->
   let m = Lazy.force r2000 in
-  let dir = temp_dir () in
   let unit = ("multi", multi_fn_src) in
   let base = compile ~jobs:1 m Strategy.Rase unit in
   let c1 = Cache.create ~dir () in
@@ -343,7 +351,7 @@ let test_disk_fills_reproducible () =
     In_channel.with_open_bin path In_channel.input_all
   in
   let fill () =
-    let dir = temp_dir () in
+    with_temp_dir @@ fun dir ->
     let cache = Cache.create ~dir () in
     List.iter
       (fun (_, model) ->
@@ -355,12 +363,7 @@ let test_disk_fills_reproducible () =
               (workload ()))
           Strategy.all)
       targets;
-    let files =
-      List.map (fun e -> (e, read (Filename.concat dir e))) (entries dir)
-    in
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir;
-    files
+    List.map (fun e -> (e, read (Filename.concat dir e))) (entries dir)
   in
   let a = fill () and b = fill () in
   check Alcotest.bool "entries written" true (a <> []);
@@ -383,8 +386,8 @@ let corrupt_last_byte path =
   close_out oc
 
 let test_disk_corruption_is_a_miss () =
+  with_temp_dir @@ fun dir ->
   let m = Lazy.force r2000 in
-  let dir = temp_dir () in
   let unit = ("multi", multi_fn_src) in
   let base = compile ~jobs:1 m Strategy.Postpass unit in
   ignore (compile ~cache:(Cache.create ~dir ()) ~jobs:1 m Strategy.Postpass unit);
@@ -405,8 +408,8 @@ let test_disk_corruption_is_a_miss () =
   check Alcotest.int "repaired" multi_fn_funcs (counters c2).Cache.hits
 
 let test_disk_wrong_version_is_a_miss () =
+  with_temp_dir @@ fun dir ->
   let m = Lazy.force r2000 in
-  let dir = temp_dir () in
   let unit = ("multi", multi_fn_src) in
   let base = compile ~jobs:1 m Strategy.Postpass unit in
   ignore (compile ~cache:(Cache.create ~dir ()) ~jobs:1 m Strategy.Postpass unit);

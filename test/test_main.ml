@@ -15,6 +15,7 @@ let () =
       ("robust", Test_robust.suite);
       ("check", Test_check.suite);
       ("transval", Test_transval.suite);
+      ("checkers", Test_checkers.suite);
       ("targets", Test_targets.suite);
       ("e2e", Test_e2e.suite);
       ("props", Test_props.suite);
