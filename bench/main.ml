@@ -1,10 +1,10 @@
 (* The reproduction harness: regenerates every table and figure of the
-   paper's evaluation (section 5) plus the headline claims, and provides
-   Bechamel micro-benchmarks of the compiler phases.
+   paper's evaluation (section 5) plus the headline claims, and runs the
+   ablation, parallel, cache and disambiguation experiments on request.
+   Per-layer compile and simulation costs are measured by bench/perf.
 
-     dune exec bench/main.exe            -- everything except micro
+     dune exec bench/main.exe            -- tables, figures and claims
      dune exec bench/main.exe -- table3  -- one experiment
-     dune exec bench/main.exe -- micro   -- phase micro-benchmarks
 
    Absolute numbers differ from the paper (different host, simulated
    targets, substituted workloads); the shapes are the reproduction:
@@ -203,20 +203,6 @@ let time_both f =
   let w0 = Mclock.wall () and c0 = Mclock.cpu () in
   let r = f () in
   (r, Mclock.wall () -. w0, Mclock.cpu () -. c0)
-
-(* wall seconds a compile's profile spent in the entries named with one
-   of [prefixes], summed across functions (and domains) *)
-let profile_wall prefixes (report : Strategy.report) =
-  List.fold_left
-    (fun acc (e : Profile.entry) ->
-      if
-        List.exists
-          (fun prefix -> String.starts_with ~prefix e.Profile.e_name)
-          prefixes
-      then acc +. e.Profile.e_wall
-      else acc)
-    0.0
-    (Profile.entries report.Strategy.profile)
 
 let table3 () =
   header "Table 3: compile time of front end and Marion back ends + dilation";
@@ -646,163 +632,6 @@ let ablation () =
     kernels
 
 (* ------------------------------------------------------------------ *)
-(* Checker overhead: the static checks are on by default; price them   *)
-(* ------------------------------------------------------------------ *)
-
-let checker () =
-  header "Checker overhead: share of compile time spent in static checking";
-  print_endline
-    "Livermore 1-14 on the R2000. Each compile runs front end + selection +";
-  print_endline
-    "strategy with checking on: the description lint (memoized per";
-  print_endline
-    "description, so the suite pays it once), then the MIR verifier at";
-  print_endline
-    "all four phase points (post-select, post-regalloc, post-sched,";
-  print_endline
-    "final). The lint and every verifier call are timed profile entries";
-  print_endline
-    "(lint, verify:<phase>), so the overhead below is measured";
-  print_endline
-    "directly rather than by differencing two noisy end-to-end runs.";
-  print_newline ();
-  let model = R2000.load () in
-  let srcs = Livermore.sources () in
-  let reps = 5 in
-  Printf.printf "%-10s %16s %14s %10s\n" "strategy"
-    (Printf.sprintf "compile (s x%d)" reps)
-    "checking (s)" "overhead";
-  List.iter
-    (fun strat ->
-      let check_t = ref 0.0 in
-      let _, total =
-        time_it (fun () ->
-            for _ = 1 to reps do
-              List.iter
-                (fun (file, src) ->
-                  let _, report =
-                    Strategy.compile model strat (Cgen.compile ~file src)
-                  in
-                  check_t :=
-                    !check_t +. profile_wall [ "lint"; "verify:" ] report)
-                srcs
-            done)
-      in
-      Printf.printf "%-10s %16.3f %14.3f %9.1f%%\n" (Strategy.to_string strat)
-        total !check_t
-        (100.0 *. !check_t /. total))
-    Strategy.all;
-  let _, lint_t =
-    time_it (fun () ->
-        for _ = 1 to 100 do
-          ignore (Marion.lint model)
-        done)
-  in
-  Printf.printf "\ndescription lint alone: %.3f ms/run\n" (10.0 *. lint_t);
-  print_endline
-    "Shape check: every strategy spends under 10% of its compile time in";
-  print_endline
-    "the checker, so it stays on by default. The share is largest for";
-  print_endline
-    "naive, whose back end does the least work per function."
-
-(* ------------------------------------------------------------------ *)
-(* Translation-validation overhead: Schedval + Regval priced over the   *)
-(* full matrix                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let transval () =
-  header
-    "Translation validation: overhead and findings over the full matrix";
-  print_endline
-    "Livermore 1-14 x {toyp, r2000, m88000, i860} x all four strategies,";
-  print_endline
-    "compiled with the translation validators on (the default): every";
-  print_endline
-    "scheduling and allocation pass has its input captured and its output";
-  print_endline
-    "checked for semantic preservation (Schedval: dependence-DAG";
-  print_endline
-    "linearization; Regval: symbolic lockstep execution). Capture and";
-  print_endline
-    "check are timed profile entries (validate:capture:<phase> and";
-  print_endline
-    "validate:<phase>), so the overhead is measured directly, not by";
-  print_endline "differencing noisy runs.";
-  print_newline ();
-  let targets =
-    [
-      ("toyp", Toyp.load ());
-      ("r2000", R2000.load ());
-      ("m88000", M88000.load ());
-      ("i860", I860.load ());
-    ]
-  in
-  let srcs = Livermore.sources () in
-  let all_diags = ref [] in
-  let violations = ref 0 in
-  Printf.printf "%-8s %-10s %12s %12s %10s %6s\n" "target" "strategy"
-    "compile (s)" "validate (s)" "overhead" "cells";
-  let grand_total = ref 0.0 and grand_validate = ref 0.0 in
-  List.iter
-    (fun (tname, model) ->
-      List.iter
-        (fun strat ->
-          let validate_t = ref 0.0 and cells = ref 0 in
-          let _, total =
-            time_it (fun () ->
-                List.iter
-                  (fun (file, src) ->
-                    (* a few cells do not select on every target; skip
-                       them identically to the parallel experiment. The
-                       IR is rebuilt per cell: glue annotates it for one
-                       model *)
-                    match
-                      Strategy.compile model strat (Cgen.compile ~file src)
-                    with
-                    | _, report ->
-                        incr cells;
-                        validate_t :=
-                          !validate_t +. profile_wall [ "validate:" ] report;
-                        all_diags :=
-                          List.rev_append report.Strategy.validate_diags
-                            !all_diags
-                    | exception (Select.No_pattern _ | Loc.Error _) -> ()
-                    | exception Diag.Check_error ds ->
-                        incr violations;
-                        all_diags := List.rev_append ds !all_diags)
-                  srcs)
-          in
-          grand_total := !grand_total +. total;
-          grand_validate := !grand_validate +. !validate_t;
-          Printf.printf "%-8s %-10s %12.3f %12.3f %9.1f%% %6d\n" tname
-            (Strategy.to_string strat) total !validate_t
-            (100.0 *. !validate_t /. total)
-            !cells)
-        Strategy.all)
-    targets;
-  Printf.printf "\n%-19s %12.3f %12.3f %9.1f%%\n" "matrix total"
-    !grand_total !grand_validate
-    (100.0 *. !grand_validate /. !grand_total);
-  let diags = Diag.sort !all_diags in
-  Printf.printf "validation diagnostics: %d\n" (List.length diags);
-  Printf.printf "semantic-preservation violations: %d\n" !violations;
-  let out = open_out "transval_diags.json" in
-  output_string out (Diag.list_to_json diags ^ "\n");
-  close_out out;
-  print_endline "(diagnostics written to transval_diags.json)";
-  print_newline ();
-  print_endline
-    "Shape check: the validators stay well under 15% of matrix compile";
-  print_endline
-    "time (the share is largest for naive, whose back end does the least";
-  print_endline
-    "work per function), and a clean compiler reports zero diagnostics";
-  print_endline
-    "and zero violations — the validators earn their keep only when a";
-  print_endline "pass actually miscompiles (see test/test_transval.ml)."
-
-(* ------------------------------------------------------------------ *)
 (* Domain-parallel compilation + per-pass profiles                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1093,60 +922,6 @@ let disambig () =
   print_endline "pruned > 0 for the Livermore corpus."
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  header "Bechamel micro-benchmarks of the compiler phases";
-  let open Bechamel in
-  let src = List.assoc "lfk7" Suite.programs in
-  let model = R2000.load () in
-  let ir () = Cgen.compile ~file:"lfk7" src in
-  let tests =
-    Test.make_grouped ~name:"marion"
-      [
-        Test.make ~name:"maril-parse"
-          (Staged.stage (fun () ->
-               ignore (Parser.parse ~name:"r2000" ~file:"<r>" R2000.description)));
-        Test.make ~name:"model-build"
-          (Staged.stage (fun () ->
-               ignore (Builder.load ~name:"r2000" ~file:"<r>" R2000.description)));
-        Test.make ~name:"front-end" (Staged.stage (fun () -> ignore (ir ())));
-        Test.make ~name:"selection"
-          (Staged.stage (fun () -> ignore (Select.select_prog model (ir ()))));
-        Test.make ~name:"postpass"
-          (Staged.stage (fun () ->
-               ignore
-                 (Strategy.apply Strategy.Postpass (Select.select_prog model (ir ())))));
-        Test.make ~name:"ips"
-          (Staged.stage (fun () ->
-               ignore (Strategy.apply Strategy.Ips (Select.select_prog model (ir ())))));
-        Test.make ~name:"rase"
-          (Staged.stage (fun () ->
-               ignore (Strategy.apply Strategy.Rase (Select.select_prog model (ir ())))));
-        Test.make ~name:"simulate"
-          (Staged.stage (fun () ->
-               let p, _ = Strategy.compile model Strategy.Postpass (ir ()) in
-               ignore (Sim.run p)));
-      ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      instance raw
-  in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "%-28s %14.1f ns/run\n" name est
-      | Some _ | None -> Printf.printf "%-28s (no estimate)\n" name)
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1162,10 +937,7 @@ let () =
   | "fig4_5" -> fig4_5 ()
   | "fig6" -> fig6 ()
   | "fig7" -> fig7 ()
-  | "micro" -> micro ()
   | "ablation" -> ablation ()
-  | "checker" -> checker ()
-  | "transval" -> transval ()
   | "parallel" -> parallel ()
   | "cache" -> cache_bench ()
   | "disambig" -> disambig ()
@@ -1181,6 +953,6 @@ let () =
       claims ()
   | other ->
       Printf.eprintf
-        "unknown experiment %S (table1|table2|table3|table4|claims|fig1_3|fig4_5|fig6|fig7|micro|ablation|checker|transval|parallel|cache|disambig|all)\n"
+        "unknown experiment %S (table1|table2|table3|table4|claims|fig1_3|fig4_5|fig6|fig7|ablation|parallel|cache|disambig|all)\n"
         other;
       exit 1

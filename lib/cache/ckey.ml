@@ -153,33 +153,13 @@ let of_ir_func (fn : Ir.func) =
 (* A model is pure data (tables of records, AST fragments, bitsets), so
    its Marshal image is a function of its structure alone: a rebuilt
    model from the same description marshals to the same bytes. The memo
-   below only avoids re-marshaling the common case of one long-lived
-   model; it is keyed physically and never consulted for equality. *)
-
-let model_memo_mutex = Mutex.create ()
-
-let model_memo : (Model.t * t) list ref = ref []
+   only avoids re-marshaling the common case of one long-lived model; it
+   is keyed physically and never consulted for equality. *)
 
 let compute_model_digest (model : Model.t) =
   Digest.string (Marshal.to_string model [])
 
-let of_model model =
-  Mutex.lock model_memo_mutex;
-  match List.assq_opt model !model_memo with
-  | Some d ->
-      Mutex.unlock model_memo_mutex;
-      d
-  | None ->
-      (* compute outside the lock: marshaling a model is slow enough to
-         stall concurrent lookups, and a duplicate computation is
-         harmless (same digest) *)
-      Mutex.unlock model_memo_mutex;
-      let d = compute_model_digest model in
-      Mutex.lock model_memo_mutex;
-      let keep = List.filteri (fun i _ -> i < 7) !model_memo in
-      model_memo := (model, d) :: keep;
-      Mutex.unlock model_memo_mutex;
-      d
+let of_model = Model.memo compute_model_digest
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline identity                                                   *)

@@ -31,7 +31,7 @@ val of_ir_func : Ir.func -> t
 
 val of_model : Model.t -> t
 (** Digest of a compiled machine model. Memoized by physical identity
-    behind a mutex (models are built once and never mutated), but a
+    with {!Model.memo} (models are built once and never mutated), but a
     structurally-equal rebuilt model recomputes to the {e same} digest —
     the memo is an optimization, never a semantic key. *)
 

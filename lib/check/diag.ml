@@ -2,8 +2,6 @@ type severity = Error | Warning
 
 type phase = Post_select | Post_regalloc | Post_sched | Final
 
-let all_phases = [ Post_select; Post_regalloc; Post_sched; Final ]
-
 let phase_name = function
   | Post_select -> "post-select"
   | Post_regalloc -> "post-regalloc"

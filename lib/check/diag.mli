@@ -11,8 +11,6 @@ type severity = Error | Warning
 
 type phase = Post_select | Post_regalloc | Post_sched | Final
 
-val all_phases : phase list
-
 val phase_name : phase -> string
 
 type t = {

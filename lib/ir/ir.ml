@@ -174,15 +174,6 @@ let fold_unop op a =
   | Bnot -> sext32 (lnot a)
   | Lnot -> if a = 0 then 1 else 0
 
-let eval_relop op a b =
-  match op with
-  | Eq -> a = b
-  | Ne -> a <> b
-  | Lt -> a < b
-  | Le -> a <= b
-  | Gt -> a > b
-  | Ge -> a >= b
-
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)

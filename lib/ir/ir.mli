@@ -121,8 +121,6 @@ val fold_binop : binop -> int -> int -> int option
 
 val fold_unop : unop -> int -> int
 
-val eval_relop : relop -> int -> int -> bool
-
 (** {1 Printing} *)
 
 val binop_to_string : binop -> string

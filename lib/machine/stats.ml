@@ -81,9 +81,3 @@ let of_description ~name src =
     funcs = !funcs;
     instrs = !instrs;
   }
-
-let pp_row ppf s =
-  Format.fprintf ppf
-    "%-8s decl=%3d cwvm=%3d instr=%4d clocks=%d elems=%3d classes=%2d aux=%2d glue=%2d funcs=%d"
-    s.s_name s.declare_lines s.cwvm_lines s.instr_lines s.clocks s.elements
-    s.classes s.aux_lats s.glue_xforms s.funcs

@@ -22,5 +22,3 @@ val of_description : name:string -> string -> t
 (** Parse the Maril source and measure it. Section line counts include
     every non-blank line between a section keyword and its closing
     brace. *)
-
-val pp_row : Format.formatter -> t -> unit

@@ -1,11 +1,11 @@
 (** Per-compile observability: where did this compile spend its time, and
     what did each phase do to the code?
 
-    One [Profile.t] is built per {!Strategy.compile} (or per standalone
-    {!Strategy.apply}). Pass runners ({!Pass.run_pipeline}) and the
-    strategy driver feed it named time samples — one per pass per
-    function, merged in program order so the rendered profile is
-    deterministic up to timing jitter — plus aggregate shape statistics
+    One [Profile.t] is built per {!Strategy.compile}. Pass runners
+    ({!Pass.run_pipeline}) and the strategy driver feed it named time
+    samples — one per pass per function, merged in program order so the
+    rendered profile is deterministic up to timing jitter — plus
+    aggregate shape statistics
     (functions, blocks, instructions, spills, schedule passes) and, when
     a compilation cache is attached, its hit/miss/eviction/stale counters
     for this compile. Rendered as text

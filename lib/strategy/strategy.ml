@@ -396,24 +396,6 @@ let snapshot_func (fn : Mir.func) =
     Mir.f_slot_offsets = Hashtbl.copy fn.Mir.f_slot_offsets;
   }
 
-(* copy a winning retry's mutable state back into the original function
-   object, for callers (Strategy.apply) whose contract is rewriting the
-   program in place *)
-let splice ~into:(dst : Mir.func) (src : Mir.func) =
-  dst.Mir.f_blocks <- src.Mir.f_blocks;
-  dst.Mir.f_frame_size <- src.Mir.f_frame_size;
-  dst.Mir.f_next_preg <- src.Mir.f_next_preg;
-  dst.Mir.f_next_inst <- src.Mir.f_next_inst;
-  dst.Mir.f_saved <- src.Mir.f_saved;
-  dst.Mir.f_slots <- src.Mir.f_slots;
-  dst.Mir.f_next_slot <- src.Mir.f_next_slot;
-  dst.Mir.f_has_calls <- src.Mir.f_has_calls;
-  dst.Mir.f_locations <- src.Mir.f_locations;
-  Hashtbl.reset dst.Mir.f_slot_offsets;
-  Hashtbl.iter
-    (Hashtbl.replace dst.Mir.f_slot_offsets)
-    src.Mir.f_slot_offsets
-
 (* a skipped function contributes its shape to the profile but no pass
    work: it is left at its pristine pre-pipeline state *)
 let skipped_unit fn events =
@@ -560,27 +542,6 @@ let merge_units prof strategy units : report =
     faults = List.rev !events;
     profile = prof;
   }
-
-let apply ?(opts = default) strategy (prog : Mir.prog) : report =
-  let w0 = Mclock.wall () and c0 = Mclock.cpu () in
-  let prof = Profile.create ~jobs:opts.jobs ~strategy:(to_string strategy) () in
-  (* fan the per-function units out over the domain pool; results come
-     back in program order whatever the completion order. A winning
-     ladder retry is spliced back into the original object, preserving
-     apply's rewrite-in-place contract. *)
-  let units =
-    Dpool.map ~jobs:opts.jobs
-      (fun fn ->
-        let u, _rung = run_func opts strategy fn in
-        let final = u.u_out.Cache.c_func in
-        if final != fn then splice ~into:fn final;
-        u)
-      prog.Mir.p_funcs
-  in
-  let report = merge_units prof strategy units in
-  prof.Profile.p_wall <- Mclock.wall () -. w0;
-  prof.Profile.p_cpu <- Mclock.cpu () -. c0;
-  report
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program compilation                                           *)

@@ -35,18 +35,19 @@ val of_string : string -> name option
 val pipeline : ?disambig:bool -> name -> Pass.t list
 (** The strategy's phase ordering, in execution order. All
     strategy-specific allocation/scheduling behaviour lives in these pass
-    definitions; {!apply} contains none. With [disambig] (the default)
-    every {e post-allocation} pass that builds dependence DAGs — the final
-    [schedule], and the naive baseline's [estimate-inorder] — computes a
-    static memory-disambiguation oracle from its input ({!Disambig}) and
-    hands it to the DAG builder, so provably independent memory accesses
-    carry no Mem edge. Pre-allocation passes (the IPS and RASE
-    prepasses, and the RASE budget sweep that models them) deliberately
-    stay conservative: hoisting loads across stores before the
-    allocator runs stretches live ranges, and on the Livermore corpus
-    costs more in spills than the reordering freedom buys. Pass names
-    are identical either way — the flag is part of the cache key
-    ({!pipeline_key}), not the pass list. *)
+    definitions; the driver ({!compile}) contains none. With [disambig]
+    (the default) every {e post-allocation} pass that builds dependence
+    DAGs — the final [schedule], and the naive baseline's
+    [estimate-inorder] — computes a static memory-disambiguation oracle
+    from its input ({!Disambig}) and hands it to the DAG builder, so
+    provably independent memory accesses carry no Mem edge.
+    Pre-allocation passes (the IPS and RASE prepasses, and the RASE
+    budget sweep that models them) deliberately stay conservative:
+    hoisting loads across stores before the allocator runs stretches
+    live ranges, and on the Livermore corpus costs more in spills than
+    the reordering freedom buys. Pass names are identical either way —
+    the flag is part of the cache key ({!pipeline_key}), not the pass
+    list. *)
 
 val max_budget : Model.t -> int
 (** The largest register budget the RASE sweep explores: the size of the
@@ -171,13 +172,6 @@ type report = {
           non-deterministic part of a report; fault and degradation
           counts land in [p_faults]/[p_degraded]/[p_skipped]. *)
 }
-
-val apply : ?opts:options -> name -> Mir.prog -> report
-(** Run the strategy's pipeline over every function of a selected
-    program under [opts] (default {!default}): scheduling and register
-    allocation per the strategy, then frame layout. The program is
-    rewritten in place and is ready for the simulator or the assembly
-    printer. *)
 
 val compile :
   ?opts:options -> ?cache:Cache.t -> Model.t -> name -> Ir.prog ->

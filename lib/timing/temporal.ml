@@ -4,8 +4,6 @@ type t = { model : Model.t; mutable open_ : window list }
 
 let create model = { model; open_ = [] }
 
-let reset t = t.open_ <- []
-
 let has_temporal (model : Model.t) =
   Array.exists
     (fun (c : Model.rclass) -> c.Model.c_temporal)

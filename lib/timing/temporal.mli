@@ -23,9 +23,6 @@ type t
 
 val create : Model.t -> t
 
-val reset : t -> unit
-(** Close every window (block boundary). *)
-
 val has_temporal : Model.t -> bool
 (** Does any register class of this model live on a clock at all? *)
 

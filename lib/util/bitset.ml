@@ -165,10 +165,3 @@ let to_list t =
   let acc = ref [] in
   iter (fun i -> acc := i :: !acc) t;
   List.rev !acc
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Format.pp_print_int)
-    (to_list t)

@@ -61,5 +61,3 @@ val iter : (int -> unit) -> t -> unit
 val of_list : int -> int list -> t
 
 val to_list : t -> int list
-
-val pp : Format.formatter -> t -> unit

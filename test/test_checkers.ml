@@ -14,7 +14,8 @@
    ...). The rendered diagnostics are digested per target and compared
    against digests captured before the checkers were reworked for speed,
    so one changed message byte fails the test. Never regenerate them to
-   make a checker change pass.
+   make a checker change pass. The validator must report nothing on any
+   cell's unmutated output; a finding there fails with the cell's name.
 
    Allocation: a checker that passes should allocate little. Over the
    Livermore cells, the minor words Mircheck, Regval and Schedval
@@ -23,23 +24,6 @@
    the Mircheck and Regval bounds. *)
 
 let check = Alcotest.check
-
-let copy_func (fn : Mir.func) =
-  {
-    fn with
-    Mir.f_blocks =
-      List.map
-        (fun (b : Mir.block) ->
-          {
-            b with
-            Mir.b_insts =
-              List.map
-                (fun (i : Mir.inst) ->
-                  { i with Mir.n_ops = Array.copy i.Mir.n_ops })
-                b.Mir.b_insts;
-          })
-        fn.Mir.f_blocks;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Mutators: in place on a copy; [false] when the shape has no site    *)
@@ -421,7 +405,7 @@ let diagnostic_blob model =
     render buf (fn_label phase fn "clean") (Mircheck.check_func phase fn);
     List.iter
       (fun (name, mutate) ->
-        let m = copy_func fn in
+        let m = Transval.capture fn in
         if mutate m then
           render buf (fn_label phase fn name) (Mircheck.check_func phase m))
       verifier_mutators
@@ -430,7 +414,14 @@ let diagnostic_blob model =
     let run f =
       Transval.validate_func ~disambig:true ?analysis phase ~before f
     in
-    render buf (fn_label phase fn "valid clean") (run fn);
+    let clean = run fn in
+    (match clean with
+    | [] -> ()
+    | d :: _ ->
+        Alcotest.failf "%s: validator reports %s on a clean compile"
+          (fn_label phase fn "valid clean")
+          (Diag.to_string d));
+    render buf (fn_label phase fn "valid clean") clean;
     let mutators =
       match phase with
       | Diag.Post_regalloc ->
@@ -446,7 +437,7 @@ let diagnostic_blob model =
     in
     List.iter
       (fun (name, mutate) ->
-        let m = copy_func fn in
+        let m = Transval.capture fn in
         if mutate m then
           render buf (fn_label phase fn ("valid " ^ name)) (run m))
       mutators

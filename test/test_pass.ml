@@ -155,28 +155,29 @@ let test_jobs_identical_via_marion () =
     (Marion.asm_to_string b.Marion.compiled.Marion.prog)
 
 let test_error_determinism () =
-  (* a broken function that is not the first: both drivers must raise the
-     same Check_error (the earliest failing function in program order) *)
+  (* faults planted in two functions, neither of them the first: at any
+     job count the driver must raise the fault of the earliest faulting
+     function in program order, [mix] *)
   let m = Lazy.force r2000 in
-  let broken () =
-    let prog = Select.select_prog m (Cgen.compile ~file:"<mf.c>" multi_fn_src) in
-    (match prog.Mir.p_funcs with
-    | _ :: (fn : Mir.func) :: _ -> (
-        match fn.Mir.f_blocks with
-        | (b : Mir.block) :: _ -> b.Mir.b_succs <- "Lnowhere" :: b.Mir.b_succs
-        | [] -> Alcotest.fail "function has no blocks")
-    | _ -> Alcotest.fail "need at least two functions");
-    prog
+  let finject =
+    match Finject.parse "schedule:mix:diag,allocate:sum_to:exn" with
+    | Ok p -> p
+    | Error msg -> Alcotest.fail msg
   in
   let result jobs =
     match
-      Strategy.apply ~opts:{ Strategy.default with jobs } Strategy.Postpass
-        (broken ())
+      Strategy.compile
+        ~opts:{ Strategy.default with jobs; finject }
+        m Strategy.Postpass
+        (Cgen.compile ~file:"<mf.c>" multi_fn_src)
     with
-    | _ -> Alcotest.fail "expected Check_error"
-    | exception Diag.Check_error ds -> List.map Diag.to_string ds
+    | _ -> Alcotest.fail "expected an injected fault"
+    | exception Guard.Trip f -> f
   in
-  check Alcotest.(list string) "same error" (result 1) (result 4)
+  let seq = result 1 and par = result 4 in
+  check Alcotest.string "first faulting function" "mix" seq.Fault.f_func;
+  check Alcotest.string "same fault" (Fault.to_string seq)
+    (Fault.to_string par)
 
 (* ------------------------------------------------------------------ *)
 (* Profiles: observability is wired through and self-consistent         *)
